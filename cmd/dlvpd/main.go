@@ -7,7 +7,7 @@
 //	      [-timeline-interval 100000] [-timeline-capacity 512]
 //	      [-matrix-dir /var/lib/dlvp/matrices] [-matrix-shard-workers 2]
 //	      [-peers http://h1:8080,http://h2:8080] [-self name]
-//	      [-hedge-after 0] [-health-interval 3s]
+//	      [-health-interval 3s]
 //	      [-log-format json|text] [-log-level debug|info|warn|error]
 //	      [-debug-addr :6060] [-version]
 //
@@ -47,7 +47,7 @@
 // a request records spans under the same trace. GET /v1/traces/{id}
 // serves this daemon's local spans; GET /v1/traces/{id}?cluster=1
 // scrapes every healthy peer and stitches one cross-process tree with
-// hedged losers, retries, and stolen shards marked (rendered by
+// retries and stolen shards marked (rendered by
 // `dlvpstat trace`). GET /v1/cluster/metrics federates every member's
 // Prometheus exposition under instance labels, annotating unreachable
 // peers instead of failing. With -debug-addr set, a separate admin
@@ -96,7 +96,6 @@ func main() {
 	matrixWorkers := flag.Int("matrix-shard-workers", 0, "concurrent shards per dispatch target during matrix sweeps (0: default 2)")
 	peers := flag.String("peers", "", "comma-separated peer base URLs (e.g. http://10.0.0.2:8080) forming the dispatch ring")
 	self := flag.String("self", "", "this daemon's name in the dispatch ring; peers should use the same string as its URL (empty: \"local\")")
-	hedgeAfter := flag.Duration("hedge-after", 0, "launch a hedged copy of a straggling job on the next backend after this delay (0: disabled)")
 	healthInterval := flag.Duration("health-interval", dispatch.DefaultHealthInterval, "peer health probe cadence")
 	logFormat := flag.String("log-format", "json", "log output format: json or text")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
@@ -158,7 +157,6 @@ func main() {
 	disp, err := dispatch.New(dispatch.Options{
 		Local:          dispatch.NewLocalBackend(*self, eng),
 		Peers:          peerBackends,
-		HedgeAfter:     *hedgeAfter,
 		HealthInterval: *healthInterval,
 		Obs:            ob,
 	})
@@ -221,7 +219,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	logger.Info("dlvpd listening", "addr", *addr, "workers", eng.Stats().Workers,
-		"peers", disp.Peers(), "hedge_after", hedgeAfter.String())
+		"peers", disp.Peers())
 
 	select {
 	case err := <-errc:

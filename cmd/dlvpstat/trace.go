@@ -134,8 +134,6 @@ func exclusiveMS(n *obs.TreeNode) float64 {
 // markerTag renders a span's marker for the waterfall line.
 func markerTag(marker string) string {
 	switch marker {
-	case obs.MarkerHedgeLoser:
-		return " [hedge loser]"
 	case obs.MarkerRetry:
 		return " [retry]"
 	case obs.MarkerStolen:

@@ -15,7 +15,7 @@ func testAssembled() *traceDoc {
 		{Name: "http.request", SpanID: "aaaaaaaaaaaaaaaa", Start: t0, DurationMS: 100},
 		{Name: "dispatch.route", SpanID: "bbbbbbbbbbbbbbbb", ParentID: "aaaaaaaaaaaaaaaa", Start: t0.Add(time.Millisecond), DurationMS: 98},
 		{Name: "dispatch.attempt", SpanID: "cccccccccccccccc", ParentID: "bbbbbbbbbbbbbbbb", Start: t0.Add(2 * time.Millisecond), DurationMS: 95},
-		{Name: "dispatch.hedge_loser", SpanID: "dddddddddddddddd", ParentID: "bbbbbbbbbbbbbbbb", Marker: obs.MarkerHedgeLoser, Start: t0.Add(50 * time.Millisecond)},
+		{Name: "dispatch.retry", SpanID: "dddddddddddddddd", ParentID: "bbbbbbbbbbbbbbbb", Marker: obs.MarkerRetry, Start: t0.Add(50 * time.Millisecond)},
 	}
 	peer := []obs.Span{
 		{Name: "http.request", SpanID: "eeeeeeeeeeeeeeee", ParentID: "cccccccccccccccc", Start: t0.Add(5 * time.Millisecond), DurationMS: 90},
@@ -41,7 +41,7 @@ func TestRenderTraceWaterfall(t *testing.T) {
 		t.Errorf("header wrong:\n%s", out)
 	}
 	for _, want := range []string{
-		"[hedge loser]",
+		"[retry]",
 		"runner.execute",
 		"http://peer:8080",
 		"linpack",

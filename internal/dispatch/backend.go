@@ -3,7 +3,6 @@ package dispatch
 import (
 	"context"
 
-	"dlvp/internal/metrics"
 	"dlvp/internal/runner"
 )
 
@@ -15,29 +14,13 @@ type Backend interface {
 	// it must be stable for affinity routing to hold: the same job key and
 	// the same backend names always produce the same routing order.
 	Name() string
-	// Run executes one job, returning its statistics and whether the
-	// result was served from a cache (local or remote).
-	Run(ctx context.Context, job runner.Job) (metrics.RunStats, bool, error)
+	// RunResult executes one job, returning its full result (statistics
+	// plus sampled-run provenance) and whether a cache, local or remote,
+	// served it.
+	RunResult(ctx context.Context, job runner.Job) (runner.Result, bool, error)
 	// CheckHealth probes the backend; nil means it can accept work. The
 	// dispatcher calls this from its active health loop.
 	CheckHealth(ctx context.Context) error
-}
-
-// ResultBackend is the optional richer surface of a Backend: a full
-// runner.Result instead of flattened statistics, so sampled-run
-// provenance survives routing. Both shipped backends implement it; the
-// dispatcher falls back to Run for ones that don't.
-type ResultBackend interface {
-	RunResult(ctx context.Context, job runner.Job) (runner.Result, bool, error)
-}
-
-// runBackend invokes b through its richest supported surface.
-func runBackend(ctx context.Context, b Backend, job runner.Job) (runner.Result, bool, error) {
-	if rb, ok := b.(ResultBackend); ok {
-		return rb.RunResult(ctx, job)
-	}
-	st, cached, err := b.Run(ctx, job)
-	return runner.Result{Stats: st}, cached, err
 }
 
 // LocalBackend adapts an in-process runner engine to the Backend
@@ -61,12 +44,7 @@ func NewLocalBackend(name string, eng *runner.Runner) *LocalBackend {
 // Name implements Backend.
 func (b *LocalBackend) Name() string { return b.name }
 
-// Run implements Backend by executing on the wrapped engine.
-func (b *LocalBackend) Run(ctx context.Context, job runner.Job) (metrics.RunStats, bool, error) {
-	return b.eng.Run(ctx, job)
-}
-
-// RunResult implements ResultBackend on the wrapped engine.
+// RunResult implements Backend by executing on the wrapped engine.
 func (b *LocalBackend) RunResult(ctx context.Context, job runner.Job) (runner.Result, bool, error) {
 	return b.eng.RunResult(ctx, job)
 }

@@ -16,9 +16,6 @@
 //   - retry with a budget: retryable failures (connection refused, 5xx,
 //     per-attempt timeout) re-route to the next backend in the ring until
 //     the budget is spent;
-//   - optional hedged requests: if the chosen backend has not answered
-//     within HedgeAfter, the job is also launched on the next ranked
-//     backend and the first response wins (the loser is cancelled);
 //   - a guaranteed local fallback: when every peer is ejected, saturated
 //     or failing, the job runs on the local engine — a clustered daemon
 //     never does worse than standalone mode.
@@ -65,9 +62,6 @@ type Options struct {
 	// included, before the dispatcher falls back to the local guarantee
 	// (0: DefaultRetryBudget).
 	RetryBudget int
-	// HedgeAfter launches a second copy of a straggling job on the next
-	// ranked backend after this delay; first response wins (0: disabled).
-	HedgeAfter time.Duration
 	// FailThreshold is the consecutive-failure streak that ejects a peer
 	// (0: DefaultFailThreshold).
 	FailThreshold int
@@ -80,7 +74,7 @@ type Options struct {
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// Obs, when non-nil, registers the dispatcher's per-backend counters
-	// and histograms and enables dispatch.route/dispatch.hedge spans.
+	// and histograms and enables dispatch.route/dispatch.attempt spans.
 	Obs *obs.Observer
 }
 
@@ -153,7 +147,7 @@ func New(opts Options) (*Dispatcher, error) {
 				"Dispatch attempts by backend and outcome (ok, error, cancelled, saturated).",
 				"backend", "outcome"),
 			latency: reg.Histogram("dlvpd_dispatch_latency_seconds",
-				"Per-attempt latency by backend, hedges included.", nil, "backend"),
+				"Per-attempt latency by backend.", nil, "backend"),
 		}
 	}
 	if len(d.states) > 1 {
@@ -183,8 +177,13 @@ func (d *Dispatcher) Run(ctx context.Context, job runner.Job) (metrics.RunStats,
 }
 
 // RunResult routes like Run but returns the full runner.Result, so
-// sampled-run provenance (and any backend-supplied extras) survives the
-// dispatch layer instead of being flattened to bare statistics.
+// sampled-run provenance survives the dispatch layer instead of being
+// flattened to bare statistics.
+//
+// Routing is one sequential attempt loop over the rendezvous order. Each
+// backend appears once in that order and the local fallback runs only
+// when local was not tried, so one request feeds each backend's ejection
+// state at most once.
 func (d *Dispatcher) RunResult(ctx context.Context, job runner.Job) (runner.Result, bool, error) {
 	var zero runner.Result
 	key, err := job.Key()
@@ -193,42 +192,26 @@ func (d *Dispatcher) RunResult(ctx context.Context, job runner.Job) (runner.Resu
 	}
 	ctx, sp := obs.StartSpanCtx(ctx, "dispatch.route")
 	sp.Attr("workload", job.Workload)
-	order := rank(d.states, key)
-
-	// One logical request blames each backend at most once. Without this,
-	// a hedged retry can land on a backend that already failed as an
-	// earlier attempt of the same request and eject it on what is really a
-	// single logical failure — two passive signals for one request.
-	blamed := make(map[string]bool)
 
 	var lastErr error
 	attempts := 0
 	localTried := false
-	for _, bs := range order {
+	for _, bs := range rank(d.states, key) {
 		if attempts >= d.opts.RetryBudget {
 			break
 		}
 		if bs.isEjected() {
 			continue
 		}
-		release, aerr := bs.acquire(ctx, d.opts.MaxQueue)
-		if aerr != nil {
-			if errors.Is(aerr, ErrSaturated) {
-				// Saturation is a routing event, not an attempt: re-route
-				// without consuming budget.
-				bs.saturated.Add(1)
-				d.count(bs, "saturated")
-				lastErr = aerr
-				continue
-			}
-			sp.Attr("outcome", "cancelled").End()
-			return zero, false, aerr
+		res, cached, err := d.attempt(ctx, bs, job)
+		if errors.Is(err, ErrSaturated) {
+			// Saturation is a routing event, not an attempt: re-route
+			// without consuming budget.
+			lastErr = err
+			continue
 		}
 		attempts++
-		if bs.local {
-			localTried = true
-		}
-		res, cached, err := d.execute(ctx, bs, release, job, order, blamed)
+		localTried = localTried || bs.local
 		if err == nil {
 			sp.Attr("backend", bs.name).Attr("attempts", strconv.Itoa(attempts)).End()
 			return res, cached, nil
@@ -248,7 +231,7 @@ func (d *Dispatcher) RunResult(ctx context.Context, job runner.Job) (runner.Resu
 	// every peer ejected or saturated — the job still runs in-process
 	// unless local execution itself was already attempted and failed.
 	if !localTried {
-		res, cached, err := d.execute(ctx, d.local, func() {}, job, nil, blamed)
+		res, cached, err := d.attempt(ctx, d.local, job)
 		if err == nil {
 			sp.Attr("backend", d.local.name).Attr("attempts", strconv.Itoa(attempts+1)).Attr("fallback", "local").End()
 			return res, cached, nil
@@ -262,150 +245,19 @@ func (d *Dispatcher) RunResult(ctx context.Context, job runner.Job) (runner.Resu
 	return zero, false, lastErr
 }
 
-// callResult carries one backend response through the hedge machinery.
-type callResult struct {
-	res    runner.Result
-	cached bool
-	err    error
-	blame  bool
-	from   *backendState
-}
-
-// blame feeds one retryable failure into the passive ejection machinery,
-// at most once per logical request when a ledger is present. Only the
-// request's main goroutine calls it — hedge goroutines report the blame
-// flag through their callResult instead of touching the ledger — so the
-// map needs no locking and never outlives the request.
-func (d *Dispatcher) blame(bs *backendState, err error, blamed map[string]bool) {
-	if blamed != nil {
-		if blamed[bs.name] {
-			return
+// attempt runs the job once on bs through its in-flight slot. A full slot
+// queue fails fast with ErrSaturated, accounted on bs.
+func (d *Dispatcher) attempt(ctx context.Context, bs *backendState, job runner.Job) (runner.Result, bool, error) {
+	release, err := bs.acquire(ctx, d.opts.MaxQueue)
+	if err != nil {
+		if errors.Is(err, ErrSaturated) {
+			bs.saturated.Add(1)
+			d.count(bs, "saturated")
 		}
-		blamed[bs.name] = true
+		return runner.Result{}, false, err
 	}
-	d.noteFailure(bs, err)
-}
+	defer release()
 
-// execute runs the job on bs (releasing its slot when the call returns)
-// and, when hedging is enabled and bs stalls, races a second copy on the
-// next ranked backend. The loser is cancelled; its goroutine drains into
-// a buffered channel, so no goroutine outlives its backend call.
-func (d *Dispatcher) execute(ctx context.Context, bs *backendState, release func(), job runner.Job, order []*backendState, blamed map[string]bool) (runner.Result, bool, error) {
-	var zero runner.Result
-	if d.opts.HedgeAfter <= 0 || bs.local || order == nil {
-		defer release()
-		res, cached, err, blameworthy := d.call(ctx, bs, job)
-		if blameworthy {
-			d.blame(bs, err, blamed)
-		}
-		return res, cached, err
-	}
-
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-	ch := make(chan callResult, 2)
-	go func() {
-		res, cached, err, blameworthy := d.call(pctx, bs, job)
-		release()
-		ch <- callResult{res, cached, err, blameworthy, bs}
-	}()
-
-	timer := time.NewTimer(d.opts.HedgeAfter)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		if r.blame {
-			d.blame(r.from, r.err, blamed)
-		}
-		return r.res, r.cached, r.err
-	case <-ctx.Done():
-		return zero, false, ctx.Err()
-	case <-timer.C:
-	}
-
-	hedge, hrelease := d.hedgeCandidate(order, bs)
-	if hedge == nil {
-		// Nowhere to hedge: wait out the primary.
-		select {
-		case r := <-ch:
-			if r.blame {
-				d.blame(r.from, r.err, blamed)
-			}
-			return r.res, r.cached, r.err
-		case <-ctx.Done():
-			return zero, false, ctx.Err()
-		}
-	}
-	hsp := obs.StartSpan(ctx, "dispatch.hedge").
-		Attr("primary", bs.name).Attr("hedge", hedge.name)
-	hedge.hedges.Add(1)
-	hctx, hcancel := context.WithCancel(ctx)
-	defer hcancel()
-	go func() {
-		res, cached, err, blameworthy := d.call(hctx, hedge, job)
-		hrelease()
-		ch <- callResult{res, cached, err, blameworthy, hedge}
-	}()
-
-	// First success wins and cancels the other; if the first finisher
-	// failed, the race continues on the survivor. A still-running loser's
-	// blame is dropped with its result — it only ever reaches the ledger
-	// through this loop, never from the loser's own goroutine.
-	var firstErr error
-	for i := 0; i < 2; i++ {
-		select {
-		case r := <-ch:
-			if r.blame {
-				d.blame(r.from, r.err, blamed)
-			}
-			if r.err == nil {
-				winner, loser := "primary", hedge
-				if r.from == hedge {
-					winner, loser = "hedge", bs
-					hedge.hedgeWins.Add(1)
-				}
-				hsp.Attr("winner", winner).End()
-				// Marker span: the loser's in-flight work is about to be
-				// cancelled and would otherwise vanish from the trace.
-				obs.StartSpan(ctx, "dispatch.hedge_loser").Mark(obs.MarkerHedgeLoser).
-					Attr("backend", loser.name).Attr("winner", r.from.name).End()
-				pcancel()
-				hcancel()
-				return r.res, r.cached, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-		case <-ctx.Done():
-			hsp.Attr("winner", "cancelled").End()
-			return zero, false, ctx.Err()
-		}
-	}
-	hsp.Attr("winner", "none").End()
-	return zero, false, firstErr
-}
-
-// hedgeCandidate picks the first non-ejected backend after the primary in
-// ring order that has a free slot right now. Hedges never queue.
-func (d *Dispatcher) hedgeCandidate(order []*backendState, primary *backendState) (*backendState, func()) {
-	for _, bs := range order {
-		if bs == primary || bs.isEjected() {
-			continue
-		}
-		if release, ok := bs.tryAcquire(); ok {
-			return bs, release
-		}
-	}
-	return nil, nil
-}
-
-// call performs one backend attempt with accounting, latency observation
-// and per-attempt statistics. The trailing boolean reports whether the
-// failure is blameworthy — a retryable error not caused by cancellation —
-// and the caller feeds it to the ejection state machine (via blame) from
-// the request's main goroutine, so the once-per-request ledger is never
-// shared across goroutines.
-func (d *Dispatcher) call(ctx context.Context, bs *backendState, job runner.Job) (runner.Result, bool, error, bool) {
 	bs.attempts.Add(1)
 	bs.inflight.Add(1)
 	// The attempt span becomes the current span of the backend call's
@@ -416,87 +268,32 @@ func (d *Dispatcher) call(ctx context.Context, bs *backendState, job runner.Job)
 	sctx, sp := obs.StartSpanCtx(ctx, "dispatch.attempt")
 	sp.Attr("backend", bs.name).Attr("workload", job.Workload)
 	start := time.Now()
-	res, cached, err := runBackend(sctx, bs.b, job)
+	res, cached, err := bs.b.RunResult(sctx, job)
 	elapsed := time.Since(start)
 	bs.inflight.Add(-1)
 	if d.inst != nil {
 		d.inst.latency.With(bs.name).Observe(elapsed.Seconds())
 	}
-	if err != nil {
-		if ctx.Err() != nil {
-			// Cancelled: either the caller went away or this was a hedge
-			// loser. Not a health signal, not a backend failure.
-			bs.cancelled.Add(1)
-			d.count(bs, "cancelled")
-			sp.Attr("outcome", "cancelled").End()
-			return res, false, err, false
-		}
+	switch {
+	case err == nil:
+		bs.successes.Add(1)
+		d.count(bs, "ok")
+		d.noteSuccess(bs)
+		sp.Attr("outcome", "ok").Attr("cached", strconv.FormatBool(cached)).End()
+	case ctx.Err() != nil:
+		// The caller went away: not a health signal, not a backend failure.
+		bs.cancelled.Add(1)
+		d.count(bs, "cancelled")
+		sp.Attr("outcome", "cancelled").End()
+	default:
 		bs.failures.Add(1)
 		d.count(bs, "error")
+		if isRetryable(ctx, err) {
+			d.noteFailure(bs, err)
+		}
 		sp.Attr("outcome", "error").Attr("error", err.Error()).End()
-		return res, false, err, isRetryable(ctx, err)
 	}
-	bs.successes.Add(1)
-	d.count(bs, "ok")
-	d.noteSuccess(bs)
-	sp.Attr("outcome", "ok").Attr("cached", strconv.FormatBool(cached)).End()
-	return res, cached, nil, false
-}
-
-// RunAll executes every job through the dispatcher with the same contract
-// as runner.RunAll: results in submission order, first error reported,
-// optional extra concurrency bound and progress callback. Experiment
-// matrices submitted to a clustered daemon fan out across the ring here.
-func (d *Dispatcher) RunAll(ctx context.Context, jobs []runner.Job, opt runner.Matrix) ([]metrics.RunStats, error) {
-	results := make([]metrics.RunStats, len(jobs))
-	var local chan struct{}
-	if opt.MaxParallel > 0 {
-		local = make(chan struct{}, opt.MaxParallel)
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		nDone    int
-	)
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if local != nil {
-				select {
-				case local <- struct{}{}:
-					defer func() { <-local }()
-				case <-ctx.Done():
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = ctx.Err()
-					}
-					mu.Unlock()
-					return
-				}
-			}
-			st, _, err := d.Run(ctx, jobs[i])
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			results[i] = st
-			nDone++
-			if opt.Progress != nil {
-				opt.Progress(nDone, len(jobs))
-			}
-		}(i)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return results, err
-	}
-	return results, firstErr
+	return res, cached, err
 }
 
 // BackendStatus is one ring member's state as reported by Status (and by
@@ -515,8 +312,6 @@ type BackendStatus struct {
 	Failures            int64   `json:"failures"`
 	Cancelled           int64   `json:"cancelled"`
 	Saturated           int64   `json:"saturated"`
-	Hedges              int64   `json:"hedges"`
-	HedgesWon           int64   `json:"hedges_won"`
 	NextProbeInMS       float64 `json:"next_probe_in_ms,omitempty"`
 }
 
@@ -526,15 +321,11 @@ type Status struct {
 	Peers        int             `json:"peers"`
 	HealthyPeers int             `json:"healthy_peers"`
 	RetryBudget  int             `json:"retry_budget"`
-	HedgeAfterMS float64         `json:"hedge_after_ms"`
 }
 
 // Status snapshots every backend's health and accounting state.
 func (d *Dispatcher) Status() Status {
-	st := Status{
-		RetryBudget:  d.opts.RetryBudget,
-		HedgeAfterMS: float64(d.opts.HedgeAfter) / float64(time.Millisecond),
-	}
+	st := Status{RetryBudget: d.opts.RetryBudget}
 	now := time.Now()
 	for _, bs := range d.states {
 		b := BackendStatus{
@@ -547,8 +338,6 @@ func (d *Dispatcher) Status() Status {
 			Failures:  bs.failures.Load(),
 			Cancelled: bs.cancelled.Load(),
 			Saturated: bs.saturated.Load(),
-			Hedges:    bs.hedges.Load(),
-			HedgesWon: bs.hedgeWins.Load(),
 		}
 		if bs.local {
 			b.Kind = "local"

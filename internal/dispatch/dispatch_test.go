@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -28,15 +27,16 @@ type fakeBackend struct {
 
 func (f *fakeBackend) Name() string { return f.name }
 
-func (f *fakeBackend) Run(ctx context.Context, job runner.Job) (metrics.RunStats, bool, error) {
+func (f *fakeBackend) RunResult(ctx context.Context, job runner.Job) (runner.Result, bool, error) {
 	f.calls.Add(1)
 	f.mu.Lock()
 	fn := f.runFn
 	f.mu.Unlock()
 	if fn != nil {
-		return fn(ctx, job)
+		st, cached, err := fn(ctx, job)
+		return runner.Result{Stats: st}, cached, err
 	}
-	return metrics.RunStats{Workload: job.Workload, Instructions: job.Instrs}, false, nil
+	return runner.Result{Stats: metrics.RunStats{Workload: job.Workload, Instructions: job.Instrs}}, false, nil
 }
 
 func (f *fakeBackend) CheckHealth(context.Context) error {
@@ -162,41 +162,6 @@ func TestDispatchRetryMarkersAndSpanTree(t *testing.T) {
 	}
 }
 
-// TestDispatchHedgeLoserMarker: when the hedge wins, the cancelled
-// primary is recorded as an explicit hedge_loser marker span.
-func TestDispatchHedgeLoserMarker(t *testing.T) {
-	ob := obs.NewObserver(nil)
-	d, _, peers := newTestDispatcher(t, Options{Obs: ob, HedgeAfter: 5 * time.Millisecond})
-	peers[0].setRun(func(ctx context.Context, job runner.Job) (metrics.RunStats, bool, error) {
-		<-ctx.Done() // stall until the winner cancels us
-		return metrics.RunStats{}, false, ctx.Err()
-	})
-
-	ob.Tracer.Begin("hedged")
-	ctx := obs.ContextWithTrace(context.Background(), ob.Tracer, "hedged")
-	job := jobRankedFirstOn(t, d, peers[0].name, false)
-	if _, _, err := d.RunResult(ctx, job); err != nil {
-		t.Fatalf("hedge should have won: %v", err)
-	}
-
-	view, _ := ob.Tracer.Get("hedged")
-	found := false
-	for _, sp := range view.Spans {
-		if sp.Name == "dispatch.hedge_loser" {
-			found = true
-			if sp.Marker != obs.MarkerHedgeLoser {
-				t.Errorf("marker = %q, want %q", sp.Marker, obs.MarkerHedgeLoser)
-			}
-			if sp.Attrs["backend"] != peers[0].name {
-				t.Errorf("loser backend = %q, want %q", sp.Attrs["backend"], peers[0].name)
-			}
-		}
-	}
-	if !found {
-		t.Error("no dispatch.hedge_loser marker span recorded")
-	}
-}
-
 // TestRankStability: identical keys produce identical orders, different
 // keys spread across the ring, and removing one backend never reorders
 // the survivors (the rendezvous property that makes ejection cheap).
@@ -265,9 +230,10 @@ func TestAffinityRouting(t *testing.T) {
 
 // TestRetryBudgetThenLocalFallback: with both peers failing retryably and
 // a budget of 2, the dispatcher spends the budget on peers and still
-// completes on the guaranteed local fallback.
+// completes on the guaranteed local fallback. One request is one passive
+// failure signal per peer: with FailThreshold 2 neither peer is ejected.
 func TestRetryBudgetThenLocalFallback(t *testing.T) {
-	d, local, peers := newTestDispatcher(t, Options{RetryBudget: 2})
+	d, local, peers := newTestDispatcher(t, Options{RetryBudget: 2, FailThreshold: 2})
 	peers[0].setRun(failRetryable(peers[0].name))
 	peers[1].setRun(failRetryable(peers[1].name))
 	job := jobRankedFirstOn(t, d, peers[0].name, true)
@@ -279,8 +245,13 @@ func TestRetryBudgetThenLocalFallback(t *testing.T) {
 	if st.Instructions != job.Instrs {
 		t.Errorf("stats not from fake local: %+v", st)
 	}
-	if got := peers[0].calls.Load() + peers[1].calls.Load(); got != 2 {
-		t.Errorf("remote attempts = %d, want exactly the budget (2)", got)
+	for _, p := range peers {
+		if got := p.calls.Load(); got != 1 {
+			t.Errorf("%s calls = %d, want exactly 1", p.name, got)
+		}
+		if !d.TargetHealthy(p.name) {
+			t.Errorf("%s ejected by one request's single failure", p.name)
+		}
 	}
 	if local.calls.Load() != 1 {
 		t.Errorf("local calls = %d, want 1", local.calls.Load())
@@ -417,97 +388,6 @@ func TestLocalFallbackAllEjected(t *testing.T) {
 	}
 }
 
-// TestHedgeWinsAndCancelsLoser: a straggling primary is hedged, the fast
-// hedge response wins, the primary is cancelled, and no goroutine leaks.
-func TestHedgeWinsAndCancelsLoser(t *testing.T) {
-	before := runtime.NumGoroutine()
-	var stalled atomic.Int64
-	stall := func(ctx context.Context, job runner.Job) (metrics.RunStats, bool, error) {
-		// First call overall stalls until cancelled; later calls (the
-		// hedge) answer immediately, whichever backend they land on.
-		if stalled.Add(1) == 1 {
-			<-ctx.Done()
-			return metrics.RunStats{}, false, ctx.Err()
-		}
-		return metrics.RunStats{Workload: "hedged", Instructions: job.Instrs}, true, nil
-	}
-
-	d, local, peers := newTestDispatcher(t, Options{HedgeAfter: 5 * time.Millisecond})
-	local.setRun(stall)
-	peers[0].setRun(stall)
-	peers[1].setRun(stall)
-
-	// Hedging only kicks in for remote primaries.
-	job := jobRankedFirstOn(t, d, peers[0].name, false)
-	st, cached, err := d.Run(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cached || st.Workload != "hedged" {
-		t.Errorf("result not from hedge: %+v cached=%v", st, cached)
-	}
-	status := d.Status()
-	var hedges, wins, cancelledTotal int64
-	for _, b := range status.Backends {
-		hedges += b.Hedges
-		wins += b.HedgesWon
-		cancelledTotal += b.Cancelled
-	}
-	if hedges != 1 || wins != 1 {
-		t.Errorf("hedges=%d wins=%d, want 1/1", hedges, wins)
-	}
-
-	// The cancelled primary's goroutine must drain promptly.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		st := d.Status()
-		cancelledTotal = 0
-		inFlight := int64(0)
-		for _, b := range st.Backends {
-			cancelledTotal += b.Cancelled
-			inFlight += b.InFlight
-		}
-		if cancelledTotal == 1 && inFlight == 0 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if cancelledTotal != 1 {
-		t.Errorf("cancelled = %d, want 1 (hedge loser)", cancelledTotal)
-	}
-	for i := 0; i < 100; i++ {
-		if runtime.NumGoroutine() <= before {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if g := runtime.NumGoroutine(); g > before+2 { // health loop + slack
-		t.Errorf("goroutines grew from %d to %d after hedging", before, g)
-	}
-}
-
-// TestHedgeToLocal: with the only other peer ejected, a straggler's hedge
-// lands on the local engine — the fallback guarantee also covers hedging.
-func TestHedgeToLocal(t *testing.T) {
-	d, local, peers := newTestDispatcher(t, Options{HedgeAfter: time.Millisecond, FailThreshold: 1, BackoffBase: time.Hour})
-	peers[0].setRun(func(ctx context.Context, job runner.Job) (metrics.RunStats, bool, error) {
-		<-ctx.Done()
-		return metrics.RunStats{}, false, ctx.Err()
-	})
-	peers[1].setHealth(errors.New("down"))
-	d.ProbeAll(context.Background())
-	job := jobRankedFirstOn(t, d, peers[0].name, false)
-	if _, _, err := d.Run(context.Background(), job); err != nil {
-		t.Fatal(err)
-	}
-	if local.calls.Load() != 1 {
-		t.Errorf("local calls = %d, want the hedge", local.calls.Load())
-	}
-	if peers[1].calls.Load() != 0 {
-		t.Error("ejected peer was hedged to")
-	}
-}
-
 // TestAcquireBoundedQueue exercises the in-flight limit and bounded-queue
 // saturation path deterministically at the backendState level.
 func TestAcquireBoundedQueue(t *testing.T) {
@@ -616,7 +496,8 @@ func TestSaturationReroutes(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRunAll preserves submission order and reports progress.
+// TestRunAll: a matrix fanned out over the dispatcher (the clustered
+// experiment path) preserves submission order and reports progress.
 func TestRunAll(t *testing.T) {
 	d, _, _ := newTestDispatcher(t, Options{})
 	jobs := make([]runner.Job, 20)
@@ -624,9 +505,9 @@ func TestRunAll(t *testing.T) {
 		jobs[i] = baselineJob(uint64(i + 1))
 	}
 	var progress atomic.Int64
-	stats, err := d.RunAll(context.Background(), jobs, runner.Matrix{
+	stats, err := runner.FanOut(context.Background(), jobs, runner.Matrix{
 		Progress: func(done, total int) { progress.Add(1) },
-	})
+	}, d.Run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -640,7 +521,9 @@ func TestRunAll(t *testing.T) {
 	}
 }
 
-// TestRunAllCancellation: a cancelled matrix returns the context error.
+// TestRunAllCancellation: cancelling a matrix fanned out over the
+// dispatcher stops routing — attempts stalled on every backend return the
+// context error instead of retrying or falling back.
 func TestRunAllCancellation(t *testing.T) {
 	d, local, peers := newTestDispatcher(t, Options{})
 	stall := func(ctx context.Context, job runner.Job) (metrics.RunStats, bool, error) {
@@ -656,7 +539,7 @@ func TestRunAllCancellation(t *testing.T) {
 		cancel()
 	}()
 	jobs := []runner.Job{baselineJob(1), baselineJob(2)}
-	if _, err := d.RunAll(ctx, jobs, runner.Matrix{}); !errors.Is(err, context.Canceled) {
+	if _, err := runner.FanOut(ctx, jobs, runner.Matrix{}, d.Run); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -670,96 +553,6 @@ func TestNewValidation(t *testing.T) {
 	local := &fakeBackend{name: "x"}
 	if _, err := New(Options{Local: local, Peers: []Backend{&fakeBackend{name: "x"}}}); err == nil {
 		t.Error("duplicate backend name accepted")
-	}
-}
-
-// TestHedgedFailureBlamesOnce is the double-ejection regression: within
-// one logical request, a peer that fails as the primary attempt and then
-// fails again as a later attempt's hedge must feed the ejection state
-// machine exactly once. With FailThreshold=2, one logical request must
-// not eject it; a second logical request must.
-func TestHedgedFailureBlamesOnce(t *testing.T) {
-	d, _, peers := newTestDispatcher(t, Options{
-		FailThreshold: 2,
-		RetryBudget:   3,
-		HedgeAfter:    2 * time.Millisecond,
-	})
-	// peer-a fails instantly; peer-b stalls long enough for the hedge to
-	// fire, then succeeds — so the hedge re-lands on already-failed peer-a.
-	peers[0].setRun(failRetryable(peers[0].name))
-	peers[1].setRun(func(ctx context.Context, job runner.Job) (metrics.RunStats, bool, error) {
-		select {
-		case <-time.After(30 * time.Millisecond):
-		case <-ctx.Done():
-			return metrics.RunStats{}, false, ctx.Err()
-		}
-		return metrics.RunStats{Workload: job.Workload, Instructions: job.Instrs}, false, nil
-	})
-	job := jobRankedFirstOn(t, d, peers[0].name, true)
-
-	if _, _, err := d.Run(context.Background(), job); err != nil {
-		t.Fatal(err)
-	}
-	if got := peers[0].calls.Load(); got < 2 {
-		t.Fatalf("peer-a saw %d calls, want primary + hedge", got)
-	}
-	if !d.TargetHealthy(peers[0].name) {
-		t.Fatal("peer ejected by a single logical request (hedge double-blame)")
-	}
-
-	// A second logical request is a second passive signal: now it ejects.
-	peers[1].setRun(nil)
-	if _, _, err := d.Run(context.Background(), job); err != nil {
-		t.Fatal(err)
-	}
-	if d.TargetHealthy(peers[0].name) {
-		t.Fatal("peer still healthy after two independently failing requests")
-	}
-}
-
-// TestHedgedSimultaneousFailures: primary and hedge failing at the same
-// moment — the exact multi-peer-outage scenario hedging targets — must
-// not race on the per-request blame ledger (only the main goroutine may
-// touch it; -race catches a regression here) and still blames each
-// backend at most once before the local guarantee completes the job.
-func TestHedgedSimultaneousFailures(t *testing.T) {
-	d, _, peers := newTestDispatcher(t, Options{
-		FailThreshold: 2,
-		RetryBudget:   3,
-		HedgeAfter:    2 * time.Millisecond,
-	})
-	// Both peers block until both have been called (primary stalls past
-	// HedgeAfter, so the hedge fires and lands on the other peer), then
-	// fail together.
-	arrived := make(chan struct{}, 16)
-	start := make(chan struct{})
-	failTogether := func(name string) func(context.Context, runner.Job) (metrics.RunStats, bool, error) {
-		return func(context.Context, runner.Job) (metrics.RunStats, bool, error) {
-			arrived <- struct{}{}
-			<-start
-			return metrics.RunStats{}, false, &TransportError{Backend: name, Err: errors.New("connection refused")}
-		}
-	}
-	peers[0].setRun(failTogether(peers[0].name))
-	peers[1].setRun(failTogether(peers[1].name))
-	go func() {
-		<-arrived
-		<-arrived
-		close(start)
-	}()
-	job := jobRankedFirstOn(t, d, peers[0].name, true)
-
-	st, _, err := d.Run(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Workload != job.Workload {
-		t.Fatalf("fallback result workload = %q, want %q", st.Workload, job.Workload)
-	}
-	for _, p := range peers {
-		if !d.TargetHealthy(p.name) {
-			t.Fatalf("%s ejected by one logical request's simultaneous failures", p.name)
-		}
 	}
 }
 

@@ -112,14 +112,9 @@ type wireError struct {
 	Error string `json:"error"`
 }
 
-// Run implements Backend by POSTing the job to the peer's /v1/runs.
-func (b *HTTPBackend) Run(ctx context.Context, job runner.Job) (metrics.RunStats, bool, error) {
-	res, cached, err := b.RunResult(ctx, job)
-	return res.Stats, cached, err
-}
-
-// RunResult implements ResultBackend: same POST, but the peer's sampled
-// provenance block (when the job sampled) rides back on the Result.
+// RunResult implements Backend by POSTing the job to the peer's /v1/runs.
+// The peer's sampled provenance block (when the job sampled) rides back
+// on the Result.
 func (b *HTTPBackend) RunResult(ctx context.Context, job runner.Job) (runner.Result, bool, error) {
 	var zero runner.Result
 	body, err := json.Marshal(wireRunRequest{Workload: job.Workload, Config: &job.Config, Instrs: job.Instrs, Sampling: job.Sampling})

@@ -43,11 +43,11 @@ func TestHTTPBackendRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, cached, err := b.Run(context.Background(), job)
+	res, cached, err := b.RunResult(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cached || st.Instructions != job.Instrs || st.Workload != job.Workload {
+	if st := res.Stats; !cached || st.Instructions != job.Instrs || st.Workload != job.Workload {
 		t.Errorf("round trip lost data: cached=%v stats=%+v", cached, st)
 	}
 }
@@ -181,7 +181,7 @@ func TestHTTPBackendTypedErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		status <- tc.code
-		_, _, err := b.Run(context.Background(), baselineJob(1))
+		_, _, err := b.RunResult(context.Background(), baselineJob(1))
 		var re *RemoteError
 		if !errors.As(err, &re) {
 			t.Fatalf("code %d: err = %v, want RemoteError", tc.code, err)
@@ -201,7 +201,7 @@ func TestHTTPBackendTypedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts.Close()
-	_, _, err = dead.Run(context.Background(), baselineJob(1))
+	_, _, err = dead.RunResult(context.Background(), baselineJob(1))
 	var te *TransportError
 	if !errors.As(err, &te) {
 		t.Fatalf("err = %v, want TransportError", err)
@@ -257,7 +257,7 @@ func TestHTTPBackendTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, _, err = b.Run(context.Background(), baselineJob(1))
+	_, _, err = b.RunResult(context.Background(), baselineJob(1))
 	if err == nil || time.Since(start) > 5*time.Second {
 		t.Fatalf("per-request timeout did not fire: %v", err)
 	}

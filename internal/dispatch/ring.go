@@ -29,10 +29,8 @@ type backendState struct {
 	attempts  atomic.Int64
 	successes atomic.Int64
 	failures  atomic.Int64
-	cancelled atomic.Int64 // hedge losers and caller cancellations
+	cancelled atomic.Int64 // caller cancellations
 	saturated atomic.Int64
-	hedges    atomic.Int64 // hedge requests launched on this backend
-	hedgeWins atomic.Int64 // hedges whose response was used
 
 	mu          sync.Mutex
 	ejected     bool
@@ -86,20 +84,6 @@ func (bs *backendState) acquire(ctx context.Context, maxQueue int) (func(), erro
 		return release, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
-	}
-}
-
-// tryAcquire claims a slot without queueing (used for hedge launches: a
-// hedge is opportunistic, it never waits).
-func (bs *backendState) tryAcquire() (func(), bool) {
-	if bs.sem == nil {
-		return func() {}, true
-	}
-	select {
-	case bs.sem <- struct{}{}:
-		return func() { <-bs.sem }, true
-	default:
-		return nil, false
 	}
 }
 

@@ -65,25 +65,11 @@ func (d *Dispatcher) LocalTarget() string { return d.local.name }
 // attempt counters, and the passive health machinery, so shard traffic
 // ejects a dead peer exactly like routed traffic does.
 func (d *Dispatcher) RunOn(ctx context.Context, name string, job runner.Job) (runner.Result, bool, error) {
-	var zero runner.Result
 	bs := d.findTarget(name)
 	if bs == nil {
-		return zero, false, ErrUnknownBackend
+		return runner.Result{}, false, ErrUnknownBackend
 	}
-	release, err := bs.acquire(ctx, d.opts.MaxQueue)
-	if err != nil {
-		if errors.Is(err, ErrSaturated) {
-			bs.saturated.Add(1)
-			d.count(bs, "saturated")
-		}
-		return zero, false, err
-	}
-	defer release()
-	res, cached, err, blameworthy := d.call(ctx, bs, job)
-	if blameworthy {
-		d.blame(bs, err, nil)
-	}
-	return res, cached, err
+	return d.attempt(ctx, bs, job)
 }
 
 // findTarget resolves a ring member by name.

@@ -26,9 +26,9 @@ import (
 // Both *runner.Runner (in-process pool) and *dispatch.Dispatcher
 // (multi-backend scatter/gather) satisfy it, so a clustered daemon routes
 // matrix jobs across its peers while the CLIs keep running in-process.
+// Matrices fan out over Run through runner.FanOut.
 type Engine interface {
 	Run(ctx context.Context, job runner.Job) (metrics.RunStats, bool, error)
-	RunAll(ctx context.Context, jobs []runner.Job, opt runner.Matrix) ([]metrics.RunStats, error)
 }
 
 // Params bounds an experiment run.
@@ -146,9 +146,9 @@ func (p Params) PlanMatrix(cfgs map[string]config.Core) ([]JobSpec, error) {
 }
 
 // runMatrix simulates every workload under every named configuration via
-// the runner, returning results[workloadName][schemeName]. Jobs are
-// planned by PlanMatrix in deterministic (workload, scheme) order; the
-// runner fans them out across CPUs unless p.Parallel is off.
+// the engine, returning results[workloadName][schemeName]. Jobs are
+// planned by PlanMatrix in deterministic (workload, scheme) order;
+// runner.FanOut runs them concurrently unless p.Parallel is off.
 func runMatrix(p Params, cfgs map[string]config.Core) (map[string]map[string]metrics.RunStats, error) {
 	specs, err := p.PlanMatrix(cfgs)
 	if err != nil {
@@ -163,7 +163,7 @@ func runMatrix(p Params, cfgs map[string]config.Core) (map[string]map[string]met
 	if !p.Parallel {
 		opt.MaxParallel = 1
 	}
-	stats, err := p.runner().RunAll(p.ctx(), jobs, opt)
+	stats, err := runner.FanOut(p.ctx(), jobs, opt, p.runner().Run)
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ type Span struct {
 	SpanID   string `json:"span_id,omitempty"`
 	ParentID string `json:"parent_id,omitempty"`
 	// Marker flags spans that explain why duplicate or repeated work
-	// appears in a trace: "hedge_loser", "retry", "stolen".
+	// appears in a trace: "retry", "stolen".
 	Marker     string            `json:"marker,omitempty"`
 	Start      time.Time         `json:"start"`
 	DurationMS float64           `json:"duration_ms"`
@@ -36,9 +36,8 @@ type Span struct {
 
 // Span markers recorded by the dispatch and matrix layers.
 const (
-	MarkerHedgeLoser = "hedge_loser" // hedge race lost; its work was cancelled
-	MarkerRetry      = "retry"       // a failed attempt triggered re-routing
-	MarkerStolen     = "stolen"      // a shard executed away from its assigned target
+	MarkerRetry  = "retry"  // a failed attempt triggered re-routing
+	MarkerStolen = "stolen" // a shard executed away from its assigned target
 )
 
 // trace is one request/job's span collection.

@@ -153,10 +153,10 @@ func TestSpanMarker(t *testing.T) {
 	tr := NewTracer(4)
 	tr.Begin("t")
 	ctx := ContextWithTrace(context.Background(), tr, "t")
-	StartSpan(ctx, "loser").Mark(MarkerHedgeLoser).End()
+	StartSpan(ctx, "stolen").Mark(MarkerStolen).End()
 	view, _ := tr.Get("t")
-	if view.Spans[0].Marker != MarkerHedgeLoser {
-		t.Errorf("marker = %q, want %q", view.Spans[0].Marker, MarkerHedgeLoser)
+	if view.Spans[0].Marker != MarkerStolen {
+		t.Errorf("marker = %q, want %q", view.Spans[0].Marker, MarkerStolen)
 	}
 	// Nil no-op span accepts Mark too.
 	StartSpan(context.Background(), "x").Mark(MarkerRetry).End()

@@ -16,7 +16,7 @@
 //   - coalescing of concurrent identical jobs (single-flight): a duplicate
 //     submitted while its twin is still simulating waits for that result
 //     instead of burning a second worker;
-//   - deterministic aggregation (RunAll returns results in submission
+//   - deterministic aggregation (FanOut returns results in submission
 //     order regardless of completion order), progress callbacks, and
 //     engine-level statistics (queue depths, cache hit ratio, aggregate
 //     simulated-instructions per second).
@@ -371,35 +371,44 @@ func (r *Runner) RunResult(ctx context.Context, job Job) (Result, bool, error) {
 	sp.Attr("workload", job.Workload).
 		Attr("instrs", strconv.FormatUint(job.Instrs, 10))
 
-	if r.cache != nil {
-		// A cached result that predates a recording feature cannot satisfy
-		// an engine configured to produce it; fall through and re-simulate.
-		if res, ok := r.cache.Get(key); ok && r.satisfies(res) {
-			r.hits.Add(1)
-			r.done.Add(1)
-			r.countLookup("hit")
-			sp.Attr("cache", "hit").End()
-			return res, true, nil
+	for {
+		if r.cache != nil {
+			// A cached result that predates a recording feature cannot
+			// satisfy an engine configured to produce it; fall through and
+			// re-simulate.
+			if res, ok := r.cache.Get(key); ok && r.satisfies(res) {
+				r.hits.Add(1)
+				r.done.Add(1)
+				r.countLookup("hit")
+				sp.Attr("cache", "hit").End()
+				return res, true, nil
+			}
 		}
-	}
-
-	r.mu.Lock()
-	if fl, ok := r.flights[key]; ok {
+		r.mu.Lock()
+		twin, busy := r.flights[key]
+		if !busy {
+			break // still holding r.mu: this caller leads the job
+		}
 		r.mu.Unlock()
 		select {
-		case <-fl.done:
-			if fl.err != nil {
-				// The flight's lead already accounted this failure (or
-				// cancellation); counting it again per waiter would
-				// multi-count one failed simulation.
-				sp.Attr("cache", "coalesced").Attr("error", fl.err.Error()).End()
-				return zero, false, fl.err
+		case <-twin.done:
+			if twin.err == nil {
+				r.coalesced.Add(1)
+				r.done.Add(1)
+				r.countLookup("coalesced")
+				sp.Attr("cache", "coalesced").End()
+				return twin.res, true, nil
 			}
-			r.coalesced.Add(1)
-			r.done.Add(1)
-			r.countLookup("coalesced")
-			sp.Attr("cache", "coalesced").End()
-			return fl.res, true, nil
+			if isCancellation(twin.err) && ctx.Err() == nil {
+				// The lead's caller gave up, not this one, and the job
+				// itself never failed: look it up again and lead it if no
+				// other waiter already does.
+				continue
+			}
+			// The flight's lead already accounted this failure; counting
+			// it again per waiter would multi-count one failed simulation.
+			sp.Attr("cache", "coalesced").Attr("error", twin.err.Error()).End()
+			return zero, false, twin.err
 		case <-ctx.Done():
 			// The caller gave up waiting; the underlying simulation is
 			// unaffected (and usually succeeds), so this is a cancelled
@@ -420,7 +429,7 @@ func (r *Runner) RunResult(ctx context.Context, job Job) (Result, bool, error) {
 
 	res, err := r.lead(ctx, key, fl, w, job)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if isCancellation(err) {
 			r.cancelled.Add(1)
 		} else {
 			r.failed.Add(1)
@@ -431,6 +440,12 @@ func (r *Runner) RunResult(ctx context.Context, job Job) (Result, bool, error) {
 	r.done.Add(1)
 	sp.Attr("cache", "miss").End()
 	return res, false, nil
+}
+
+// isCancellation reports whether err is a caller's context ending rather
+// than a failure of the job itself.
+func isCancellation(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // satisfies reports whether a cached result carries every recorded
@@ -608,7 +623,7 @@ func (r *Runner) lead(ctx context.Context, key string, fl *flight, w workloads.W
 	return res, nil
 }
 
-// Matrix parameterises a RunAll call.
+// Matrix parameterises a FanOut call.
 type Matrix struct {
 	// MaxParallel additionally bounds this call's concurrency below the
 	// runner's pool size (<= 0: bounded only by the pool). The experiment
@@ -619,11 +634,18 @@ type Matrix struct {
 	Progress func(done, total int)
 }
 
-// RunAll executes every job, fanning out across the pool, and returns the
-// results in submission order (deterministic aggregation regardless of
-// completion order). On cancellation it returns ctx.Err(); the first
-// job-level error otherwise. Results of jobs that did not run are zero.
+// RunAll executes every job on the pool through FanOut.
 func (r *Runner) RunAll(ctx context.Context, jobs []Job, opt Matrix) ([]metrics.RunStats, error) {
+	return FanOut(ctx, jobs, opt, r.Run)
+}
+
+// FanOut executes every job through run concurrently and returns the
+// results in submission order (deterministic aggregation regardless of
+// completion order). run bounds the real parallelism: the runner's pool,
+// or a dispatcher's ring. On cancellation FanOut returns ctx.Err(); the
+// first job-level error otherwise. Results of jobs that did not run are
+// zero.
+func FanOut(ctx context.Context, jobs []Job, opt Matrix, run func(context.Context, Job) (metrics.RunStats, bool, error)) ([]metrics.RunStats, error) {
 	results := make([]metrics.RunStats, len(jobs))
 	var local chan struct{}
 	if opt.MaxParallel > 0 {
@@ -652,7 +674,7 @@ func (r *Runner) RunAll(ctx context.Context, jobs []Job, opt Matrix) ([]metrics.
 					return
 				}
 			}
-			st, _, err := r.Run(ctx, jobs[i])
+			st, _, err := run(ctx, jobs[i])
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {

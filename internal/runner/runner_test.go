@@ -241,8 +241,8 @@ func TestRunAllCancelMidMatrix(t *testing.T) {
 // TestWaiterCancellationAccounting locks the failure-accounting contract:
 // a caller that cancels while coalesced-waiting on another job's flight is
 // counted as cancelled, not failed (the underlying simulation is
-// unaffected), and when a flight's lead fails every coalesced waiter
-// shares the error without multi-counting it.
+// unaffected), and a lead cancelled while queued is counted once while
+// its live waiter runs the job itself.
 func TestWaiterCancellationAccounting(t *testing.T) {
 	r := New(Options{Workers: 1, CacheEntries: -1})
 	bg := context.Background()
@@ -303,14 +303,15 @@ func TestWaiterCancellationAccounting(t *testing.T) {
 		t.Errorf("after waiter cancel: cancelled=%d failed=%d, want 1/0", s.JobsCancelled, s.JobsFailed)
 	}
 
-	// Now cancel the lead while it is still queued: the lead's error is
-	// shared with the remaining waiter but accounted exactly once.
+	// Now cancel the lead while it is still queued: the lead's
+	// cancellation is accounted once, and the remaining waiter, whose own
+	// context is live, leads the job itself instead of inheriting it.
 	cancelLead()
 	if err := <-leadErr; !errors.Is(err, context.Canceled) {
 		t.Fatalf("lead err = %v, want context.Canceled", err)
 	}
-	if err := <-waiter2Err; !errors.Is(err, context.Canceled) {
-		t.Fatalf("waiter 2 err = %v, want the lead's context.Canceled", err)
+	if err := <-waiter2Err; err != nil {
+		t.Fatalf("waiter 2 err = %v, want its own run to complete", err)
 	}
 	<-blockerDone
 	s := r.Stats()
@@ -318,10 +319,71 @@ func TestWaiterCancellationAccounting(t *testing.T) {
 		t.Errorf("JobsCancelled = %d, want 2 (one waiter + one queued lead)", s.JobsCancelled)
 	}
 	if s.JobsFailed != 0 {
-		t.Errorf("JobsFailed = %d, want 0: cancellations and shared flight errors must not count as failures", s.JobsFailed)
+		t.Errorf("JobsFailed = %d, want 0: cancellations must not count as failures", s.JobsFailed)
 	}
-	if s.SimsExecuted != 1 {
-		t.Errorf("SimsExecuted = %d, want 1 (the blocker only)", s.SimsExecuted)
+	if s.SimsExecuted != 2 {
+		t.Errorf("SimsExecuted = %d, want 2 (the blocker + waiter 2's run)", s.SimsExecuted)
+	}
+}
+
+// doneProbe is a context that reports the first call to Done. A coalesced
+// waiter first calls Done when it selects on its twin's flight, so the
+// probe firing means the waiter has attached to that flight.
+type doneProbe struct {
+	context.Context
+	once   sync.Once
+	called chan struct{}
+}
+
+func (c *doneProbe) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.called) })
+	return c.Context.Done()
+}
+
+// TestWaiterOutlivesCancelledLead is the inherited-cancellation
+// regression: a waiter coalesced onto a flight whose lead is cancelled
+// while queued must not return the lead's context.Canceled — its own
+// context is live, so it re-leads the job and gets the result.
+func TestWaiterOutlivesCancelledLead(t *testing.T) {
+	r := New(Options{Workers: 1})
+	r.sem <- struct{}{} // hold the only worker slot: the lead stays queued
+	job := testJob("mcf", testInstrs)
+
+	leadCtx, cancelLead := context.WithCancel(context.Background())
+	defer cancelLead()
+	leadErr := make(chan error, 1)
+	go func() {
+		_, _, err := r.Run(leadCtx, job)
+		leadErr <- err
+	}()
+	waitFor(t, func() bool { return r.Stats().JobsQueued == 1 })
+
+	waiter := &doneProbe{Context: context.Background(), called: make(chan struct{})}
+	type outcome struct {
+		instrs uint64
+		err    error
+	}
+	got := make(chan outcome, 1)
+	go func() {
+		st, _, err := r.Run(waiter, job)
+		got <- outcome{st.Instructions, err}
+	}()
+	<-waiter.called
+
+	cancelLead()
+	if err := <-leadErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("lead err = %v, want context.Canceled", err)
+	}
+	<-r.sem // free the slot for the waiter's own run
+	o := <-got
+	if o.err != nil {
+		t.Fatalf("waiter err = %v, want its own run to complete", o.err)
+	}
+	if o.instrs == 0 {
+		t.Error("waiter returned empty statistics")
+	}
+	if s := r.Stats(); s.JobsCancelled != 1 || s.JobsFailed != 0 || s.SimsExecuted != 1 {
+		t.Errorf("cancelled=%d failed=%d executed=%d, want 1/0/1", s.JobsCancelled, s.JobsFailed, s.SimsExecuted)
 	}
 }
 

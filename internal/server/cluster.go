@@ -1,19 +1,29 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"runtime"
 	"runtime/debug"
 
 	"dlvp/internal/dispatch"
 	"dlvp/internal/experiments"
+	"dlvp/internal/runner"
 )
+
+// engine is what a request executes on: the local runner or the
+// dispatcher. Both serve experiment matrices (experiments.Engine) and
+// full results for /v1/runs, so sampled provenance survives routing.
+type engine interface {
+	experiments.Engine
+	RunResult(ctx context.Context, job runner.Job) (runner.Result, bool, error)
+}
 
 // engineFor picks the execution engine for one request. Forwarded jobs
 // (another daemon's dispatcher routed them here) and standalone daemons
 // run on the in-process engine; everything else scatters through the
 // dispatcher's backend ring.
-func (s *Server) engineFor(r *http.Request) experiments.Engine {
+func (s *Server) engineFor(r *http.Request) engine {
 	if s.dispatcher == nil || r.Header.Get(dispatch.ForwardedHeader) != "" {
 		return s.runner
 	}
@@ -28,7 +38,7 @@ type clusterResponse struct {
 
 // handleCluster reports the dispatcher's view of the backend ring:
 // per-backend health (healthy/ejected, consecutive failures), flow state
-// (in-flight, queued) and accounting (attempts, failures, hedges won).
+// (in-flight, queued) and accounting (attempts, failures, saturations).
 // Operators hit this to verify peers are live before a matrix and to
 // watch ejection/reinstatement during incidents.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {

@@ -65,7 +65,7 @@ type Options struct {
 	Runner *runner.Runner
 	// Dispatcher, when non-nil, routes jobs across the backend ring
 	// (in-process engine + peers) with cache-affinity hashing, health
-	// checking, retries and hedging, and enables GET /v1/cluster.
+	// checking, retries and a local fallback, and enables GET /v1/cluster.
 	// Requests carrying the dispatch.ForwardedHeader bypass it and run
 	// on the local engine, so peers never forward in a loop. Nil keeps
 	// the PR-1 standalone behaviour.
@@ -472,18 +472,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	job := runner.Job{Workload: req.Workload, Config: cfg, Instrs: instrs, Sampling: req.Sampling}
 	eng := s.engineFor(r)
-	// Both the local runner and the dispatcher implement RunResult, so the
-	// sampled-run breakdown survives routing (remote peers return it on
-	// the wire); an engine without it degrades gracefully to stats only.
-	runJob := func(ctx context.Context) (metrics.RunStats, *runner.SampledInfo, bool, error) {
-		if rr, ok := eng.(interface {
-			RunResult(context.Context, runner.Job) (runner.Result, bool, error)
-		}); ok {
-			res, cached, err := rr.RunResult(ctx, job)
-			return res.Stats, res.Sampled, cached, err
-		}
-		st, cached, err := eng.Run(ctx, job)
-		return st, nil, cached, err
+	run := func(ctx context.Context) (runResponse, error) {
+		start := time.Now()
+		res, cached, err := eng.RunResult(ctx, job)
+		return runResponse{
+			Workload:  req.Workload,
+			Scheme:    req.Scheme,
+			Instrs:    instrs,
+			Cached:    cached,
+			ElapsedMS: time.Since(start).Milliseconds(),
+			Stats:     res.Stats,
+			Sampled:   res.Sampled,
+		}, err
 	}
 
 	if req.Async {
@@ -492,20 +492,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			rec.setRun(key, req.Workload, req.Scheme)
 		}
 		s.spawn(rec, rec.trace, obs.SpanID(r.Context()), func(ctx context.Context) (any, error) {
-			start := time.Now()
-			st, sampled, cached, err := runJob(ctx)
+			resp, err := run(ctx)
 			if err != nil {
 				return nil, err
 			}
-			return runResponse{
-				Workload:  req.Workload,
-				Scheme:    req.Scheme,
-				Instrs:    instrs,
-				Cached:    cached,
-				ElapsedMS: time.Since(start).Milliseconds(),
-				Stats:     st,
-				Sampled:   sampled,
-			}, nil
+			return resp, nil
 		})
 		s.writeJSON(w, r, http.StatusAccepted, acceptedResponse{JobID: rec.id, Status: statusQueued, Poll: "/v1/jobs/" + rec.id})
 		return
@@ -513,21 +504,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
-	start := time.Now()
-	st, sampled, cached, err := runJob(ctx)
+	resp, err := run(ctx)
 	if err != nil {
 		s.writeRunError(w, r, err)
 		return
 	}
-	s.writeJSON(w, r, http.StatusOK, runResponse{
-		Workload:  req.Workload,
-		Scheme:    req.Scheme,
-		Instrs:    instrs,
-		Cached:    cached,
-		ElapsedMS: time.Since(start).Milliseconds(),
-		Stats:     st,
-		Sampled:   sampled,
-	})
+	s.writeJSON(w, r, http.StatusOK, resp)
 }
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
