@@ -84,7 +84,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "concurrent simulations (0: NumCPU)")
 	cache := flag.Int("cache", 0, "result cache entries (0: default, negative: disabled)")
-	traceCacheBytes := flag.Int64("trace-cache-bytes", 512<<20, "byte budget for captured emulation traces replayed across configs (0: disabled)")
+	traceCacheBytes := flag.Int64("trace-cache-bytes", 512<<20, "byte budget for captured emulation traces replayed across configs; the default retains 31 complete 300k-instruction captures (0: disabled)")
 	checkpointBytes := flag.Int64("checkpoint-bytes", 0, "byte budget for the architectural checkpoint store backing sampled runs (0: default 256 MiB)")
 	timelineInterval := flag.Uint64("timeline-interval", 100_000, "flight-recorder sampling interval in committed instructions (0: disabled)")
 	timelineCapacity := flag.Int("timeline-capacity", 0, "flight-recorder sample ring bound per run (0: default)")

@@ -67,10 +67,11 @@ func doCapture(name string, instrs uint64, out string) error {
 		return err
 	}
 	r := w.Reader(instrs)
+	ovf := trace.OverflowOf(r)
 	var rec trace.Rec
 	var n uint64
 	for r.Next(&rec) {
-		if err := tw.Write(&rec); err != nil {
+		if err := tw.Write(&rec, ovf); err != nil {
 			return err
 		}
 		n++
@@ -104,14 +105,14 @@ func doDump(path string, limit int) error {
 	var rec trace.Rec
 	n := 0
 	for r.Next(&rec) {
-		line := fmt.Sprintf("%8d  %08x  %-8s", rec.Seq, rec.PC, rec.Op)
+		line := fmt.Sprintf("%8d  %08x  %-8s", n, rec.PC, rec.Op)
 		switch {
 		case rec.IsLoad():
 			line += fmt.Sprintf("  addr=%#x bytes=%d val=%#x", rec.Addr, rec.Bytes, rec.Vals[0])
 		case rec.IsStore():
 			line += fmt.Sprintf("  addr=%#x bytes=%d data=%#x", rec.Addr, rec.Bytes, rec.Vals[0])
-		case rec.Op.IsBranch():
-			line += fmt.Sprintf("  taken=%v target=%#x", rec.Taken, rec.Target)
+		case rec.IsBranch():
+			line += fmt.Sprintf("  taken=%v target=%#x", rec.Taken, rec.Target())
 		}
 		fmt.Println(line)
 		n++
@@ -142,7 +143,7 @@ func doInfo(path string) error {
 			}
 		case rec.IsStore():
 			stores++
-		case rec.Op.IsBranch():
+		case rec.IsBranch():
 			branches++
 			if rec.Taken {
 				taken++

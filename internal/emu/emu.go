@@ -21,6 +21,7 @@ type CPU struct {
 	pc   uint64
 	seq  uint64
 	halt bool
+	ovf  trace.Overflow // extra destinations of the wide records delivered
 
 	// MaxInstrs, when non-zero, bounds the number of records produced.
 	MaxInstrs uint64
@@ -66,6 +67,10 @@ func (c *CPU) Halted() bool { return c.halt }
 // Executed returns the number of instructions executed so far.
 func (c *CPU) Executed() uint64 { return c.seq }
 
+// Overflow returns the table the wide records Next delivers index (see
+// trace.OverflowOf).
+func (c *CPU) Overflow() *trace.Overflow { return &c.ovf }
+
 // Next executes one instruction and fills rec with its dynamic record.
 // It returns false once the program has halted or MaxInstrs is reached.
 func (c *CPU) Next(rec *trace.Rec) bool {
@@ -82,11 +87,12 @@ func (c *CPU) Next(rec *trace.Rec) bool {
 }
 
 func (c *CPU) step(inst *isa.Inst, rec *trace.Rec) {
-	*rec = trace.Rec{Seq: c.seq, PC: c.pc, Op: inst.Op}
+	*rec = trace.Rec{PC: c.pc, Op: inst.Op, Flags: inst.Op.Flags()}
 	c.seq++
 	nextPC := c.pc + 4
 
-	// Record register dataflow.
+	// Record register dataflow. The first InlineDests destinations go in the
+	// record; a wide LDM's rest go to the overflow table below.
 	var dbuf [trace.MaxDests]isa.Reg
 	var sbuf [trace.MaxSrcs]isa.Reg
 	dsts := inst.Dests(dbuf[:0])
@@ -160,7 +166,7 @@ func (c *CPU) step(inst *isa.Inst, rec *trace.Rec) {
 
 	case isa.B:
 		rec.Taken = true
-		rec.Target = inst.Target
+		rec.Addr = inst.Target
 		nextPC = inst.Target
 	case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU:
 		taken := false
@@ -180,31 +186,31 @@ func (c *CPU) step(inst *isa.Inst, rec *trace.Rec) {
 			taken = a >= bv
 		}
 		rec.Taken = taken
-		rec.Target = inst.Target
+		rec.Addr = inst.Target
 		if taken {
 			nextPC = inst.Target
 		}
 	case isa.CBZ:
 		rec.Taken = r(inst.Rn) == 0
-		rec.Target = inst.Target
+		rec.Addr = inst.Target
 		if rec.Taken {
 			nextPC = inst.Target
 		}
 	case isa.CBNZ:
 		rec.Taken = r(inst.Rn) != 0
-		rec.Target = inst.Target
+		rec.Addr = inst.Target
 		if rec.Taken {
 			nextPC = inst.Target
 		}
 	case isa.BL:
 		c.SetReg(inst.Rd, c.pc+4)
 		rec.Taken = true
-		rec.Target = inst.Target
+		rec.Addr = inst.Target
 		nextPC = inst.Target
 	case isa.RET, isa.BR:
 		rec.Taken = true
-		rec.Target = r(inst.Rn)
-		nextPC = rec.Target
+		rec.Addr = r(inst.Rn)
+		nextPC = rec.Addr
 
 	case isa.LDR, isa.LDRS, isa.LDAR:
 		ea := c.effAddr(inst)
@@ -234,11 +240,23 @@ func (c *CPU) step(inst *isa.Inst, rec *trace.Rec) {
 		rec.Addr, rec.Bytes = ea, 16
 		rec.Vals[0], rec.Vals[1] = v0, v1
 	case isa.LDM:
+		// One value per destination, in Dests order: the word loaded for
+		// XZR is discarded along with its register write.
 		ea := c.effAddr(inst)
+		var vals [trace.MaxDests]uint64
+		n := 0
 		for k := uint8(0); k < inst.NReg; k++ {
 			v := c.mem.Read(ea+uint64(k)*8, 8)
-			c.SetReg(inst.Rd+isa.Reg(k), v)
-			rec.Vals[k] = v
+			rd := inst.Rd + isa.Reg(k)
+			c.SetReg(rd, v)
+			if rd != isa.XZR {
+				vals[n] = v
+				n++
+			}
+		}
+		copy(rec.Vals[:], vals[:n])
+		if n > trace.InlineDests {
+			c.ovf.Add(rec, dsts, vals[:n])
 		}
 		rec.Addr, rec.Bytes = ea, inst.NReg*8
 
@@ -301,6 +319,8 @@ func (c *CPU) effAddr(inst *isa.Inst) uint64 {
 func (c *CPU) Run(max uint64) uint64 {
 	var rec trace.Rec
 	start := c.seq
+	// Run discards its records, so it drops their overflow entries too.
+	defer func(ovf trace.Overflow) { c.ovf = ovf }(c.ovf)
 	prev := c.MaxInstrs
 	if max > 0 {
 		c.MaxInstrs = c.seq + max

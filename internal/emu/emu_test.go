@@ -173,9 +173,35 @@ func TestLdpLdmVld(t *testing.T) {
 				t.Errorf("%v record wrong: ndst=%d vals=%v bytes=%d", r.Op, r.NDst, r.Vals[:2], r.Bytes)
 			}
 		case isa.LDM:
-			if r.NDst != 4 || r.Bytes != 32 || r.Vals[3] != 55 {
-				t.Errorf("ldm record wrong: ndst=%d bytes=%d vals=%v", r.NDst, r.Bytes, r.Vals[:4])
+			if r.NDst != 4 || r.Bytes != 32 || r.DestValue(3, c.Overflow()) != 55 {
+				t.Errorf("ldm record wrong: ndst=%d bytes=%d last val=%d", r.NDst, r.Bytes, r.DestValue(3, c.Overflow()))
 			}
+		}
+	}
+}
+
+// An LDM whose register range covers XZR loads the XZR word but writes no
+// register: the record lists only the real destinations, each paired with
+// the word it receives, and a wide LDM's tail comes from the overflow table.
+func TestLdmOverXZR(t *testing.T) {
+	c, recs := run(t, func(b *program.Builder) {
+		base := b.AllocWords("w", []uint64{10, 20, 30, 40, 50})
+		b.MovImm(1, base)
+		b.Ldm(29, 5, 1, 0) // x29, x30, xzr, v0, v1 = 10, 20, (30), 40, 50
+		b.Halt()
+	})
+	r := recs[1]
+	wantDst := []isa.Reg{29, 30, 32, 33}
+	wantVal := []uint64{10, 20, 40, 50}
+	if r.Op != isa.LDM || int(r.NDst) != len(wantDst) || r.Bytes != 40 {
+		t.Fatalf("ldm record: op %v ndst %d bytes %d, want ldm/4/40", r.Op, r.NDst, r.Bytes)
+	}
+	for j := range wantDst {
+		if d, v := r.DestReg(j, c.Overflow()), r.DestValue(j, c.Overflow()); d != wantDst[j] || v != wantVal[j] {
+			t.Errorf("destination %d = %v:%d, want %v:%d", j, d, v, wantDst[j], wantVal[j])
+		}
+		if got := c.Reg(wantDst[j]); got != wantVal[j] {
+			t.Errorf("%v = %d, want %d", wantDst[j], got, wantVal[j])
 		}
 	}
 }
@@ -196,7 +222,7 @@ func TestLdrPostAndStrPost(t *testing.T) {
 		t.Errorf("post-index loads = %d,%d", c.Reg(2), c.Reg(3))
 	}
 	for i := range recs {
-		if recs[i].Op == isa.LDRPOST && recs[i].Seq == 2 {
+		if recs[i].Op == isa.LDRPOST && i == 2 {
 			if recs[i].NDst != 2 {
 				t.Errorf("ldrpost NDst = %d, want 2 (value + base)", recs[i].NDst)
 			}

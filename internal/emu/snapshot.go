@@ -50,10 +50,10 @@ func (s *Snapshot) Equal(other *Snapshot) bool {
 
 // NewFromSnapshot returns a CPU for program p restored to snapshot s.
 // The snapshot's memory is deep-copied, so the caller may reuse s (and
-// restore it again) after the returned CPU runs. The CPU's Seq continues
-// from s.Seq — records it produces carry absolute dynamic instruction
-// numbers; consumers that need a 0-based stream rebase them
-// (trace.Rebase).
+// restore it again) after the returned CPU runs. Executed (and MaxInstrs)
+// continue from s.Seq, while the stream it produces starts afresh: its
+// first record is position 0, as in a fresh run, and its overflow table
+// starts empty.
 func NewFromSnapshot(p *program.Program, s *Snapshot) *CPU {
 	return &CPU{
 		prog: p,

@@ -204,6 +204,49 @@ func (o Op) IsCondBranch() bool {
 // The paper excludes such instructions from address prediction.
 func (o Op) IsOrdered() bool { return o == LDAR || o == STLR }
 
+// Flags is an opcode's class predicates packed into one byte, so a hot
+// loop tests a bit of a value it already holds instead of indexing the
+// class table on every call.
+type Flags uint8
+
+// Class flag bits; each mirrors the Op predicate of the same name.
+const (
+	FlagLoad    Flags = 1 << iota // IsLoad
+	FlagStore                     // IsStore
+	FlagBranch                    // IsBranch
+	FlagCondBr                    // IsCondBranch
+	FlagOrdered                   // IsOrdered
+)
+
+var opFlags = func() (t [numOps]Flags) {
+	for o := Op(0); o < numOps; o++ {
+		if o.IsLoad() {
+			t[o] |= FlagLoad
+		}
+		if o.IsStore() {
+			t[o] |= FlagStore
+		}
+		if o.IsBranch() {
+			t[o] |= FlagBranch
+		}
+		if o.IsCondBranch() {
+			t[o] |= FlagCondBr
+		}
+		if o.IsOrdered() {
+			t[o] |= FlagOrdered
+		}
+	}
+	return t
+}()
+
+// Flags returns the opcode's class flags (none for an undefined opcode).
+func (o Op) Flags() Flags {
+	if int(o) < len(opFlags) {
+		return opFlags[o]
+	}
+	return 0
+}
+
 // ExecLatency returns the execution latency in cycles, excluding memory
 // access time for loads (the cache model supplies that).
 func (o Op) ExecLatency() int {

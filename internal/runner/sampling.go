@@ -13,7 +13,6 @@ import (
 	"dlvp/internal/predictor"
 	"dlvp/internal/siteprof"
 	"dlvp/internal/timeline"
-	"dlvp/internal/trace"
 	"dlvp/internal/uarch"
 	"dlvp/internal/workloads"
 )
@@ -284,10 +283,9 @@ func (r *Runner) runSampled(ctx context.Context, key string, w workloads.Workloa
 		// detailed core never commits past the window (SetSampleWindow
 		// stops it); the slack costs only functional emulation.
 		cpu.MaxInstrs = iv.restore + iv.detailed + sampleStreamSlack
-		reader := trace.Rebase(cpu, iv.restore)
 		arena := uarch.AcquireArena()
 		defer uarch.ReleaseArena(arena)
-		core := uarch.NewAtArena(job.Config, prog, reader, snap.Mem, arena)
+		core := uarch.NewAtArena(job.Config, prog, cpu, snap.Mem, arena)
 		core.SetSampleWindow(iv.warmup, spec.MeasuredInstrs)
 		if r.spOpts.Enabled {
 			core.EnableSiteProfile(r.spOpts.MaxSites)

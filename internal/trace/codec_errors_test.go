@@ -18,9 +18,9 @@ func encodeSample(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := sampleRecs()
+	recs, ovf := sampleStream()
 	for i := range recs {
-		if err := w.Write(&recs[i]); err != nil {
+		if err := w.Write(&recs[i], ovf); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -38,21 +38,34 @@ func (s *seekBuffer) Seek(off int64, whence int) (int64, error) {
 }
 
 func sampleRecs() []Rec {
-	r1 := Rec{Seq: 0, PC: 0x400000, Next: 0x400004, Op: isa.LDP, NDst: 2, NSrc: 1,
+	recs, _ := sampleStream()
+	return recs
+}
+
+// sampleStream returns the sample records and the overflow table their
+// 16-destination LDM indexes.
+func sampleStream() ([]Rec, *Overflow) {
+	r1 := Rec{PC: 0x400000, Next: 0x400004, Op: isa.LDP, Flags: isa.LDP.Flags(), NDst: 2, NSrc: 1,
 		Addr: 0x1000, Bytes: 16}
 	r1.Dst[0], r1.Dst[1] = 4, 5
 	r1.Src[0] = 1
 	r1.Vals[0], r1.Vals[1] = 111, 222
-	r2 := Rec{Seq: 1, PC: 0x400004, Next: 0x400020, Op: isa.BEQ, NSrc: 2,
-		Taken: true, Target: 0x400020}
+	r2 := Rec{PC: 0x400004, Next: 0x400020, Op: isa.BEQ, Flags: isa.BEQ.Flags(), NSrc: 2,
+		Taken: true, Addr: 0x400020}
 	r2.Src[0], r2.Src[1] = 4, 5
-	r3 := Rec{Seq: 2, PC: 0x400020, Next: 0x400024, Op: isa.LDM, NDst: 16, NSrc: 1,
+	r3 := Rec{PC: 0x400020, Next: 0x400024, Op: isa.LDM, Flags: isa.LDM.Flags(), NDst: 16, NSrc: 1,
 		Addr: 0x2000, Bytes: 128}
+	var dst [16]isa.Reg
+	var vals [16]uint64
 	for i := 0; i < 16; i++ {
-		r3.Dst[i] = isa.Reg(i)
-		r3.Vals[i] = uint64(i * 7)
+		dst[i] = isa.Reg(i)
+		vals[i] = uint64(i * 7)
 	}
-	return []Rec{r1, r2, r3}
+	copy(r3.Dst[:], dst[:])
+	copy(r3.Vals[:], vals[:])
+	ovf := &Overflow{}
+	ovf.Add(&r3, dst[:], vals[:])
+	return []Rec{r1, r2, r3}, ovf
 }
 
 func TestCodecRoundTrip(t *testing.T) {
@@ -61,9 +74,9 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := sampleRecs()
+	recs, ovf := sampleStream()
 	for i := range recs {
-		if err := w.Write(&recs[i]); err != nil {
+		if err := w.Write(&recs[i], ovf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,6 +95,12 @@ func TestCodecRoundTrip(t *testing.T) {
 		}
 		if got != recs[i] {
 			t.Fatalf("record %d mismatch:\n got %+v\nwant %+v", i, got, recs[i])
+		}
+		for j := 0; j < int(got.NDst); j++ {
+			if got.DestReg(j, r.Overflow()) != recs[i].DestReg(j, ovf) ||
+				got.DestValue(j, r.Overflow()) != recs[i].DestValue(j, ovf) {
+				t.Fatalf("record %d destination %d mismatch", i, j)
+			}
 		}
 	}
 	if r.Next(&got) {
@@ -104,9 +123,9 @@ func TestCodecRejectsGarbage(t *testing.T) {
 func TestCodecTruncation(t *testing.T) {
 	buf := &seekBuffer{}
 	w, _ := NewWriter(buf)
-	recs := sampleRecs()
+	recs, ovf := sampleStream()
 	for i := range recs {
-		_ = w.Write(&recs[i])
+		_ = w.Write(&recs[i], ovf)
 	}
 	_ = w.Close()
 	// Chop the last record in half.
@@ -130,13 +149,13 @@ func TestCodecTruncation(t *testing.T) {
 // The emulator's stream must round-trip bit-exactly through the codec.
 func TestCodecEmulatorRoundTrip(t *testing.T) {
 	// A tiny program exercising loads, stores, branches, multi-dest ops.
-	recs := sampleRecs()
+	recs, ovf := sampleStream()
 	buf := &seekBuffer{}
 	w, _ := NewWriter(buf)
-	sr := &SliceReader{Recs: recs}
+	sr := &SliceReader{Recs: recs, Ovf: ovf}
 	var rec Rec
 	for sr.Next(&rec) {
-		if err := w.Write(&rec); err != nil {
+		if err := w.Write(&rec, sr.Overflow()); err != nil {
 			t.Fatal(err)
 		}
 	}

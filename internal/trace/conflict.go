@@ -29,6 +29,7 @@ type ConflictProfiler struct {
 	ValueChanged   uint64 // conflicts where the consumed value actually differs
 	sameAddrLoads  uint64 // loads whose prior instance touched the same address
 	distinctStatic map[uint64]struct{}
+	seq            uint64 // records observed: the next record's position
 }
 
 type loadInstance struct {
@@ -48,14 +49,17 @@ func NewConflictProfiler(inFlightWindow uint64) *ConflictProfiler {
 	}
 }
 
-// Observe feeds one dynamic record through the profiler.
+// Observe feeds one dynamic record through the profiler. Feed every record
+// of the stream in order: a record's position is its sequence number.
 func (p *ConflictProfiler) Observe(r *Rec) {
+	seq := p.seq
+	p.seq++
 	switch {
 	case r.IsStore():
 		first := r.Addr &^ 7
 		last := (r.Addr + uint64(r.Bytes) - 1) &^ 7
 		for w := first; w <= last; w += 8 {
-			p.lastStore[w] = r.Seq + 1 // +1 so seq 0 is distinguishable from "never"
+			p.lastStore[w] = seq + 1 // +1 so seq 0 is distinguishable from "never"
 		}
 	case r.IsLoad():
 		p.Loads++
@@ -74,7 +78,7 @@ func (p *ConflictProfiler) Observe(r *Rec) {
 			}
 			if storeSeq > 0 && storeSeq-1 > prev.seq {
 				p.Conflicts++
-				if r.Seq-(storeSeq-1) < p.InFlightWindow {
+				if seq-(storeSeq-1) < p.InFlightWindow {
 					p.InFlight++
 				}
 				if prev.value != r.Vals[0] {
@@ -82,7 +86,7 @@ func (p *ConflictProfiler) Observe(r *Rec) {
 				}
 			}
 		}
-		p.prev[r.PC] = loadInstance{seq: r.Seq, addr: r.Addr, valid: true, value: r.Vals[0]}
+		p.prev[r.PC] = loadInstance{seq: seq, addr: r.Addr, valid: true, value: r.Vals[0]}
 	}
 }
 

@@ -1,28 +1,30 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"dlvp/internal/isa"
 )
 
-func load(seq uint64, pc, addr, val uint64) Rec {
-	r := Rec{Seq: seq, PC: pc, Op: isa.LDR, Addr: addr, Bytes: 8, NDst: 1}
+func load(pc, addr, val uint64) Rec {
+	r := Rec{PC: pc, Op: isa.LDR, Flags: isa.LDR.Flags(), Addr: addr, Bytes: 8, NDst: 1}
 	r.Vals[0] = val
 	return r
 }
 
-func store(seq uint64, pc, addr, val uint64) Rec {
-	r := Rec{Seq: seq, PC: pc, Op: isa.STR, Addr: addr, Bytes: 8}
+func store(pc, addr, val uint64) Rec {
+	r := Rec{PC: pc, Op: isa.STR, Flags: isa.STR.Flags(), Addr: addr, Bytes: 8}
 	r.Vals[0] = val
 	return r
 }
 
 func TestSliceReader(t *testing.T) {
-	recs := []Rec{load(0, 0x400000, 0x1000, 1), store(1, 0x400004, 0x1000, 2)}
+	recs := []Rec{load(0x400000, 0x1000, 1), store(0x400004, 0x1000, 2)}
 	sr := &SliceReader{Recs: recs}
 	got := Collect(sr, 0)
-	if len(got) != 2 || got[0].Seq != 0 || got[1].Seq != 1 {
+	if len(got) != 2 || got[0] != recs[0] || got[1] != recs[1] {
 		t.Fatalf("collect = %+v", got)
 	}
 	var rec Rec
@@ -34,7 +36,7 @@ func TestSliceReader(t *testing.T) {
 func TestCollectMax(t *testing.T) {
 	recs := make([]Rec, 10)
 	for i := range recs {
-		recs[i] = load(uint64(i), 0x400000, 0x1000, 0)
+		recs[i] = load(0x400000, 0x1000, 0)
 	}
 	got := Collect(&SliceReader{Recs: recs}, 3)
 	if len(got) != 3 {
@@ -46,16 +48,14 @@ func TestConflictCommitted(t *testing.T) {
 	// Load A, far-away store to A (committed), load A again => committed conflict.
 	p := NewConflictProfiler(100)
 	recs := []Rec{
-		load(0, 0x400000, 0x1000, 5),
-		store(1, 0x400100, 0x1000, 6),
+		load(0x400000, 0x1000, 5),
+		store(0x400100, 0x1000, 6),
 	}
 	// Pad distance beyond the in-flight window.
-	seq := uint64(2)
 	for i := 0; i < 200; i++ {
-		recs = append(recs, Rec{Seq: seq, PC: 0x400200, Op: isa.ADD})
-		seq++
+		recs = append(recs, Rec{PC: 0x400200, Op: isa.ADD})
 	}
-	recs = append(recs, load(seq, 0x400000, 0x1000, 6))
+	recs = append(recs, load(0x400000, 0x1000, 6))
 	for i := range recs {
 		p.Observe(&recs[i])
 	}
@@ -75,9 +75,9 @@ func TestConflictInFlight(t *testing.T) {
 	// Store immediately before the second load => in flight.
 	p := NewConflictProfiler(100)
 	recs := []Rec{
-		load(0, 0x400000, 0x1000, 5),
-		store(1, 0x400100, 0x1000, 6),
-		load(2, 0x400000, 0x1000, 6),
+		load(0x400000, 0x1000, 5),
+		store(0x400100, 0x1000, 6),
+		load(0x400000, 0x1000, 6),
 	}
 	for i := range recs {
 		p.Observe(&recs[i])
@@ -91,9 +91,9 @@ func TestConflictRequiresSameAddress(t *testing.T) {
 	// Second instance reads a different address: no conflict.
 	p := NewConflictProfiler(100)
 	recs := []Rec{
-		load(0, 0x400000, 0x1000, 5),
-		store(1, 0x400100, 0x1000, 6),
-		load(2, 0x400000, 0x2000, 7),
+		load(0x400000, 0x1000, 5),
+		store(0x400100, 0x1000, 6),
+		load(0x400000, 0x2000, 7),
 	}
 	for i := range recs {
 		p.Observe(&recs[i])
@@ -107,9 +107,9 @@ func TestConflictStoreBeforeFirstInstance(t *testing.T) {
 	// Store precedes the first load instance: not "since the prior instance".
 	p := NewConflictProfiler(100)
 	recs := []Rec{
-		store(0, 0x400100, 0x1000, 6),
-		load(1, 0x400000, 0x1000, 6),
-		load(2, 0x400000, 0x1000, 6),
+		store(0x400100, 0x1000, 6),
+		load(0x400000, 0x1000, 6),
+		load(0x400000, 0x1000, 6),
 	}
 	for i := range recs {
 		p.Observe(&recs[i])
@@ -122,9 +122,9 @@ func TestConflictStoreBeforeFirstInstance(t *testing.T) {
 func TestConflictSubWordStore(t *testing.T) {
 	// A byte store inside the loaded word must register as a conflict.
 	p := NewConflictProfiler(100)
-	r1 := load(0, 0x400000, 0x1000, 5)
-	st := Rec{Seq: 1, PC: 0x400100, Op: isa.STR, Addr: 0x1003, Bytes: 1}
-	r2 := load(2, 0x400000, 0x1000, 99)
+	r1 := load(0x400000, 0x1000, 5)
+	st := Rec{PC: 0x400100, Op: isa.STR, Flags: isa.STR.Flags(), Addr: 0x1003, Bytes: 1}
+	r2 := load(0x400000, 0x1000, 99)
 	for _, r := range []Rec{r1, st, r2} {
 		p.Observe(&r)
 	}
@@ -138,9 +138,9 @@ func TestConflictSilentStoreCounted(t *testing.T) {
 	// (a store occurred), but ValueChanged stays zero.
 	p := NewConflictProfiler(100)
 	recs := []Rec{
-		load(0, 0x400000, 0x1000, 5),
-		store(1, 0x400100, 0x1000, 5),
-		load(2, 0x400000, 0x1000, 5),
+		load(0x400000, 0x1000, 5),
+		store(0x400100, 0x1000, 5),
+		load(0x400000, 0x1000, 5),
 	}
 	for i := range recs {
 		p.Observe(&recs[i])
@@ -171,7 +171,7 @@ func TestRepeatProfilerAddressVsValue(t *testing.T) {
 	// (4 occurrences each). Address repeats 8x; values repeat 4x.
 	p := NewRepeatProfiler()
 	for i := 0; i < 8; i++ {
-		r := load(uint64(i), 0x400000, 0x1000, uint64(i%2))
+		r := load(0x400000, 0x1000, uint64(i%2))
 		p.Observe(&r)
 	}
 	s := p.Stats()
@@ -196,9 +196,9 @@ func TestRepeatProfilerPerStaticLoad(t *testing.T) {
 	// Two static loads with the same address are counted separately.
 	p := NewRepeatProfiler()
 	for i := 0; i < 4; i++ {
-		r := load(uint64(2*i), 0x400000, 0x1000, 7)
+		r := load(0x400000, 0x1000, 7)
 		p.Observe(&r)
-		r2 := load(uint64(2*i+1), 0x400008, 0x1000, 7)
+		r2 := load(0x400008, 0x1000, 7)
 		p.Observe(&r2)
 	}
 	s := p.Stats()
@@ -210,9 +210,9 @@ func TestRepeatProfilerPerStaticLoad(t *testing.T) {
 
 func TestRepeatIgnoresNonLoads(t *testing.T) {
 	p := NewRepeatProfiler()
-	r := store(0, 0x400000, 0x1000, 1)
+	r := store(0x400000, 0x1000, 1)
 	p.Observe(&r)
-	a := Rec{Seq: 1, Op: isa.ADD}
+	a := Rec{Op: isa.ADD}
 	p.Observe(&a)
 	if s := p.Stats(); s.Loads != 0 {
 		t.Errorf("non-loads counted: %d", s.Loads)
@@ -253,12 +253,68 @@ func pctVec(first, second float64) []float64 {
 }
 
 func TestRecHelpers(t *testing.T) {
-	l := load(0, 1, 2, 42)
+	l := load(1, 2, 42)
 	if !l.IsLoad() || l.IsStore() || l.Value() != 42 {
 		t.Error("load helpers wrong")
 	}
-	s := store(0, 1, 2, 3)
+	s := store(1, 2, 3)
 	if s.IsLoad() || !s.IsStore() {
 		t.Error("store helpers wrong")
+	}
+}
+
+// TestRecCompact pins the record's footprint: the trace cache buffers one
+// per instruction, so its size sets how many streams a byte budget holds,
+// and without pointers a buffered stream costs the GC nothing to scan.
+func TestRecCompact(t *testing.T) {
+	if got := unsafe.Sizeof(Rec{}); got > 64 {
+		t.Errorf("trace.Rec is %d bytes, want at most 64", got)
+	}
+	var pointerFree func(reflect.Type) bool
+	pointerFree = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Bool, reflect.Uint8, reflect.Uint32, reflect.Uint64:
+			return true
+		case reflect.Array:
+			return pointerFree(ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if !pointerFree(ty.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		}
+		return false
+	}
+	if !pointerFree(reflect.TypeOf(Rec{})) {
+		t.Error("trace.Rec holds a pointer-bearing field")
+	}
+}
+
+// A wide record's extra destinations come from its stream's table; a
+// reader that hands the record on without that table fails loudly instead
+// of reporting zeros.
+func TestOverflowMissingEntryPanics(t *testing.T) {
+	r := Rec{Op: isa.LDM, Flags: isa.LDM.Flags(), NDst: 3}
+	dst := []isa.Reg{4, 5, 6}
+	vals := []uint64{40, 50, 60}
+	var ovf Overflow
+	ovf.Add(&r, dst, vals)
+	if got := r.DestReg(2, &ovf); got != 6 {
+		t.Errorf("DestReg(2) = %v, want x6", got)
+	}
+	if got := r.DestValue(2, &ovf); got != 60 {
+		t.Errorf("DestValue(2) = %d, want 60", got)
+	}
+	for name, table := range map[string]*Overflow{"nil table": nil, "empty table": {}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: DestValue of a wide record returned instead of panicking", name)
+				}
+			}()
+			r.DestValue(2, table)
+		}()
 	}
 }

@@ -23,10 +23,12 @@ func statsJSON(t *testing.T, s metrics.RunStats) string {
 	return string(enc)
 }
 
-// TestReplayEquivalence proves the tentpole's correctness claim: for every
-// registered workload, a timing simulation fed by (a) live emulation,
-// (b) the capture pass, and (c) a pure replay produces bit-identical
-// RunStats. CI runs this under -race.
+// TestReplayEquivalence proves the trace cache's correctness claim: for
+// every registered workload, a timing simulation fed by (a) live
+// emulation, (b) the capture pass, and (c) a pure replay produces
+// bit-identical RunStats — and the replay is served zero-copy, through a
+// trace.RandomAccess reader, while the capture streams. CI runs this under
+// -race.
 func TestReplayEquivalence(t *testing.T) {
 	const instrs = 3_000
 	cfg := config.DLVP()
@@ -45,6 +47,9 @@ func TestReplayEquivalence(t *testing.T) {
 				defer release()
 				if outcome != want {
 					t.Fatalf("outcome %q, want %q", outcome, want)
+				}
+				if _, ra := r.(trace.RandomAccess); ra != (want == tracecache.OutcomeReplay) {
+					t.Errorf("%s reader %T: implements trace.RandomAccess = %v", want, r, ra)
 				}
 				return statsJSON(t, uarch.New(cfg, w.Build(), r).Run(0))
 			}

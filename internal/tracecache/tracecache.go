@@ -10,24 +10,28 @@
 // configuration:
 //
 //   - the first reader for a key becomes the capture *lead*: it streams
-//     from the live emulator while appending each trace.Rec (a fixed-size
-//     value struct — cheap to copy) into an in-memory buffer;
+//     from the live emulator while appending each trace.Rec (56 bytes, no
+//     pointers) into an in-memory buffer; the extra destinations of wide
+//     records stay in the emulator's overflow table, which every snapshot
+//     publishes alongside the records;
 //   - concurrent readers for the same key *follow* the capture
 //     (single-flight: one emulation no matter how many configurations ask
 //     at once), tailing the published prefix lock-free and parking only
 //     when they catch up to the lead;
 //   - once a capture completes, later readers get a pure replay of the
-//     buffered records with zero re-emulation;
+//     buffered records with zero re-emulation, served by position
+//     (trace.RandomAccess) so the core reads them in place;
 //   - a capture that is abandoned (its simulation stopped early) or that
 //     runs out of budget fails open: followers transparently fall back to
 //     a fresh emulator, skipping the records they already consumed, so a
 //     reader always observes the exact stream the live emulator would have
 //     produced.
 //
-// The byte budget bounds resident memory: complete captures live in an LRU
-// keyed by bytes, in-flight captures count against the same budget, and a
-// stream whose upper bound (instrs × record size) cannot fit is bypassed
-// to live emulation without buffering.
+// The byte budget bounds resident memory: complete captures (records plus
+// overflow table) live in an LRU keyed by bytes, in-flight captures count
+// against the same budget, and a stream whose upper bound (instrs × record
+// size) cannot fit is bypassed to live emulation without buffering. The
+// 512 MiB default thus retains 31 complete 300k-instruction captures.
 package tracecache
 
 import (
@@ -39,7 +43,7 @@ import (
 )
 
 // RecSize is the in-memory size of one buffered trace record; the byte
-// budget is accounted in these units.
+// budget charges it per record, plus each stream's overflow-table bytes.
 const RecSize = int64(unsafe.Sizeof(trace.Rec{}))
 
 // publishChunk is how many records the capture lead appends between
@@ -65,11 +69,17 @@ const (
 // snapshot is the immutable published view of one capture. Records
 // [0, len(recs)) are final and safe to read concurrently; the lead appends
 // beyond len into the same backing array before publishing the next view.
+// ovf is the matching view of the stream's overflow table, which grows the
+// same way.
 type snapshot struct {
 	recs     []trace.Rec
+	ovf      trace.Overflow
 	complete bool // stream ended; recs is the whole trace
 	failed   bool // capture aborted; readers past recs must re-emulate
 }
+
+// bytes is what the snapshot's contents are charged against the budget.
+func (s *snapshot) bytes() int64 { return int64(len(s.recs))*RecSize + s.ovf.Bytes() }
 
 // entry is one (workload, instrs) stream, either mid-capture or complete.
 type entry struct {
@@ -228,11 +238,12 @@ func (c *Cache) Reader(workload string, instrs uint64, source func() trace.Reade
 				c.lruTouch(e)
 			}
 			c.mu.Unlock()
-			return &replayReader{c: c, e: e}, nop, OutcomeReplay
+			ovf := snap.ovf
+			return &trace.SliceReader{Recs: snap.recs, Ovf: &ovf}, nop, OutcomeReplay
 		}
 		c.follows++
 		c.mu.Unlock()
-		return &replayReader{c: c, e: e}, nop, OutcomeFollow
+		return &followReader{c: c, e: e}, nop, OutcomeFollow
 	}
 	e := &entry{key: key, instrs: instrs, source: source, wake: make(chan struct{})}
 	e.snap.Store(&snapshot{})
@@ -242,7 +253,8 @@ func (c *Cache) Reader(workload string, instrs uint64, source func() trace.Reade
 	c.emulations++
 	c.mu.Unlock()
 
-	cap := &captureReader{c: c, e: e, inner: source(), buf: make([]trace.Rec, 0, instrs)}
+	inner := source()
+	cap := &captureReader{c: c, e: e, inner: inner, ovf: trace.OverflowOf(inner), buf: make([]trace.Rec, 0, instrs)}
 	return cap, cap.release, OutcomeCapture
 }
 
@@ -317,7 +329,7 @@ func (c *Cache) evict() {
 		c.lruRemove(victim)
 		victim.resident = false
 		delete(c.entries, victim.key)
-		c.resident -= int64(len(victim.snap.Load().recs)) * RecSize
+		c.resident -= victim.snap.Load().bytes()
 		c.nRes--
 		c.evictions++
 	}
@@ -331,10 +343,32 @@ type captureReader struct {
 	c        *Cache
 	e        *entry
 	inner    trace.Reader
+	ovf      *trace.Overflow // inner's table (nil: inner has no wide records)
 	buf      []trace.Rec
-	pub      int  // records already published
-	done     bool // completed or aborted
-	bypassed bool // budget pressure: stop buffering, keep streaming
+	pub      int   // records already published
+	charged  int64 // bytes charged against the budget so far
+	done     bool  // completed or aborted
+	bypassed bool  // budget pressure: stop buffering, keep streaming
+}
+
+// Overflow passes the emulator's table through (see trace.OverflowOf).
+func (r *captureReader) Overflow() *trace.Overflow { return r.ovf }
+
+// view snapshots everything buffered so far: the records and the overflow
+// table entries they index.
+func (r *captureReader) view() *snapshot {
+	s := &snapshot{recs: r.buf}
+	if r.ovf != nil {
+		s.ovf = *r.ovf
+	}
+	return s
+}
+
+// fail publishes the last published prefix as failed, so followers past it
+// fall back to live emulation.
+func (r *captureReader) fail() {
+	prev := r.e.snap.Load()
+	r.e.publish(&snapshot{recs: prev.recs, ovf: prev.ovf, failed: true})
 }
 
 func (r *captureReader) Next(rec *trace.Rec) bool {
@@ -358,7 +392,8 @@ func (r *captureReader) Next(rec *trace.Rec) bool {
 // captures alone exceed the budget, this capture aborts (streaming
 // continues uncached; followers fall back).
 func (r *captureReader) publishChunk(final bool) {
-	delta := int64(len(r.buf)-r.pub) * RecSize
+	s := r.view()
+	delta := s.bytes() - r.charged
 	c := r.c
 	c.mu.Lock()
 	c.live += delta
@@ -366,20 +401,21 @@ func (r *captureReader) publishChunk(final bool) {
 	if c.resident+c.live > c.budget {
 		// Another capture (or this one) outgrew the budget with nothing
 		// left to evict; fail this capture open rather than overshoot.
-		c.live -= int64(len(r.buf)) * RecSize
+		c.live -= r.charged + delta
 		c.nLive--
 		c.capturesAborted++
 		delete(c.entries, r.e.key)
 		c.mu.Unlock()
 		r.bypassed, r.done = true, true
 		r.buf = nil
-		r.e.publish(&snapshot{recs: r.e.snap.Load().recs, failed: true})
+		r.fail()
 		return
 	}
 	c.mu.Unlock()
+	r.charged += delta
 	r.pub = len(r.buf)
 	if !final {
-		r.e.publish(&snapshot{recs: r.buf[:r.pub]})
+		r.e.publish(s)
 	}
 }
 
@@ -393,9 +429,11 @@ func (r *captureReader) finish() {
 		return
 	}
 	r.done = true
-	r.e.publish(&snapshot{recs: r.buf, complete: true})
+	s := r.view()
+	s.complete = true
+	r.e.publish(s)
 	c := r.c
-	size := int64(len(r.buf)) * RecSize
+	size := r.charged
 	c.mu.Lock()
 	c.live -= size
 	c.nLive--
@@ -418,36 +456,45 @@ func (r *captureReader) release() {
 	r.done, r.bypassed = true, true
 	c := r.c
 	c.mu.Lock()
-	c.live -= int64(r.pub) * RecSize
+	c.live -= r.charged
 	c.nLive--
 	c.capturesAborted++
 	delete(c.entries, r.e.key)
 	c.mu.Unlock()
-	r.e.publish(&snapshot{recs: r.e.snap.Load().recs, failed: true})
+	r.fail()
 	r.buf = nil
 }
 
-// --- replay / follow ---------------------------------------------------------
+// --- follow ------------------------------------------------------------------
 
-// replayReader streams a captured entry: lock-free over the published
-// prefix, parking only when it catches up to a live capture, and falling
-// back to a fresh emulator if the capture fails.
-type replayReader struct {
+// followReader streams a capture in flight: lock-free over the published
+// prefix, parking only when it catches up to the lead, and falling back to
+// a fresh emulator if the capture fails.
+type followReader struct {
 	c        *Cache
 	e        *entry
 	pos      int
+	ovf      trace.Overflow // covers every record delivered so far
 	fallback trace.Reader
+	fbOvf    *trace.Overflow // the fallback emulator's table
 }
 
-func (r *replayReader) Next(rec *trace.Rec) bool {
+// Overflow implements trace.OverflowOf's contract: the table view is
+// refreshed whenever a wide record is delivered.
+func (r *followReader) Overflow() *trace.Overflow { return &r.ovf }
+
+func (r *followReader) Next(rec *trace.Rec) bool {
 	if r.fallback != nil {
-		return r.fallback.Next(rec)
+		return r.fallbackNext(rec)
 	}
 	for {
 		snap := r.e.snap.Load()
 		if r.pos < len(snap.recs) {
 			*rec = snap.recs[r.pos]
 			r.pos++
+			if rec.NDst > trace.InlineDests {
+				r.ovf = snap.ovf
+			}
 			return true
 		}
 		if snap.complete {
@@ -455,7 +502,7 @@ func (r *replayReader) Next(rec *trace.Rec) bool {
 		}
 		if snap.failed {
 			r.startFallback()
-			return r.fallback.Next(rec)
+			return r.fallbackNext(rec)
 		}
 		// Caught up with the lead: grab the wake channel, then re-check
 		// the snapshot so a publication between load and grab is never
@@ -473,18 +520,30 @@ func (r *replayReader) Next(rec *trace.Rec) bool {
 // startFallback resumes the stream on a fresh live emulator, discarding
 // the records this reader already delivered. The emulator is
 // deterministic, so the resumed stream continues exactly where the
-// published prefix ended.
-func (r *replayReader) startFallback() {
+// published prefix ended — and its overflow table, rebuilt while skipping,
+// matches the published one entry for entry.
+func (r *followReader) startFallback() {
 	c := r.c
 	c.mu.Lock()
 	c.fallbacks++
 	c.emulations++
 	c.mu.Unlock()
 	r.fallback = r.e.source()
+	r.fbOvf = trace.OverflowOf(r.fallback)
 	var skip trace.Rec
 	for i := 0; i < r.pos; i++ {
 		if !r.fallback.Next(&skip) {
 			break
 		}
 	}
+}
+
+func (r *followReader) fallbackNext(rec *trace.Rec) bool {
+	if !r.fallback.Next(rec) {
+		return false
+	}
+	if rec.NDst > trace.InlineDests && r.fbOvf != nil {
+		r.ovf = *r.fbOvf
+	}
+	return true
 }

@@ -1,10 +1,12 @@
 package tracecache
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"dlvp/internal/isa"
 	"dlvp/internal/trace"
 )
 
@@ -35,12 +37,39 @@ func (r *synthReader) Next(rec *trace.Rec) bool {
 		return false
 	}
 	*rec = trace.Rec{
-		Seq:  r.i,
 		PC:   0x1000 + 4*r.i,
 		Addr: r.seed ^ (r.i * 8),
 	}
 	rec.Vals[0] = r.seed + 3*r.i
 	r.i++
+	return true
+}
+
+// wideReader is synthReader with every third record a 6-destination LDM,
+// whose destinations past the inline two go to its overflow table.
+type wideReader struct {
+	synthReader
+	ovf trace.Overflow
+}
+
+func (r *wideReader) Overflow() *trace.Overflow { return &r.ovf }
+
+func (r *wideReader) Next(rec *trace.Rec) bool {
+	i := r.i
+	if !r.synthReader.Next(rec) {
+		return false
+	}
+	if i%3 == 0 {
+		rec.Op, rec.Flags, rec.NDst = isa.LDM, isa.LDM.Flags(), 6
+		var dst [6]isa.Reg
+		var vals [6]uint64
+		for j := range dst {
+			dst[j], vals[j] = isa.Reg(2+j), r.seed*i+uint64(j)
+		}
+		copy(rec.Dst[:], dst[:])
+		copy(rec.Vals[:], vals[:])
+		r.ovf.Add(rec, dst[:], vals[:])
+	}
 	return true
 }
 
@@ -359,5 +388,71 @@ func TestNegativeBudgetIsDisabled(t *testing.T) {
 	rel()
 	if s := c.Stats(); s.Bypasses != 1 || s.BudgetBytes != 0 {
 		t.Errorf("stats %+v", s)
+	}
+}
+
+// A stream's overflow table is charged against the budget with its
+// records, and a replay resolves wide records through the published table.
+func TestOverflowChargedAndReplayed(t *testing.T) {
+	const n = publishChunk + 300
+	src := func() trace.Reader { return &wideReader{synthReader: synthReader{seed: 41, n: n}} }
+	c := New(64 << 20)
+	r, rel, _ := c.Reader("w", n, src)
+	var rec trace.Rec
+	for r.Next(&rec) {
+	}
+	rel()
+
+	want := &wideReader{synthReader: synthReader{seed: 41, n: n}}
+	wantRecs := trace.Collect(want, 0)
+	const wide = (n + 2) / 3
+	if got, bytes := c.Stats().ResidentBytes, int64(n)*RecSize+wide*4*(1+8); got != bytes {
+		t.Errorf("resident %d bytes, want %d: %d records plus %d wide records' 4 extra destinations", got, bytes, n, wide)
+	}
+	replay, rel2, out := c.Reader("w", n, src)
+	defer rel2()
+	if out != OutcomeReplay {
+		t.Fatalf("outcome %q, want replay", out)
+	}
+	got := trace.Collect(replay, 0)
+	sameRecs(t, got, wantRecs)
+	for i := range got {
+		for j := 0; j < int(got[i].NDst); j++ {
+			if g, w := got[i].DestValue(j, trace.OverflowOf(replay)), wantRecs[i].DestValue(j, want.Overflow()); g != w {
+				t.Fatalf("record %d destination %d: value %d, want %d", i, j, g, w)
+			}
+		}
+	}
+}
+
+// TestDefaultBudgetResidency pins the residency figure the README, DESIGN
+// and the -trace-cache-bytes help quote: New(512<<20) retains 31 complete
+// 300k-instruction captures. The run below scales the budget and the
+// stream down by the same factor, which leaves the quotient — and so the
+// number of captures retained — unchanged while holding 16 MiB, not 512.
+func TestDefaultBudgetResidency(t *testing.T) {
+	const (
+		budget = 512 << 20
+		instrs = 300_000
+		scale  = 32 // divides both exactly
+		want   = 31
+	)
+	if got := budget / (instrs * RecSize); got != want {
+		t.Fatalf("512 MiB holds %d complete 300k-instruction captures, want %d", got, want)
+	}
+	c := New(budget / scale)
+	var rec trace.Rec
+	for k := 0; k < want+2; k++ {
+		src := &synthSource{seed: uint64(k), n: instrs / scale}
+		r, release, out := c.Reader(fmt.Sprintf("w%d", k), src.n, src.reader)
+		if out != OutcomeCapture {
+			t.Fatalf("stream %d served as %q, want capture", k, out)
+		}
+		for r.Next(&rec) {
+		}
+		release()
+	}
+	if s := c.Stats(); s.Entries != want || s.Evictions != 2 {
+		t.Errorf("%d complete captures resident after %d evictions, want %d after 2", s.Entries, s.Evictions, want)
 	}
 }

@@ -18,7 +18,7 @@ import (
 //
 //	go test -tags uarchassert ./internal/uarch/
 func TestRemovePendingStoreAssertFires(t *testing.T) {
-	recs := []trace.Rec{{Seq: 0, PC: 0x1000, Op: isa.STR, Addr: 0x8000, Bytes: 8}}
+	recs := []trace.Rec{{PC: 0x1000, Op: isa.STR, Flags: isa.STR.Flags(), Addr: 0x8000, Bytes: 8}}
 	c := NewAt(config.Baseline(), program.NewBuilder("as").Build(),
 		&trace.SliceReader{Recs: recs}, nil)
 	defer func() {

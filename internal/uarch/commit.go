@@ -99,7 +99,7 @@ func (c *Core) accountPrediction(seq uint64) {
 	if f&fVpMade != 0 {
 		correct = true
 		for j := 0; j < int(rec.NDst); j++ {
-			if cd.vpPerDest[j] && cd.vpVals[j] != rec.DestValue(j) {
+			if cd.vpPerDest[j] && cd.vpVals[j] != rec.DestValue(j, c.ovf) {
 				correct = false
 				break
 			}

@@ -73,6 +73,9 @@ type Core struct {
 	// served straight out of the reader (zero-copy) and the staging ring
 	// in the arena goes unused.
 	ra trace.RandomAccess
+	// ovf is the reader's overflow table: the destinations of wide records
+	// past the inline ones (nil when the reader supplies none).
+	ovf *trace.Overflow
 
 	// Committed architectural memory image (probe staleness model).
 	cmem *emu.Memory
@@ -207,8 +210,9 @@ func New(cfg config.Core, p *program.Program, reader trace.Reader) *Core {
 
 // NewAt builds a core whose committed-memory image starts from cmem
 // instead of the program image — the mid-stream form used by sampled
-// simulation, where reader is a checkpoint-restored (and seq-rebased)
-// emulator and cmem is the architectural memory at the restore offset.
+// simulation, where reader is a checkpoint-restored emulator (its stream
+// positions start at 0 like any other) and cmem is the architectural
+// memory at the restore offset.
 // cmem is cloned, never mutated; nil selects the program image
 // (equivalent to New). The probe-staleness model depends on this: a
 // DLVP probe reads the committed image, so an interval starting
@@ -236,6 +240,7 @@ func NewAtArena(cfg config.Core, p *program.Program, reader trace.Reader, cmem *
 		cfg:    cfg,
 		prog:   p,
 		reader: reader,
+		ovf:    trace.OverflowOf(reader),
 		cmem:   mimg,
 		a:      a,
 		hier:   mem.NewHierarchy(cfg.Mem),

@@ -50,7 +50,7 @@ func (c *Core) executeStage() {
 		rec := c.rec(seq)
 		c.prfWrites += uint64(rec.NDst)
 		switch {
-		case rec.Op.IsBranch():
+		case rec.IsBranch():
 			if f&fTrained == 0 {
 				c.resolveBranch(seq, rec)
 			}
@@ -94,12 +94,12 @@ func (c *Core) resolveBranch(seq uint64, rec *trace.Rec) {
 	slot := seq & windowMask
 	switch rec.Op.Class() {
 	case isa.ClassBr:
-		if rec.Op.IsCondBranch() {
+		if rec.IsCondBranch() {
 			// Reuse the fetch-time lookup context: same (pc, hist), no re-hash.
 			c.tage.UpdateLk(&c.cold(seq).tageLk, rec.PC, rec.Taken)
 		}
 	case isa.ClassJmp:
-		c.ittage.Update(rec.PC, w.ghistBefore[slot], rec.Target)
+		c.ittage.Update(rec.PC, w.ghistBefore[slot], rec.Target())
 	}
 	if w.flags[slot]&fBrMispredict != 0 {
 		c.stats.BranchFlushes++
@@ -140,12 +140,12 @@ func (c *Core) trainVTAGE(seq uint64, rec *trace.Rec) {
 	cd := c.cold(seq)
 	if c.vtPred != nil {
 		for j := range cd.vtLks {
-			c.vtPred.Train(cd.vtLks[j], rec.Op, rec.DestValue(j))
+			c.vtPred.Train(cd.vtLks[j], rec.Op, rec.DestValue(j, c.ovf))
 		}
 	}
 	if c.dvPred != nil {
 		for j := range cd.dvLks {
-			c.dvPred.Train(cd.dvLks[j], rec.DestValue(j))
+			c.dvPred.Train(cd.dvLks[j], rec.DestValue(j, c.ovf))
 		}
 	}
 }
@@ -170,7 +170,7 @@ func (c *Core) validatePrediction(seq uint64, rec *trace.Rec) {
 		c.pvtCount -= cd.vpNumDests
 		correct := true
 		for j := 0; j < int(rec.NDst); j++ {
-			if cd.vpPerDest[j] && cd.vpVals[j] != rec.DestValue(j) {
+			if cd.vpPerDest[j] && cd.vpVals[j] != rec.DestValue(j, c.ovf) {
 				correct = false
 				break
 			}
@@ -315,14 +315,14 @@ func (c *Core) trainChooser(seq uint64, rec *trace.Rec) {
 	nd := int(rec.NDst)
 	dlvpCorrect := true
 	for j := 0; j < nd; j++ {
-		if cd.probeVals[j] != rec.DestValue(j) {
+		if cd.probeVals[j] != rec.DestValue(j, c.ovf) {
 			dlvpCorrect = false
 			break
 		}
 	}
 	vtageCorrect := true
 	for j := 0; j < nd; j++ {
-		if cd.vtValid[j] && cd.vtVals[j] != rec.DestValue(j) {
+		if cd.vtValid[j] && cd.vtVals[j] != rec.DestValue(j, c.ovf) {
 			vtageCorrect = false
 			break
 		}
@@ -332,7 +332,8 @@ func (c *Core) trainChooser(seq uint64, rec *trace.Rec) {
 
 // readLoadValues reconstructs, from the committed-memory image, the value
 // each destination register of inst would receive if the load read memory
-// at addr right now. This is the DLVP probe's data path.
+// at addr right now, indexed like the record's destinations (an LDM word
+// bound for XZR has none). This is the DLVP probe's data path.
 func (c *Core) readLoadValues(inst *isa.Inst, addr uint64, out *[trace.MaxDests]uint64) {
 	switch inst.Op {
 	case isa.LDR, isa.LDAR:
@@ -352,8 +353,12 @@ func (c *Core) readLoadValues(inst *isa.Inst, addr uint64, out *[trace.MaxDests]
 		out[0] = c.cmem.Read(addr, 8)
 		out[1] = c.cmem.Read(addr+8, 8)
 	case isa.LDM:
-		for k := uint8(0); k < inst.NReg && int(k) < trace.MaxDests; k++ {
-			out[k] = c.cmem.Read(addr+uint64(k)*8, 8)
+		n := 0
+		for k := uint8(0); k < inst.NReg && n < trace.MaxDests; k++ {
+			if inst.Rd+isa.Reg(k) != isa.XZR {
+				out[n] = c.cmem.Read(addr+uint64(k)*8, 8)
+				n++
+			}
 		}
 	}
 }

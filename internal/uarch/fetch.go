@@ -60,14 +60,14 @@ func (c *Core) fetchStage() {
 
 		// Branch prediction.
 		stall := false
-		if rec.Op.IsBranch() {
+		if rec.IsBranch() {
 			stall = c.fetchBranch(seq, rec)
 		}
 
 		// Load handling: MDP consultation, load-path history, address and
 		// value prediction.
 		if rec.IsLoad() {
-			if c.mdp.ShouldWait(rec.PC) || rec.Op.IsOrdered() {
+			if c.mdp.ShouldWait(rec.PC) || rec.IsOrdered() {
 				w.flags[slot] |= fMdpWait
 			}
 			c.fetchAddressPrediction(seq, rec, fga, lphistAtGroup, loadsInGroup)
@@ -91,10 +91,10 @@ func (c *Core) fetchStage() {
 		// Update the in-flight writer map and take recovery snapshots.
 		nd := int(rec.NDst)
 		for j := 0; j < nd; j++ {
-			c.lastWriter[rec.Dst[j]] = seq + 1
+			c.lastWriter[rec.DestReg(j, c.ovf)] = seq + 1
 		}
 		w.ghistAfter[slot] = c.ghist.Value()
-		if rec.Op.IsCondBranch() {
+		if rec.IsCondBranch() {
 			// The post-instruction snapshot must hold the *actual* outcome
 			// so that squash recovery repairs a wrongly speculated bit.
 			w.ghistAfter[slot] = w.ghistBefore[slot]<<1 | b2u(rec.Taken)
@@ -118,7 +118,7 @@ func (c *Core) fetchStage() {
 			c.fetchStallUntil = ^uint64(0) >> 1
 			return
 		}
-		if rec.Op.IsBranch() && rec.Taken {
+		if rec.IsBranch() && rec.Taken {
 			// Correctly predicted taken branch ends the fetch group.
 			return
 		}
@@ -135,7 +135,7 @@ func (c *Core) fetchBranch(seq uint64, rec *trace.Rec) bool {
 	mispredict := false
 	switch rec.Op.Class() {
 	case isa.ClassBr:
-		if rec.Op.IsCondBranch() {
+		if rec.IsCondBranch() {
 			pred := c.tage.PredictLk(&c.cold(seq).tageLk, rec.PC, before)
 			mispredict = pred != rec.Taken
 			// Speculative history receives the predicted bit; recovery later
@@ -151,10 +151,10 @@ func (c *Core) fetchBranch(seq uint64, rec *trace.Rec) bool {
 		tgt, ok := c.ras.Pop()
 		c.cold(seq).rasAfter = c.ras.Snapshot()
 		w.flags[slot] |= fHasRasAfter
-		mispredict = !ok || tgt != rec.Target
+		mispredict = !ok || tgt != rec.Target()
 	case isa.ClassJmp:
 		tgt, ok := c.ittage.Predict(rec.PC, before)
-		mispredict = !ok || tgt != rec.Target
+		mispredict = !ok || tgt != rec.Target()
 	}
 	if mispredict {
 		w.flags[slot] |= fBrMispredict
@@ -178,7 +178,7 @@ func (c *Core) fetchAddressPrediction(seq uint64, rec *trace.Rec, fga, lphist ui
 	if !c.usesAddressPrediction() {
 		return
 	}
-	if rec.Op.IsOrdered() {
+	if rec.IsOrdered() {
 		return
 	}
 	if loadIdx >= 2 {

@@ -95,7 +95,7 @@ func (c *Core) applyFlush() {
 			c.a.pendingStores = append(c.a.pendingStores, seq)
 		}
 		for j := 0; j < int(rec.NDst); j++ {
-			c.lastWriter[rec.Dst[j]] = seq + 1
+			c.lastWriter[rec.DestReg(j, c.ovf)] = seq + 1
 		}
 		if f&fBrMispredict != 0 && f&fCompleted == 0 {
 			stallForBranch = true

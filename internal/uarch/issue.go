@@ -212,7 +212,7 @@ func (c *Core) predictsReg(pseq uint64, r isa.Reg) bool {
 	cd := c.cold(pseq)
 	nd := int(prec.NDst)
 	for j := 0; j < nd; j++ {
-		if prec.Dst[j] == r && cd.vpPerDest[j] {
+		if cd.vpPerDest[j] && prec.DestReg(j, c.ovf) == r {
 			return true
 		}
 	}

@@ -33,13 +33,13 @@ func (c *Core) EnableStageTrace(start uint64, n int) {
 // StageTraces returns the recorded timelines (valid after Run).
 func (c *Core) StageTraces() []StageTrace { return c.stageTraces }
 
-// captureStageTrace is called at commit for every instruction.
+// captureStageTrace is called at commit for every instruction; with stage
+// tracing off it costs one nil check and never touches the record.
 func (c *Core) captureStageTrace(seq uint64) {
-	rec := c.rec(seq)
-	if c.stageTraces == nil || len(c.stageTraces) >= c.traceWant ||
-		rec.Seq < c.traceStart {
+	if c.stageTraces == nil || len(c.stageTraces) >= c.traceWant || seq < c.traceStart {
 		return
 	}
+	rec := c.rec(seq)
 	disasm := rec.Op.String()
 	if inst := c.prog.InstAt(rec.PC); inst != nil {
 		disasm = inst.String()
@@ -47,7 +47,7 @@ func (c *Core) captureStageTrace(seq uint64) {
 	w := &c.a.w
 	slot := seq & windowMask
 	c.stageTraces = append(c.stageTraces, StageTrace{
-		Seq:       rec.Seq,
+		Seq:       seq,
 		PC:        rec.PC,
 		Disasm:    disasm,
 		Fetch:     w.fetchCycle[slot],

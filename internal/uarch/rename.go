@@ -131,7 +131,7 @@ func (c *Core) installPrediction(seq uint64, rec *trace.Rec, vpBudget *int) {
 
 	correct := true
 	for j := 0; j < nd; j++ {
-		if cd.vpPerDest[j] && cd.vpVals[j] != rec.DestValue(j) {
+		if cd.vpPerDest[j] && cd.vpVals[j] != rec.DestValue(j, c.ovf) {
 			correct = false
 		}
 	}

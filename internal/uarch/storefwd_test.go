@@ -138,8 +138,8 @@ func TestPartialOverlapDeterministic(t *testing.T) {
 // must be.
 func TestOrderViolationSameCycleExcluded(t *testing.T) {
 	recs := []trace.Rec{
-		{Seq: 0, PC: 0x1000, Op: isa.STR, Addr: 0x8000, Bytes: 8},
-		{Seq: 1, PC: 0x1004, Op: isa.LDR, Addr: 0x8004, Bytes: 1},
+		{PC: 0x1000, Op: isa.STR, Flags: isa.STR.Flags(), Addr: 0x8000, Bytes: 8},
+		{PC: 0x1004, Op: isa.LDR, Flags: isa.LDR.Flags(), Addr: 0x8004, Bytes: 1},
 	}
 	newCore := func() *Core {
 		c := NewAt(config.Baseline(), program.NewBuilder("ov").Build(),
