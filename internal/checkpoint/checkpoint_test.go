@@ -1,7 +1,10 @@
 package checkpoint_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -23,12 +26,21 @@ func testWorkload(t testing.TB) (workloads.Workload, *program.Program) {
 	return w, w.Build()
 }
 
+// nextTo drives cpu through the record path, Next, until it has executed
+// offset instructions or stops. The store builds state with Run's
+// record-free fast-forward, so its reference states come from Next.
+func nextTo(cpu *emu.CPU, offset uint64) {
+	var rec trace.Rec
+	for cpu.Executed() < offset && cpu.Next(&rec) {
+	}
+}
+
 // liveSnapshot emulates the workload from the entry to offset and
 // snapshots — the ground truth every store path must reproduce.
 func liveSnapshot(t testing.TB, prog *program.Program, offset uint64) *emu.Snapshot {
 	t.Helper()
 	cpu := emu.New(prog)
-	cpu.Run(offset)
+	nextTo(cpu, offset)
 	if cpu.Executed() != offset {
 		t.Fatalf("live emulation stopped at %d, want %d", cpu.Executed(), offset)
 	}
@@ -88,6 +100,30 @@ func TestCodecRejectsMalformed(t *testing.T) {
 	if _, err := checkpoint.Decode(append(append([]byte(nil), enc...), 0)); !errors.Is(err, checkpoint.ErrTruncated) {
 		t.Errorf("trailing garbage: err = %v, want ErrTruncated", err)
 	}
+
+	// Well-formed bytes Encode never writes. Pages 3, 5 and 9 are
+	// resident; page k's number sits at EncodedSize(k), and the halt byte
+	// just before the 4-byte page count that ends the header.
+	three := &emu.Snapshot{Mem: emu.NewMemory()}
+	for _, pn := range []uint64{3, 5, 9} {
+		three.Mem.Write(pn*emu.PageSize, pn, 8)
+	}
+	enc = checkpoint.Encode(three)
+	for name, corrupt := range map[string]func(b []byte){
+		"halt byte 2": func(b []byte) { b[checkpoint.EncodedSize(0)-5] = 2 },
+		"pages out of order": func(b []byte) {
+			binary.LittleEndian.PutUint64(b[checkpoint.EncodedSize(1):], 2)
+		},
+		"duplicate page": func(b []byte) {
+			binary.LittleEndian.PutUint64(b[checkpoint.EncodedSize(2):], 5)
+		},
+	} {
+		bad := bytes.Clone(enc)
+		corrupt(bad)
+		if _, err := checkpoint.Decode(bad); !errors.Is(err, checkpoint.ErrNonCanonical) {
+			t.Errorf("%s: err = %v, want ErrNonCanonical", name, err)
+		}
+	}
 }
 
 // TestRestoreBitIdentical locks the PR's acceptance invariant: a
@@ -113,7 +149,7 @@ func TestRestoreBitIdentical(t *testing.T) {
 
 	// The continuation must be bit-identical too, not just the snapshot.
 	live := emu.New(prog)
-	live.Run(offset)
+	nextTo(live, offset)
 	restored := emu.NewFromSnapshot(prog, got)
 	var lr, rr trace.Rec
 	for i := 0; i < 1_000; i++ {
@@ -139,6 +175,78 @@ func TestRestoreBitIdentical(t *testing.T) {
 	if st := s.Stats(); st.Hits != 1 || st.Cold != 1 {
 		t.Errorf("stats = %+v, want 1 hit / 1 cold", st)
 	}
+}
+
+// TestFastForwardMatchesRecordPath holds Run, the record-free
+// fast-forward every checkpoint build uses, to the record path: state
+// reached by Run must equal the state Next reaches, in Snapshot.Equal and
+// in encoded bytes, and Run must leave no overflow-table entries.
+func TestFastForwardMatchesRecordPath(t *testing.T) {
+	same := func(t *testing.T, fast, ref *emu.CPU) {
+		t.Helper()
+		a, b := fast.Snapshot(), ref.Snapshot()
+		if !a.Equal(b) {
+			t.Fatalf("Run reached a different state than Next (executed %d vs %d, halted %v vs %v)",
+				a.Seq, b.Seq, a.Halted, b.Halted)
+		}
+		if !bytes.Equal(checkpoint.Encode(a), checkpoint.Encode(b)) {
+			t.Fatal("equal states encode to different bytes")
+		}
+		if n := fast.Overflow().Bytes(); n != 0 {
+			t.Fatalf("Run left %d bytes in the overflow table", n)
+		}
+	}
+	for _, w := range workloads.All() {
+		t.Run(w.Name, func(t *testing.T) {
+			prog := w.Build()
+			fast, ref := emu.New(prog), emu.New(prog)
+			for _, offset := range []uint64{5_000, 200_000} {
+				fast.Run(offset - fast.Executed())
+				nextTo(ref, offset)
+				same(t, fast, ref)
+			}
+		})
+	}
+
+	// Programs that stop before the budget: one halts, one runs off the
+	// end of its code.
+	for _, halt := range []bool{true, false} {
+		t.Run(fmt.Sprintf("stops early, halt=%v", halt), func(t *testing.T) {
+			b := program.NewBuilder("short")
+			b.MovImm(0, 0x4000)
+			b.MovImm(1, 7)
+			b.Str(1, 0, 0, 3)
+			if halt {
+				b.Halt()
+			}
+			prog := b.Build()
+			fast, ref := emu.New(prog), emu.New(prog)
+			if n := fast.Run(100); n != uint64(len(prog.Code)) || !fast.Halted() {
+				t.Errorf("Run executed %d of %d instructions, halted %v", n, len(prog.Code), fast.Halted())
+			}
+			nextTo(ref, 100)
+			same(t, fast, ref)
+		})
+	}
+
+	// A MaxInstrs set before Run bounds Run(0); Run(max) runs max more in
+	// its place; neither changes it.
+	t.Run("MaxInstrs set before Run", func(t *testing.T) {
+		_, prog := testWorkload(t)
+		fast, ref := emu.New(prog), emu.New(prog)
+		fast.MaxInstrs, ref.MaxInstrs = 700, 700
+		if n := fast.Run(0); n != 700 {
+			t.Fatalf("Run(0) under MaxInstrs 700 executed %d", n)
+		}
+		nextTo(ref, 1_000)
+		same(t, fast, ref)
+		if n := fast.Run(300); n != 300 || fast.MaxInstrs != 700 {
+			t.Fatalf("Run(300) executed %d and left MaxInstrs %d, want 300 and 700", n, fast.MaxInstrs)
+		}
+		ref.MaxInstrs = 1_000
+		nextTo(ref, 1_000)
+		same(t, fast, ref)
+	})
 }
 
 func TestStateAtOffsetZero(t *testing.T) {

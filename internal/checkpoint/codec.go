@@ -35,6 +35,10 @@ var (
 	ErrBadMagic   = errors.New("checkpoint: bad magic (not a checkpoint)")
 	ErrBadVersion = errors.New("checkpoint: unsupported codec version")
 	ErrTruncated  = errors.New("checkpoint: truncated encoding")
+	// ErrNonCanonical marks a well-formed encoding that Encode never
+	// writes: a halt byte other than 0 or 1, or page numbers that are
+	// not strictly ascending.
+	ErrNonCanonical = errors.New("checkpoint: non-canonical encoding")
 )
 
 // headerSize is the fixed-size prefix: magic, version, regs, pc, seq,
@@ -78,8 +82,10 @@ func Encode(s *emu.Snapshot) []byte {
 }
 
 // Decode parses an encoding produced by Encode into a fresh Snapshot
-// (the caller owns it). It fails with ErrBadMagic, ErrBadVersion or
-// ErrTruncated on malformed input.
+// (the caller owns it). It accepts only what Encode writes, so a decoded
+// snapshot re-encodes to the same bytes: it fails with ErrBadMagic,
+// ErrBadVersion or ErrTruncated on malformed input and with
+// ErrNonCanonical on any other byte Encode would not produce.
 func Decode(enc []byte) (*emu.Snapshot, error) {
 	if len(enc) < headerSize {
 		if len(enc) < 8 || [8]byte(enc[:8]) != codecMagic {
@@ -105,16 +111,26 @@ func Decode(enc []byte) (*emu.Snapshot, error) {
 	off += 8
 	s.Seq = binary.LittleEndian.Uint64(enc[off:])
 	off += 8
-	s.Halted = enc[off] != 0
+	if enc[off] > 1 {
+		return nil, fmt.Errorf("%w: halt byte %d", ErrNonCanonical, enc[off])
+	}
+	s.Halted = enc[off] == 1
 	off++
 	nPages := int(binary.LittleEndian.Uint32(enc[off:]))
 	off += 4
 	if len(enc) != headerSize+nPages*pageRecSize {
 		return nil, ErrTruncated
 	}
+	var prev uint64
 	for i := 0; i < nPages; i++ {
 		pn := binary.LittleEndian.Uint64(enc[off:])
 		off += 8
+		// Strictly ascending: a repeated page would overwrite the first
+		// and leave fewer resident pages than the header counts.
+		if i > 0 && pn <= prev {
+			return nil, fmt.Errorf("%w: page %#x after page %#x", ErrNonCanonical, pn, prev)
+		}
+		prev = pn
 		s.Mem.SetPageBytes(pn, enc[off:off+emu.PageSize])
 		off += emu.PageSize
 	}

@@ -74,34 +74,43 @@ func (c *CPU) Overflow() *trace.Overflow { return &c.ovf }
 // Next executes one instruction and fills rec with its dynamic record.
 // It returns false once the program has halted or MaxInstrs is reached.
 func (c *CPU) Next(rec *trace.Rec) bool {
-	if c.halt || (c.MaxInstrs > 0 && c.seq >= c.MaxInstrs) {
-		return false
-	}
-	inst := c.prog.InstAt(c.pc)
+	inst := c.fetch(c.MaxInstrs)
 	if inst == nil {
-		c.halt = true
 		return false
 	}
 	c.step(inst, rec)
 	return true
 }
 
+// fetch returns the instruction at the PC, or nil once the program has
+// halted, limit instructions have executed (0: no limit) or the PC has
+// left the code segment, which halts the program.
+func (c *CPU) fetch(limit uint64) *isa.Inst {
+	if c.halt || (limit > 0 && c.seq >= limit) {
+		return nil
+	}
+	inst := c.prog.InstAt(c.pc)
+	if inst == nil {
+		c.halt = true
+	}
+	return inst
+}
+
+// step executes inst. When rec is non-nil it also fills rec with the
+// instruction's dynamic record; Run passes nil and no record is built.
 func (c *CPU) step(inst *isa.Inst, rec *trace.Rec) {
-	*rec = trace.Rec{PC: c.pc, Op: inst.Op, Flags: inst.Op.Flags()}
+	pc := c.pc
 	c.seq++
-	nextPC := c.pc + 4
 
-	// Record register dataflow. The first InlineDests destinations go in the
-	// record; a wide LDM's rest go to the overflow table below.
-	var dbuf [trace.MaxDests]isa.Reg
-	var sbuf [trace.MaxSrcs]isa.Reg
-	dsts := inst.Dests(dbuf[:0])
-	srcs := inst.Srcs(sbuf[:0])
-	rec.NDst = uint8(len(dsts))
-	rec.NSrc = uint8(len(srcs))
-	copy(rec.Dst[:], dsts)
-	copy(rec.Src[:], srcs)
-
+	// What the record reports besides the opcode and its registers: a
+	// branch's direction and target (addr), or a memory operation's
+	// address, size and the words it loads or stores (v0, v1).
+	var (
+		taken  bool
+		addr   uint64
+		bytes  uint8
+		v0, v1 uint64
+	)
 	r := func(reg isa.Reg) uint64 { return c.Reg(reg) }
 
 	switch inst.Op {
@@ -165,11 +174,8 @@ func (c *CPU) step(inst *isa.Inst, rec *trace.Rec) {
 		}
 
 	case isa.B:
-		rec.Taken = true
-		rec.Addr = inst.Target
-		nextPC = inst.Target
+		taken, addr = true, inst.Target
 	case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU:
-		taken := false
 		a, bv := r(inst.Rn), r(inst.Rm)
 		switch inst.Op {
 		case isa.BEQ:
@@ -185,32 +191,16 @@ func (c *CPU) step(inst *isa.Inst, rec *trace.Rec) {
 		case isa.BGEU:
 			taken = a >= bv
 		}
-		rec.Taken = taken
-		rec.Addr = inst.Target
-		if taken {
-			nextPC = inst.Target
-		}
+		addr = inst.Target
 	case isa.CBZ:
-		rec.Taken = r(inst.Rn) == 0
-		rec.Addr = inst.Target
-		if rec.Taken {
-			nextPC = inst.Target
-		}
+		taken, addr = r(inst.Rn) == 0, inst.Target
 	case isa.CBNZ:
-		rec.Taken = r(inst.Rn) != 0
-		rec.Addr = inst.Target
-		if rec.Taken {
-			nextPC = inst.Target
-		}
+		taken, addr = r(inst.Rn) != 0, inst.Target
 	case isa.BL:
-		c.SetReg(inst.Rd, c.pc+4)
-		rec.Taken = true
-		rec.Addr = inst.Target
-		nextPC = inst.Target
+		c.SetReg(inst.Rd, pc+4)
+		taken, addr = true, inst.Target
 	case isa.RET, isa.BR:
-		rec.Taken = true
-		rec.Addr = r(inst.Rn)
-		nextPC = rec.Addr
+		taken, addr = true, r(inst.Rn)
 
 	case isa.LDR, isa.LDRS, isa.LDAR:
 		ea := c.effAddr(inst)
@@ -221,88 +211,96 @@ func (c *CPU) step(inst *isa.Inst, rec *trace.Rec) {
 			v = uint64(int64(v<<shift) >> shift)
 		}
 		c.SetReg(inst.Rd, v)
-		rec.Addr, rec.Bytes = ea, uint8(size)
-		rec.Vals[0] = v
+		addr, bytes, v0 = ea, uint8(size), v
 	case isa.LDRPOST:
 		ea := r(inst.Rn)
-		v := c.mem.Read(ea, 8)
-		c.SetReg(inst.Rd, v)
-		newBase := ea + uint64(inst.Imm)
-		c.SetReg(inst.Rn, newBase)
-		rec.Addr, rec.Bytes = ea, 8
-		rec.Vals[0], rec.Vals[1] = v, newBase
+		v0, v1 = c.mem.Read(ea, 8), ea+uint64(inst.Imm)
+		c.SetReg(inst.Rd, v0)
+		c.SetReg(inst.Rn, v1)
+		addr, bytes = ea, 8
 	case isa.LDP, isa.VLD:
 		ea := c.effAddr(inst)
-		v0 := c.mem.Read(ea, 8)
-		v1 := c.mem.Read(ea+8, 8)
+		v0, v1 = c.mem.Read(ea, 8), c.mem.Read(ea+8, 8)
 		c.SetReg(inst.Rd, v0)
 		c.SetReg(inst.Rd2, v1)
-		rec.Addr, rec.Bytes = ea, 16
-		rec.Vals[0], rec.Vals[1] = v0, v1
+		addr, bytes = ea, 16
 	case isa.LDM:
-		// One value per destination, in Dests order: the word loaded for
-		// XZR is discarded along with its register write.
 		ea := c.effAddr(inst)
-		var vals [trace.MaxDests]uint64
-		n := 0
 		for k := uint8(0); k < inst.NReg; k++ {
-			v := c.mem.Read(ea+uint64(k)*8, 8)
-			rd := inst.Rd + isa.Reg(k)
-			c.SetReg(rd, v)
-			if rd != isa.XZR {
-				vals[n] = v
-				n++
-			}
+			c.SetReg(inst.Rd+isa.Reg(k), c.mem.Read(ea+uint64(k)*8, 8))
 		}
-		copy(rec.Vals[:], vals[:n])
-		if n > trace.InlineDests {
-			c.ovf.Add(rec, dsts, vals[:n])
-		}
-		rec.Addr, rec.Bytes = ea, inst.NReg*8
+		addr, bytes = ea, inst.NReg*8
 
 	case isa.STR, isa.STLR:
 		ea := c.effAddr(inst)
 		size := 1 << inst.Size
-		v := r(inst.Rt)
-		c.mem.Write(ea, v, size)
-		rec.Addr, rec.Bytes = ea, uint8(size)
-		rec.Vals[0] = v
+		v0 = r(inst.Rt)
+		c.mem.Write(ea, v0, size)
+		addr, bytes = ea, uint8(size)
 	case isa.STRPOST:
 		ea := r(inst.Rn)
-		v := r(inst.Rt)
-		c.mem.Write(ea, v, 8)
+		v0 = r(inst.Rt)
+		c.mem.Write(ea, v0, 8)
 		c.SetReg(inst.Rn, ea+uint64(inst.Imm))
-		rec.Addr, rec.Bytes = ea, 8
-		rec.Vals[0] = v
+		addr, bytes, v1 = ea, 8, c.Reg(inst.Rn)
 	case isa.STP:
 		ea := c.effAddr(inst)
-		v0, v1 := r(inst.Rt), r(inst.Rt2)
+		v0, v1 = r(inst.Rt), r(inst.Rt2)
 		c.mem.Write(ea, v0, 8)
 		c.mem.Write(ea+8, v1, 8)
-		rec.Addr, rec.Bytes = ea, 16
-		rec.Vals[0], rec.Vals[1] = v0, v1
+		addr, bytes = ea, 16
 
 	default:
-		panic(fmt.Sprintf("emu: unimplemented opcode %v at pc=%#x", inst.Op, c.pc))
+		panic(fmt.Sprintf("emu: unimplemented opcode %v at pc=%#x", inst.Op, pc))
 	}
 
-	// Record destination values for non-memory instructions (value predictors
-	// in "all instructions" mode need them). Memory records already filled
-	// Vals explicitly — and stores reuse Vals for the stored data, with
-	// STRPOST's updated base stashed in Vals[1] (see trace.DestValue).
-	if !inst.Op.IsMem() {
+	// A halted program stays put: its HALT record's successor is itself.
+	nextPC := pc
+	if !c.halt {
+		nextPC = pc + 4
+		if taken {
+			nextPC = addr
+		}
+		c.pc = nextPC
+	}
+	if rec == nil {
+		return
+	}
+
+	*rec = trace.Rec{PC: pc, Next: nextPC, Addr: addr, Op: inst.Op, Flags: inst.Op.Flags(), Bytes: bytes, Taken: taken}
+	var dbuf [trace.MaxDests]isa.Reg
+	var sbuf [trace.MaxSrcs]isa.Reg
+	dsts := inst.Dests(dbuf[:0])
+	srcs := inst.Srcs(sbuf[:0])
+	rec.NDst = uint8(len(dsts))
+	rec.NSrc = uint8(len(srcs))
+	copy(rec.Dst[:], dsts)
+	copy(rec.Src[:], srcs)
+
+	switch {
+	case inst.Op == isa.LDM:
+		// One value per destination, in Dests order: the word loaded for
+		// XZR was discarded along with its register write. The first
+		// InlineDests go in the record, the rest to the overflow table.
+		var vals [trace.MaxDests]uint64
+		for i, d := range dsts {
+			vals[i] = c.Reg(d)
+		}
+		copy(rec.Vals[:], vals[:])
+		if len(dsts) > trace.InlineDests {
+			c.ovf.Add(rec, dsts, vals[:len(dsts)])
+		}
+	case rec.IsLoad() || rec.IsStore():
+		// Loads record the words they read and stores the data they
+		// wrote, with STRPOST's updated base in Vals[1] (see
+		// trace.DestValue).
+		rec.Vals = [trace.InlineDests]uint64{v0, v1}
+	default:
+		// Value predictors in "all instructions" mode need the value of
+		// every destination.
 		for i, d := range dsts {
 			rec.Vals[i] = c.Reg(d)
 		}
-	} else if inst.Op == isa.STRPOST {
-		rec.Vals[1] = c.Reg(inst.Rn)
-	}
-
-	rec.Next = nextPC
-	if !c.halt {
-		c.pc = nextPC
-	} else {
-		rec.Next = c.pc
 	}
 }
 
@@ -314,19 +312,17 @@ func (c *CPU) effAddr(inst *isa.Inst) uint64 {
 	return ea
 }
 
-// Run executes until halt or max instructions, discarding records; it returns
-// the number of instructions executed. Useful for functional tests.
+// Run is the record-free fast-forward that checkpoints use to cross the
+// gaps between measured windows: it executes without building records
+// until the program halts or max more instructions have run (max 0 leaves
+// the bound to MaxInstrs), and returns the number executed.
 func (c *CPU) Run(max uint64) uint64 {
-	var rec trace.Rec
-	start := c.seq
-	// Run discards its records, so it drops their overflow entries too.
-	defer func(ovf trace.Overflow) { c.ovf = ovf }(c.ovf)
-	prev := c.MaxInstrs
+	start, limit := c.seq, c.MaxInstrs
 	if max > 0 {
-		c.MaxInstrs = c.seq + max
+		limit = c.seq + max
 	}
-	for c.Next(&rec) {
+	for inst := c.fetch(limit); inst != nil; inst = c.fetch(limit) {
+		c.step(inst, nil)
 	}
-	c.MaxInstrs = prev
 	return c.seq - start
 }

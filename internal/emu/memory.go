@@ -1,9 +1,11 @@
 // Package emu implements the functional emulator for the mini ISA. It
 // executes a program.Program instruction by instruction and streams dynamic
-// trace records; the cycle-level core model consumes that stream.
+// trace records, which the cycle-level core model consumes, or fast-forwards
+// without building them (CPU.Run) where only the architectural state counts.
 package emu
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"dlvp/internal/program"
@@ -23,8 +25,18 @@ type page [pageSize]byte
 
 // Memory is a sparse, page-granular byte-addressable memory. The zero value
 // is not usable; call NewMemory or NewMemoryFromProgram.
+//
+// A Memory is not safe for concurrent use, not even by readers only: every
+// access, reads included, updates its cache of the last resident page it
+// touched. Clone, Equal, PageNums and PageBytes never touch that cache, so
+// several goroutines may call them on one Memory that nothing writes.
 type Memory struct {
 	pages map[uint64]*page
+
+	// lastPN and last cache the resident page accessed most recently
+	// (last is nil while nothing is cached). An absent page is never cached.
+	lastPN uint64
+	last   *page
 }
 
 // NewMemory returns an empty memory (all bytes read as zero).
@@ -43,13 +55,22 @@ func NewMemoryFromProgram(p *program.Program) *Memory {
 	return m
 }
 
+// pageFor returns the resident page holding addr, creating it when create
+// is set; otherwise an absent page yields nil.
 func (m *Memory) pageFor(addr uint64, create bool) *page {
 	pn := addr >> pageShift
+	if m.last != nil && m.lastPN == pn {
+		return m.last
+	}
 	pg := m.pages[pn]
-	if pg == nil && create {
+	if pg == nil {
+		if !create {
+			return nil
+		}
 		pg = new(page)
 		m.pages[pn] = pg
 	}
+	m.lastPN, m.last = pn, pg
 	return pg
 }
 
@@ -70,19 +91,23 @@ func (m *Memory) SetByteAt(addr uint64, b byte) {
 // Read reads size bytes at addr as a little-endian unsigned integer.
 // size must be 1, 2, 4 or 8.
 func (m *Memory) Read(addr uint64, size int) uint64 {
-	// Fast path: access within one page.
-	off := addr & pageMask
-	if off+uint64(size) <= pageSize {
+	if off := addr & pageMask; off+uint64(size) <= pageSize {
 		pg := m.pageFor(addr, false)
 		if pg == nil {
 			return 0
 		}
-		var v uint64
-		for i := size - 1; i >= 0; i-- {
-			v = v<<8 | uint64(pg[off+uint64(i)])
+		switch size {
+		case 8:
+			return binary.LittleEndian.Uint64(pg[off:])
+		case 4:
+			return uint64(binary.LittleEndian.Uint32(pg[off:]))
+		case 2:
+			return uint64(binary.LittleEndian.Uint16(pg[off:]))
+		case 1:
+			return uint64(pg[off])
 		}
-		return v
 	}
+	// An access that straddles a page boundary goes byte by byte.
 	var v uint64
 	for i := size - 1; i >= 0; i-- {
 		v = v<<8 | uint64(m.ByteAt(addr+uint64(i)))
@@ -92,13 +117,22 @@ func (m *Memory) Read(addr uint64, size int) uint64 {
 
 // Write stores the low size bytes of v at addr, little-endian.
 func (m *Memory) Write(addr uint64, v uint64, size int) {
-	off := addr & pageMask
-	if off+uint64(size) <= pageSize {
+	if off := addr & pageMask; off+uint64(size) <= pageSize {
 		pg := m.pageFor(addr, true)
-		for i := 0; i < size; i++ {
-			pg[off+uint64(i)] = byte(v >> (8 * i))
+		switch size {
+		case 8:
+			binary.LittleEndian.PutUint64(pg[off:], v)
+			return
+		case 4:
+			binary.LittleEndian.PutUint32(pg[off:], uint32(v))
+			return
+		case 2:
+			binary.LittleEndian.PutUint16(pg[off:], uint16(v))
+			return
+		case 1:
+			pg[off] = byte(v)
+			return
 		}
-		return
 	}
 	for i := 0; i < size; i++ {
 		m.SetByteAt(addr+uint64(i), byte(v>>(8*i)))
@@ -123,7 +157,8 @@ func (m *Memory) WriteBytes(addr uint64, src []byte) {
 func (m *Memory) Pages() int { return len(m.pages) }
 
 // Clone returns a deep copy of the memory (every resident page is
-// duplicated, so writes to either side never alias the other).
+// duplicated, so writes to either side never alias the other). The copy
+// starts with an empty page cache.
 func (m *Memory) Clone() *Memory {
 	out := &Memory{pages: make(map[uint64]*page, len(m.pages))}
 	for pn, pg := range m.pages {
@@ -162,6 +197,7 @@ func (m *Memory) SetPageBytes(pn uint64, src []byte) {
 	pg := new(page)
 	copy(pg[:], src)
 	m.pages[pn] = pg
+	m.lastPN, m.last = pn, pg // the page it replaces may be the cached one
 }
 
 // Equal reports whether m and other hold identical contents: the same

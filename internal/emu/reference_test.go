@@ -1,6 +1,8 @@
 package emu
 
 import (
+	"bytes"
+	"maps"
 	"testing"
 
 	"dlvp/internal/isa"
@@ -113,34 +115,153 @@ func TestALUAgainstReference(t *testing.T) {
 	}
 }
 
-// TestMemoryAgainstShadowMap drives random-sized loads and stores and
-// cross-checks against a plain map-of-bytes shadow memory.
+// memPair drives a Memory and a plain shadow model through the same
+// accesses. The shadow is a map of bytes plus the set of pages a write
+// has made resident; a read makes none. Every read is checked against the
+// shadow, and every access against its resident page count.
+type memPair struct {
+	t     *testing.T
+	m     *Memory
+	bytes map[uint64]byte
+	pages map[uint64]bool
+}
+
+func newMemPair(t *testing.T) *memPair {
+	return &memPair{t: t, m: NewMemory(), bytes: map[uint64]byte{}, pages: map[uint64]bool{}}
+}
+
+// clone pairs p.m.Clone() with a copy of p's shadow.
+func (p *memPair) clone() *memPair {
+	return &memPair{t: p.t, m: p.m.Clone(), bytes: maps.Clone(p.bytes), pages: maps.Clone(p.pages)}
+}
+
+func (p *memPair) write(addr, v uint64, size int) {
+	p.t.Helper()
+	p.m.Write(addr, v, size)
+	for b := 0; b < size; b++ {
+		a := addr + uint64(b)
+		p.bytes[a] = byte(v >> (8 * b))
+		p.pages[a>>pageShift] = true
+	}
+	p.checkPages()
+}
+
+func (p *memPair) read(addr uint64, size int) {
+	p.t.Helper()
+	var want uint64
+	for b := size - 1; b >= 0; b-- {
+		want = want<<8 | uint64(p.bytes[addr+uint64(b)])
+	}
+	if got := p.m.Read(addr, size); got != want {
+		p.t.Fatalf("read %d@%#x = %#x, shadow %#x", size, addr, got, want)
+	}
+	p.checkPages()
+}
+
+// setPage installs page pn with every byte set to fill.
+func (p *memPair) setPage(pn uint64, fill byte) {
+	p.t.Helper()
+	p.m.SetPageBytes(pn, bytes.Repeat([]byte{fill}, pageSize))
+	for i := uint64(0); i < pageSize; i++ {
+		p.bytes[pn<<pageShift+i] = fill
+	}
+	p.pages[pn] = true
+	p.checkPages()
+}
+
+func (p *memPair) checkPages() {
+	p.t.Helper()
+	if got, want := p.m.Pages(), len(p.pages); got != want {
+		p.t.Fatalf("%d resident pages, shadow %d", got, want)
+	}
+}
+
+// TestMemoryAgainstShadowMap cross-checks Memory against the shadow model
+// on random-sized accesses and on patterns that drive every transition of
+// its last-page cache.
 func TestMemoryAgainstShadowMap(t *testing.T) {
-	m := NewMemory()
-	shadow := map[uint64]byte{}
+	const pg = uint64(pageSize)
 	s := uint64(99)
 	next := func(n uint64) uint64 {
 		s = s*6364136223846793005 + 1442695040888963407
 		return (s >> 33) % n
 	}
-	for i := 0; i < 20_000; i++ {
-		addr := next(1 << 16)
-		size := 1 << next(4)
-		if next(2) == 0 {
-			v := next(1 << 62)
-			m.Write(addr, v, size)
-			for b := 0; b < size; b++ {
-				shadow[addr+uint64(b)] = byte(v >> (8 * b))
+	for _, pat := range []struct {
+		name string
+		run  func(p *memPair)
+	}{
+		{"random", func(p *memPair) {
+			for i := 0; i < 20_000; i++ {
+				addr := next(1 << 16)
+				size := 1 << next(4)
+				if next(2) == 0 {
+					p.write(addr, next(1<<62), size)
+				} else {
+					p.read(addr, size)
+				}
 			}
-		} else {
-			got := m.Read(addr, size)
-			var want uint64
-			for b := size - 1; b >= 0; b-- {
-				want = want<<8 | uint64(shadow[addr+uint64(b)])
+		}},
+		{"alternating pages", func(p *memPair) {
+			for i := uint64(0); i < 64; i++ {
+				a, b := 2*pg+8*i, 7*pg+8*i
+				p.write(a, i, 8)
+				p.write(b, ^i, 8)
+				p.read(a, 8)
+				p.read(b, 8)
+				p.read(a+4, 4)
 			}
-			if got != want {
-				t.Fatalf("read %d@%#x = %#x, shadow %#x", size, addr, got, want)
+		}},
+		{"absent page read then written", func(p *memPair) {
+			p.write(pg, 1, 8) // the cache holds page 1
+			p.read(3*pg+40, 8)
+			p.write(3*pg+40, 0xfeed, 2)
+			p.read(3*pg+40, 8)
+			p.read(pg, 8)
+		}},
+		{"SetPageBytes over the cached page", func(p *memPair) {
+			p.write(5*pg+16, 0x1111, 8)
+			p.read(5*pg+16, 8) // the cache holds page 5
+			p.setPage(5, 0x5a)
+			p.read(5*pg+16, 8)
+			p.write(5*pg+24, 0x2222, 8)
+			p.read(5*pg+16, 8)
+			p.read(5*pg+24, 8)
+			p.setPage(6, 0x33)
+			p.read(6*pg+8, 8)
+			p.read(5*pg+24, 8)
+		}},
+		{"scalars straddling a page boundary", func(p *memPair) {
+			boundary := 10 * pg
+			for _, size := range []int{2, 4, 8} {
+				for back := 1; back < size; back++ {
+					boundary += 2 * pg
+					addr := boundary - uint64(back)
+					p.write(boundary-8, next(1<<62), 8) // only the lower page is resident
+					p.read(addr, size)
+					p.write(addr, next(1<<62), size)
+					p.read(addr, size)
+					p.read(boundary-8, 8)
+					p.read(boundary, 8)
+				}
 			}
-		}
+		}},
+	} {
+		t.Run(pat.name, func(t *testing.T) { pat.run(newMemPair(t)) })
 	}
+
+	t.Run("writes to a clone of a warm source", func(t *testing.T) {
+		src := newMemPair(t)
+		src.write(4*pg+8, 0xaaaa, 8)
+		src.read(4*pg+8, 8) // the source's cache holds page 4
+		cp := src.clone()
+		cp.write(4*pg+8, 0xbbbb, 8)
+		cp.write(4*pg+16, 0xcccc, 4)
+		cp.write(9*pg, 1, 8)
+		cp.setPage(4, 0x77)
+		src.read(4*pg+8, 8)
+		src.read(4*pg+16, 4)
+		src.read(9*pg, 8)
+		src.write(4*pg+8, 0xdddd, 8)
+		cp.read(4*pg+8, 8)
+	})
 }

@@ -8,6 +8,15 @@ import (
 	"dlvp/internal/workloads"
 )
 
+// advance drives cpu through the record path, Next, for n instructions.
+// Run's record-free fast-forward is what checkpoints are built with, so
+// reference states come from Next instead.
+func advance(cpu *emu.CPU, n uint64) {
+	var rec trace.Rec
+	for i := uint64(0); i < n && cpu.Next(&rec); i++ {
+	}
+}
+
 func snapshotWorkload(t testing.TB) workloads.Workload {
 	t.Helper()
 	w, ok := workloads.ByName("perlbmk")
@@ -26,7 +35,7 @@ func TestEmulationDeterministic(t *testing.T) {
 	const offset = 25_000
 	runTo := func() *emu.Snapshot {
 		cpu := emu.New(w.Build())
-		cpu.Run(offset)
+		advance(cpu, offset)
 		if cpu.Executed() != offset {
 			t.Fatalf("stopped at %d, want %d", cpu.Executed(), offset)
 		}
@@ -41,7 +50,7 @@ func TestEmulationDeterministic(t *testing.T) {
 func TestSnapshotIsolation(t *testing.T) {
 	w := snapshotWorkload(t)
 	cpu := emu.New(w.Build())
-	cpu.Run(1_000)
+	advance(cpu, 1_000)
 	snap := cpu.Snapshot()
 	ref := snap.Clone()
 
@@ -65,7 +74,7 @@ func TestRestoredStreamMatchesLive(t *testing.T) {
 	w := snapshotWorkload(t)
 	const offset = 2_000
 	live := emu.New(w.Build())
-	live.Run(offset)
+	advance(live, offset)
 	snap := live.Snapshot()
 	if snap.Seq != offset {
 		t.Fatalf("snapshot Seq = %d, want %d", snap.Seq, offset)
@@ -88,7 +97,7 @@ func TestRestoredStreamMatchesLive(t *testing.T) {
 func TestSnapshotEqualDetectsDifferences(t *testing.T) {
 	w := snapshotWorkload(t)
 	cpu := emu.New(w.Build())
-	cpu.Run(500)
+	advance(cpu, 500)
 	base := cpu.Snapshot()
 
 	mutants := map[string]func(*emu.Snapshot){

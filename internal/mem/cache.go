@@ -26,7 +26,7 @@ type line struct {
 // Cache is one set-associative cache level.
 type Cache struct {
 	cfg      CacheConfig
-	sets     [][]line
+	lines    []line // set s holds lines[s*Ways : (s+1)*Ways]
 	setMask  uint64
 	blkShift uint8
 	stamp    uint64
@@ -52,19 +52,18 @@ func NewCache(cfg CacheConfig) *Cache {
 	for b := cfg.BlockBytes; b > 1; b >>= 1 {
 		c.blkShift++
 	}
-	c.sets = make([][]line, numSets)
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-	}
+	c.lines = make([]line, numSets*cfg.Ways)
 	return c
 }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() CacheConfig { return c.cfg }
 
-func (c *Cache) setAndTag(addr uint64) (int, uint64) {
+// setAndTag returns the lines of the set addr maps to, and addr's tag.
+func (c *Cache) setAndTag(addr uint64) ([]line, uint64) {
 	blk := addr >> c.blkShift
-	return int(blk & c.setMask), blk >> popcount(c.setMask)
+	i := int(blk&c.setMask) * c.cfg.Ways
+	return c.lines[i : i+c.cfg.Ways], blk >> popcount(c.setMask)
 }
 
 func popcount(m uint64) uint8 {
@@ -88,8 +87,8 @@ type LookupResult struct {
 func (c *Cache) Access(now uint64, addr uint64) LookupResult {
 	c.Accesses++
 	set, tag := c.setAndTag(addr)
-	for w := range c.sets[set] {
-		l := &c.sets[set][w]
+	for w := range set {
+		l := &set[w]
 		if l.valid && l.tag == tag {
 			c.Hits++
 			c.stamp++
@@ -110,8 +109,8 @@ func (c *Cache) Access(now uint64, addr uint64) LookupResult {
 // path uses it when only presence matters.
 func (c *Cache) Peek(addr uint64) (hit bool, way int) {
 	set, tag := c.setAndTag(addr)
-	for w := range c.sets[set] {
-		l := &c.sets[set][w]
+	for w := range set {
+		l := &set[w]
 		if l.valid && l.tag == tag {
 			return true, w
 		}
@@ -125,8 +124,8 @@ func (c *Cache) Peek(addr uint64) (hit bool, way int) {
 func (c *Cache) Fill(addr uint64, ready uint64) int {
 	set, tag := c.setAndTag(addr)
 	victim, oldest := 0, ^uint64(0)
-	for w := range c.sets[set] {
-		l := &c.sets[set][w]
+	for w := range set {
+		l := &set[w]
 		if l.valid && l.tag == tag {
 			if ready < l.ready {
 				l.ready = ready
@@ -142,7 +141,7 @@ func (c *Cache) Fill(addr uint64, ready uint64) int {
 		}
 	}
 	c.stamp++
-	c.sets[set][victim] = line{tag: tag, ready: ready, used: c.stamp, valid: true}
+	set[victim] = line{tag: tag, ready: ready, used: c.stamp, valid: true}
 	return victim
 }
 
@@ -150,8 +149,8 @@ func (c *Cache) Fill(addr uint64, ready uint64) int {
 // by way-misprediction experiments that force re-insertion at a new way).
 func (c *Cache) Invalidate(addr uint64) bool {
 	set, tag := c.setAndTag(addr)
-	for w := range c.sets[set] {
-		l := &c.sets[set][w]
+	for w := range set {
+		l := &set[w]
 		if l.valid && l.tag == tag {
 			l.valid = false
 			return true

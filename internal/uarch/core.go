@@ -227,9 +227,11 @@ func NewAt(cfg config.Core, p *program.Program, reader trace.Reader, cmem *emu.M
 // concurrency-safe) reuses its memory, making back-to-back simulations
 // allocation-free on the bulk state. nil allocates a fresh arena.
 func NewAtArena(cfg config.Core, p *program.Program, reader trace.Reader, cmem *emu.Memory, a *Arena) *Core {
-	mimg := emu.NewMemoryFromProgram(p)
+	var mimg *emu.Memory
 	if cmem != nil {
 		mimg = cmem.Clone()
+	} else {
+		mimg = emu.NewMemoryFromProgram(p)
 	}
 	if a == nil {
 		a = NewArena()
