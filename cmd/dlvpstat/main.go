@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"os"
 
+	"dlvp/internal/metrics"
 	"dlvp/internal/tabletext"
 	"dlvp/internal/timeline"
 )
@@ -225,7 +226,7 @@ func renderShow(tl *timeline.Timeline) string {
 			fmt.Sprintf("%.3f", s.IPC()),
 			s.Coverage(), s.Accuracy(), s.APTHitRate(), s.APTConflictRate(), s.APTAliasRate(),
 			s.PAQPeak, s.PAQDropRate(),
-			fmt.Sprintf("%d", s.Delta.LSCDInserts),
+			fmt.Sprintf("%d", s.Delta[metrics.LSCDInserts]),
 			s.ProbeHitRate(), s.L1DMissRate(),
 		)
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"dlvp/internal/metrics"
 	"dlvp/internal/timeline"
 )
 
@@ -14,20 +15,20 @@ import (
 // percent, with 100 predictions per interval).
 func fixture(workload, scheme string, accs []float64) *timeline.Timeline {
 	r := timeline.NewRecorder(10_000, 0)
-	var cum timeline.Counters
+	var cum metrics.Counters
 	for _, acc := range accs {
-		cum.Instructions += 10_000
-		cum.Cycles += 20_000
-		cum.Loads += 3_000
-		cum.VPEligible += 200
-		cum.VPPredicted += 100
-		cum.VPCorrect += uint64(acc)
-		cum.APTLookups += 300
-		cum.APTHits += 250
-		cum.Probes += 100
-		cum.ProbeHits += 80
-		cum.L1DAccesses += 3_000
-		cum.L1DMisses += 150
+		cum[metrics.Instructions] += 10_000
+		cum[metrics.Cycles] += 20_000
+		cum[metrics.Loads] += 3_000
+		cum[metrics.VPEligible] += 200
+		cum[metrics.VPPredicted] += 100
+		cum[metrics.VPCorrect] += uint64(acc)
+		cum[metrics.APTLookups] += 300
+		cum[metrics.APTHits] += 250
+		cum[metrics.Probes] += 100
+		cum[metrics.ProbeHits] += 80
+		cum[metrics.L1DAccesses] += 3_000
+		cum[metrics.L1DMisses] += 150
 		r.Sample(cum, 12)
 	}
 	return r.Finish(cum, 0, workload, scheme)

@@ -15,7 +15,10 @@
 //
 //	go test -run TestGoldenStats -update-golden .
 //
-// and explain the resulting deltas in the commit that carries them.
+// and explain the resulting deltas in the commit that carries them. A
+// change that only adds counters to metrics.Counters moves nothing but the
+// sampled cells' counter objects; go run ./testdata/goldenkeys checks a
+// regenerated file against the earlier one for exactly that.
 package dlvp
 
 import (

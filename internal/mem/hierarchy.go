@@ -49,14 +49,12 @@ type Hierarchy struct {
 
 	pf *stride.Predictor
 
-	// DLVP probe statistics (Section 3.2.2 power optimisation).
+	// DLVP probe statistics (Section 3.2.2 power optimisation) and
+	// prefetch fills (stride prefetcher and DLVP probe misses).
 	Probes            uint64
 	ProbeHits         uint64
-	ProbeTLBMisses    uint64
-	WayPredictions    uint64
 	WayMispredictions uint64
 	Prefetches        uint64
-	PrefetchesUseful  uint64 // prefetched blocks later hit by a demand access
 }
 
 // NewHierarchy builds the memory system.
@@ -77,38 +75,6 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 
 // Config returns the hierarchy configuration.
 func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
-
-// CounterSnapshot is a flat point-in-time copy of the hierarchy's
-// cumulative counters, cheap enough to take every sampling interval (the
-// timeline flight recorder differentiates consecutive snapshots into
-// per-interval miss and probe-hit rates).
-type CounterSnapshot struct {
-	L1DAccesses, L1DMisses uint64
-	L2Accesses, L2Misses   uint64
-	L3Accesses, L3Misses   uint64
-	TLBAccesses, TLBMisses uint64
-	Probes, ProbeHits      uint64
-	Prefetches             uint64
-	WayMispredictions      uint64
-}
-
-// Counters snapshots the hierarchy's monotone counters.
-func (h *Hierarchy) Counters() CounterSnapshot {
-	return CounterSnapshot{
-		L1DAccesses:       h.L1D.Accesses,
-		L1DMisses:         h.L1D.Misses,
-		L2Accesses:        h.L2.Accesses,
-		L2Misses:          h.L2.Misses,
-		L3Accesses:        h.L3.Accesses,
-		L3Misses:          h.L3.Misses,
-		TLBAccesses:       h.TLB.Accesses,
-		TLBMisses:         h.TLB.Misses,
-		Probes:            h.Probes,
-		ProbeHits:         h.ProbeHits,
-		Prefetches:        h.Prefetches,
-		WayMispredictions: h.WayMispredictions,
-	}
-}
 
 // missPath walks L2 -> L3 -> memory for a block absent from L1, returning
 // the latency to data and filling the touched levels. now is the issue
@@ -237,7 +203,6 @@ func (h *Hierarchy) Probe(addr uint64, predictedWay int) ProbeResult {
 	}
 	if w := h.TLB.Access(addr); w > 0 {
 		res.TLBMiss = true
-		h.ProbeTLBMisses++
 		res.Latency += w
 	}
 	hit, way := h.L1D.Peek(addr)
@@ -247,7 +212,6 @@ func (h *Hierarchy) Probe(addr uint64, predictedWay int) ProbeResult {
 		h.ProbeHits++
 		res.Outcome = ProbeHitWay
 		if predictedWay >= 0 {
-			h.WayPredictions++
 			res.WayCorrect = predictedWay == way
 			if !res.WayCorrect {
 				h.WayMispredictions++

@@ -106,7 +106,8 @@ type Result struct {
 
 // DefaultCacheEntries is the result-cache capacity when Options.CacheEntries
 // is zero. A RunStats is a few hundred bytes, so the default costs ~1-2 MB
-// (timeline-recording engines add up to ~200 KB per entry).
+// (timeline-recording engines add up to ~230 KB per entry: a full ring of
+// ~450-byte samples).
 const DefaultCacheEntries = 4096
 
 // TimelineOptions configures flight-recorder sampling for every job the

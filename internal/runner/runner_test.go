@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dlvp/internal/config"
+	"dlvp/internal/metrics"
 )
 
 const testInstrs = 4_000
@@ -428,7 +429,7 @@ func TestRunResultRecordsTimeline(t *testing.T) {
 	if res.Timeline == nil {
 		t.Fatal("no timeline on a timeline-enabled engine's result")
 	}
-	if got := res.Timeline.Totals().Instructions; got != res.Stats.Instructions {
+	if got := res.Timeline.Totals()[metrics.Instructions]; got != res.Stats.Instructions {
 		t.Errorf("timeline totals %d != stats %d", got, res.Stats.Instructions)
 	}
 	if len(res.Timeline.Samples) < 2 {

@@ -10,7 +10,6 @@ import (
 	"dlvp/internal/emu"
 	"dlvp/internal/metrics"
 	"dlvp/internal/obs"
-	"dlvp/internal/predictor"
 	"dlvp/internal/siteprof"
 	"dlvp/internal/timeline"
 	"dlvp/internal/uarch"
@@ -241,13 +240,14 @@ func (r *Runner) runSampled(ctx context.Context, key string, w workloads.Workloa
 	// completion order.
 	var (
 		resMu     sync.Mutex
-		measured  = make([]timeline.Counters, len(plan))
+		measured  = make([]metrics.Counters, len(plan))
+		energies  = make([]float64, len(plan))
 		detailed  = make([]uint64, len(plan))
 		profiles  = make([]*siteprof.Profile, len(plan))
 		completed = make([]bool, len(plan))
 		firstErr  error
 		published int
-		cum       timeline.Counters
+		cum       metrics.Counters
 	)
 	setErr := func(err error) {
 		resMu.Lock()
@@ -300,6 +300,7 @@ func (r *Runner) runSampled(ctx context.Context, key string, w workloads.Workloa
 		resMu.Lock()
 		countOutcome(outcome)
 		measured[i] = meas
+		energies[i] = core.Energy(meas)
 		detailed[i] = st.Instructions
 		profiles[i] = core.SiteProfile()
 		completed[i] = true
@@ -347,10 +348,12 @@ func (r *Runner) runSampled(ctx context.Context, key string, w workloads.Workloa
 		return res, firstErr
 	}
 
-	var sum timeline.Counters
+	var sum metrics.Counters
+	var energy float64
 	var detailedTotal uint64
 	for i := range plan {
 		sum = sum.Add(measured[i])
+		energy += energies[i]
 		detailedTotal += detailed[i]
 	}
 	r.sampledIntervals.Add(int64(len(plan)))
@@ -358,12 +361,15 @@ func (r *Runner) runSampled(ctx context.Context, key string, w workloads.Workloa
 	r.executed.Add(1)
 
 	info.DetailedInstrs = detailedTotal
-	info.MeasuredTotal = sum.Instructions
-	if sum.Instructions > 0 {
-		info.EstimatedCycles = uint64(float64(sum.Cycles) * float64(info.SpanInstrs) / float64(sum.Instructions))
+	info.MeasuredTotal = sum[metrics.Instructions]
+	if info.MeasuredTotal > 0 {
+		info.EstimatedCycles = uint64(float64(sum[metrics.Cycles]) * float64(info.SpanInstrs) / float64(info.MeasuredTotal))
 	}
 
-	res.Stats = statsFromMeasured(job.Workload, scheme, sum)
+	// Every count is summed over the measured regions, and so is the
+	// energy each interval core priced from its own measured vector.
+	res.Stats = sum.RunStats(job.Workload, scheme)
+	res.Stats.CoreEnergy = energy
 	res.Timeline = rec.Finish(cum, 0, job.Workload, scheme)
 	if r.spOpts.Enabled {
 		// Per-interval profiles cover only measured regions (warm-up is
@@ -378,45 +384,4 @@ func (r *Runner) runSampled(ctx context.Context, key string, w workloads.Workloa
 		r.cache.Put(key, res)
 	}
 	return res, nil
-}
-
-// statsFromMeasured converts summed measured-region counter deltas into
-// a RunStats. Only the counters the timeline tracks are populated —
-// rates (IPC, coverage, accuracy, miss rates) are exact over the
-// measured regions; counters outside the timeline's scope (way
-// mispredictions, tournament attribution, energy, the PAQ fine-grained
-// drop reasons) are zero in a sampled result.
-func statsFromMeasured(workload, scheme string, sum timeline.Counters) metrics.RunStats {
-	st := metrics.RunStats{
-		Workload:      workload,
-		Scheme:        scheme,
-		Cycles:        sum.Cycles,
-		Instructions:  sum.Instructions,
-		Loads:         sum.Loads,
-		Stores:        sum.Stores,
-		VP:            predictor.Stats{Eligible: sum.VPEligible, Predicted: sum.VPPredicted, Correct: sum.VPCorrect},
-		ValueFlushes:  sum.ValueFlushes,
-		BranchFlushes: sum.BranchFlushes,
-		OrderFlushes:  sum.OrderFlushes,
-		ValueReplays:  sum.ValueReplays,
-		Probes:        sum.Probes,
-		ProbeHits:     sum.ProbeHits,
-		PAQAllocated:  sum.PAQAllocated,
-		PAQDropped:    sum.PAQDropped,
-		PAQFull:       sum.PAQFull,
-		Prefetches:    sum.Prefetches,
-		LSCDFiltered:  sum.LSCDFiltered,
-		LSCDInserts:   sum.LSCDInserts,
-		TLBMisses:     sum.TLBMisses,
-	}
-	if sum.L1DAccesses > 0 {
-		st.L1DMissRate = 100 * float64(sum.L1DMisses) / float64(sum.L1DAccesses)
-	}
-	if sum.L2Accesses > 0 {
-		st.L2MissRate = 100 * float64(sum.L2Misses) / float64(sum.L2Accesses)
-	}
-	if sum.TLBAccesses > 0 {
-		st.TLBMissRate = 100 * float64(sum.TLBMisses) / float64(sum.TLBAccesses)
-	}
-	return st
 }

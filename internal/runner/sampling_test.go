@@ -157,7 +157,7 @@ func TestSampledRunProducesEstimate(t *testing.T) {
 	if res.Timeline == nil {
 		t.Fatal("sampled run recorded no timeline")
 	}
-	if got := res.Timeline.Totals().Instructions; got != wantMeasured {
+	if got := res.Timeline.Totals()[metrics.Instructions]; got != wantMeasured {
 		t.Errorf("timeline totals = %d, want %d", got, wantMeasured)
 	}
 	if hits := r.Checkpoints().Stats(); hits.Entries == 0 {
@@ -300,5 +300,44 @@ func TestFullRunSeedsSampledCheckpoints(t *testing.T) {
 	var m metrics.RunStats
 	if res.Stats == m {
 		t.Error("empty sampled stats")
+	}
+}
+
+// A sampled tournament job carries the provider split: the merge sums the
+// whole counter vector, so every merged prediction is attributed to
+// exactly one side, as in a full run.
+func TestSampledTournamentAttribution(t *testing.T) {
+	r := New(Options{Workers: 2})
+	res, _, err := r.RunResult(context.Background(), Job{Workload: "perlbmk", Config: config.Tournament(), Instrs: 100_000,
+		Sampling: &SamplingSpec{Intervals: 4, WarmupInstrs: 10_000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := res.Stats
+	if s.VP.Predicted == 0 {
+		t.Fatal("sampled tournament made no predictions")
+	}
+	if s.TournamentDLVP+s.TournamentVTAGE != s.VP.Predicted {
+		t.Errorf("sampled provider split %d DLVP + %d VTAGE != %d predicted",
+			s.TournamentDLVP, s.TournamentVTAGE, s.VP.Predicted)
+	}
+}
+
+// Sampled energy covers the measured regions, each priced by its interval
+// core with the full-run code, so Figure 6c's normalised energy is
+// defined under sampling.
+func TestSampledEnergyRatio(t *testing.T) {
+	r := New(Options{Workers: 2})
+	energy := func(cfg config.Core) float64 {
+		res, _, err := r.RunResult(context.Background(), Job{Workload: "perlbmk", Config: cfg, Instrs: 40_000,
+			Sampling: &SamplingSpec{Intervals: 4}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stats.CoreEnergy
+	}
+	ratio := energy(config.DLVP()) / energy(config.Baseline())
+	if math.IsNaN(ratio) || math.IsInf(ratio, 0) || ratio <= 0 {
+		t.Errorf("sampled DLVP/baseline energy ratio = %v, want finite and positive", ratio)
 	}
 }

@@ -136,7 +136,32 @@ func TestClusterAffinityAndCacheHits(t *testing.T) {
 func TestClusterPeerDeathFallsBackLocal(t *testing.T) {
 	tsA, engA, tsB, _, disp := newClusterPair(t, dispatch.Options{FailThreshold: 2})
 
-	names := workloads.Names()[:6]
+	// Choose workloads by their rendezvous rank over the job the server
+	// builds, not by the peer's random port: four rank the peer first (two
+	// failures reach the threshold) and two rank the local engine first.
+	var names []string
+	peerFirst, localFirst := 0, 0
+	for _, wl := range workloads.Names() {
+		key, err := runner.Job{Workload: wl, Config: config.Baseline(), Instrs: testInstrs}.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if disp.RankTargets(key)[0] == disp.LocalTarget() {
+			if localFirst == 2 {
+				continue
+			}
+			localFirst++
+		} else {
+			if peerFirst == 4 {
+				continue
+			}
+			peerFirst++
+		}
+		names = append(names, wl)
+	}
+	if peerFirst < 2 || localFirst < 1 {
+		t.Fatalf("only %d workloads rank the peer first and %d the local engine", peerFirst, localFirst)
+	}
 	run := func(wl string) *http.Response {
 		return postJSON(t, tsA.URL+"/v1/runs", map[string]any{
 			"workload": wl, "scheme": "baseline", "instrs": testInstrs,

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dlvp/internal/metrics"
 	"dlvp/internal/runner"
 	"dlvp/internal/timeline"
 )
@@ -78,7 +79,7 @@ func TestRunTimelineEndpoint(t *testing.T) {
 	if len(tl.Samples) < 2 {
 		t.Fatalf("samples = %d, want >= 2 at interval 500 over %d instrs", len(tl.Samples), testInstrs)
 	}
-	if got := tl.Totals().Instructions; got != testInstrs {
+	if got := tl.Totals()[metrics.Instructions]; got != testInstrs {
 		t.Errorf("timeline instructions total = %d, want %d", got, testInstrs)
 	}
 

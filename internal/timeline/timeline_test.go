@@ -3,24 +3,26 @@ package timeline
 import (
 	"strings"
 	"testing"
+
+	"dlvp/internal/metrics"
 )
 
 // cumAt builds a cumulative snapshot after n base intervals with a fixed
 // per-interval delta, so expected totals are easy to state in closed form.
-func cumAt(n uint64) Counters {
-	return Counters{
-		Instructions: n * 100,
-		Cycles:       n * 250,
-		Loads:        n * 30,
-		VPEligible:   n * 30,
-		VPPredicted:  n * 20,
-		VPCorrect:    n * 18,
-		PAQAllocated: n * 20,
-		PAQDropped:   n * 1,
-		APTLookups:   n * 30,
-		APTHits:      n * 25,
-		L1DAccesses:  n * 40,
-		L1DMisses:    n * 4,
+func cumAt(n uint64) metrics.Counters {
+	return metrics.Counters{
+		metrics.Instructions: n * 100,
+		metrics.Cycles:       n * 250,
+		metrics.Loads:        n * 30,
+		metrics.VPEligible:   n * 30,
+		metrics.VPPredicted:  n * 20,
+		metrics.VPCorrect:    n * 18,
+		metrics.PAQAllocated: n * 20,
+		metrics.PAQDropped:   n * 1,
+		metrics.APTLookups:   n * 30,
+		metrics.APTHits:      n * 25,
+		metrics.L1DAccesses:  n * 40,
+		metrics.L1DMisses:    n * 4,
 	}
 }
 
@@ -34,8 +36,8 @@ func TestRecorderSampling(t *testing.T) {
 		t.Fatalf("samples = %d, want 5", len(tl.Samples))
 	}
 	for i, s := range tl.Samples {
-		if s.Delta.Instructions != 100 {
-			t.Errorf("sample %d delta instrs = %d, want 100", i, s.Delta.Instructions)
+		if s.Delta[metrics.Instructions] != 100 {
+			t.Errorf("sample %d delta instrs = %d, want 100", i, s.Delta[metrics.Instructions])
 		}
 		if s.Intervals != 1 || s.Index != i {
 			t.Errorf("sample %d: intervals=%d index=%d", i, s.Intervals, s.Index)
@@ -109,14 +111,14 @@ func TestFinishRecordsTail(t *testing.T) {
 	r := NewRecorder(100, 0)
 	r.Sample(cumAt(1), 0)
 	tail := cumAt(1)
-	tail.Instructions += 42
-	tail.Cycles += 77
+	tail[metrics.Instructions] += 42
+	tail[metrics.Cycles] += 77
 	tl := r.Finish(tail, 3, "wl", "dlvp")
 	if len(tl.Samples) != 2 {
 		t.Fatalf("samples = %d, want 2 (boundary + tail)", len(tl.Samples))
 	}
 	last := tl.Samples[1]
-	if last.Delta.Instructions != 42 || last.PAQPeak != 3 {
+	if last.Delta[metrics.Instructions] != 42 || last.PAQPeak != 3 {
 		t.Errorf("tail sample = %+v", last)
 	}
 	if got := tl.Totals(); got != tail {
@@ -184,13 +186,13 @@ func TestPartial(t *testing.T) {
 func TestDiffAndRegression(t *testing.T) {
 	mk := func(accuracies []uint64) *Timeline {
 		r := NewRecorder(100, 0)
-		var cum Counters
+		var cum metrics.Counters
 		for _, correct := range accuracies {
-			cum.Instructions += 100
-			cum.Cycles += 200
-			cum.VPEligible += 100
-			cum.VPPredicted += 100
-			cum.VPCorrect += correct
+			cum[metrics.Instructions] += 100
+			cum[metrics.Cycles] += 200
+			cum[metrics.VPEligible] += 100
+			cum[metrics.VPPredicted] += 100
+			cum[metrics.VPCorrect] += correct
 			r.Sample(cum, 0)
 		}
 		return r.Finish(cum, 0, "wl", "dlvp")
@@ -238,12 +240,5 @@ func TestWritePrometheus(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q\n%s", want, out)
 		}
-	}
-}
-
-func TestCountersAdd(t *testing.T) {
-	a, b := cumAt(3), cumAt(4)
-	if got := a.Add(b); got != cumAt(7) {
-		t.Errorf("Add = %+v, want %+v", got, cumAt(7))
 	}
 }

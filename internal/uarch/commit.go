@@ -3,6 +3,7 @@ package uarch
 import (
 	"dlvp/internal/config"
 	"dlvp/internal/isa"
+	"dlvp/internal/metrics"
 	"dlvp/internal/predictor/tournament"
 	"dlvp/internal/trace"
 )
@@ -30,13 +31,13 @@ func (c *Core) commitStage() {
 		rec := c.rec(seq)
 
 		c.captureStageTrace(seq)
-		c.stats.Instructions++
+		c.ctr[metrics.Instructions]++
 		switch {
 		case rec.IsLoad():
-			c.stats.Loads++
+			c.ctr[metrics.Loads]++
 			c.a.ldqIdx.popFront()
 		case rec.IsStore():
-			c.stats.Stores++
+			c.ctr[metrics.Stores]++
 			c.a.stqIdx.popFront()
 			c.commitStore(rec)
 		}
@@ -59,16 +60,46 @@ func (c *Core) commitStage() {
 		}
 		w.flags[slot] &^= fValid
 		c.headSeq++
-		// Sample-window countdown, after this instruction's stats landed
-		// so a boundary snapshot includes the just-committed instruction.
-		// One compare per commit when no window is armed.
-		if c.wmArmed && !c.mdDone {
-			c.wmTick()
+		// Sample-window and flight-recorder boundaries, after this
+		// instruction's stats landed so a boundary snapshot includes it:
+		// one compare per commit.
+		if c.ctr[metrics.Instructions] == c.nextBoundary {
+			c.crossBoundary()
 		}
-		// Flight-recorder tick, after this instruction's stats landed so a
-		// boundary snapshot includes it. One nil check when sampling is off.
-		if c.tl != nil {
-			c.tlTick()
+	}
+}
+
+// crossBoundary takes one counter snapshot for every boundary falling at
+// the current instruction count — the warm-up end, the measured-region
+// end (which requests the stop) and a flight-recorder interval — then
+// arms the next boundary.
+func (c *Core) crossBoundary() {
+	n := c.ctr[metrics.Instructions]
+	cum := c.counters()
+	switch n {
+	case c.wmEnd:
+		c.wmSnap = cum
+	case c.mdEnd:
+		c.mdSnap = cum
+		c.stopReq = true
+	}
+	if n == c.tlNext {
+		c.tl.Sample(cum, c.tlPAQPeak)
+		c.tlPAQPeak = c.paqLen()
+		c.tlNext += c.tl.IntervalInstrs()
+	}
+	c.armBoundary()
+}
+
+// armBoundary sets nextBoundary to the nearest sample-window or
+// flight-recorder boundary past the current instruction count (0 when
+// none is pending; unset boundaries are 0 too).
+func (c *Core) armBoundary() {
+	n := c.ctr[metrics.Instructions]
+	c.nextBoundary = 0
+	for _, b := range [...]uint64{c.wmEnd, c.mdEnd, c.tlNext} {
+		if b > n && (c.nextBoundary == 0 || b < c.nextBoundary) {
+			c.nextBoundary = b
 		}
 	}
 }
@@ -105,7 +136,13 @@ func (c *Core) accountPrediction(seq uint64) {
 			}
 		}
 	}
-	c.stats.VP.Record(predicted, correct)
+	c.ctr[metrics.VPEligible]++
+	if predicted {
+		c.ctr[metrics.VPPredicted]++
+		if correct {
+			c.ctr[metrics.VPCorrect]++
+		}
+	}
 	// Site attribution rides the same outcome so per-site sums reconcile
 	// with the aggregate exactly. One nil check when profiling is off.
 	if c.sp != nil {
@@ -114,9 +151,9 @@ func (c *Core) accountPrediction(seq uint64) {
 	if f&fVpMade != 0 {
 		switch cd.vpSource {
 		case tournament.SideDLVP:
-			c.stats.TournamentDLVP++
+			c.ctr[metrics.TournamentDLVP]++
 		case tournament.SideVTAGE:
-			c.stats.TournamentVTAGE++
+			c.ctr[metrics.TournamentVTAGE]++
 		}
 	}
 }

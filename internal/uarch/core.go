@@ -32,7 +32,6 @@ import (
 	"dlvp/internal/branch"
 	"dlvp/internal/config"
 	"dlvp/internal/emu"
-	"dlvp/internal/energy"
 	"dlvp/internal/mdp"
 	"dlvp/internal/mem"
 	"dlvp/internal/metrics"
@@ -143,17 +142,21 @@ type Core struct {
 	// issue, a VP install at rename, a selective replay, a flush.
 	eventWake bool
 
-	// Energy access counters (per-structure counts fed into the meter).
-	prfReads  uint64
-	prfWrites uint64
-	pvtWrites uint64
-
 	memIssuedThisCycle     int
 	loadPortsFreeThisCycle int
 
-	stats  metrics.RunStats
-	meter  *energy.Meter
-	emodel energy.CoreModel
+	// ctr is the core's cumulative counter vector: everything the core
+	// counts itself, incremented in place. counters() completes it with
+	// the cycle clock and the predictor, LSCD and cache-hierarchy counts.
+	ctr metrics.Counters
+	// stats is the run summary finalizeStats converts from the vector;
+	// until then it carries only the workload and scheme names.
+	stats metrics.RunStats
+
+	// nextBoundary is the committed-instruction count at which the next
+	// sample-window or flight-recorder boundary falls (0: none armed —
+	// the commit path compares after an increment, so 0 never matches).
+	nextBoundary uint64
 
 	// Stage-trace capture (EnableStageTrace).
 	stageTraces []StageTrace
@@ -161,31 +164,25 @@ type Core struct {
 	traceWant   int
 
 	// Flight recorder (EnableTimeline). tl is nil when sampling is off;
-	// tlCountdown counts committed instructions down to the next interval
-	// boundary; tlPAQPeak tracks the high-water PAQ occupancy since the
-	// last boundary.
-	tl          *tline.Recorder
-	tlCountdown uint64
-	tlPAQPeak   int
-	timeline    *tline.Timeline
+	// tlNext is the instruction count of its next interval boundary;
+	// tlPAQPeak tracks the high-water PAQ occupancy since the last
+	// boundary.
+	tl        *tline.Recorder
+	tlNext    uint64
+	tlPAQPeak int
+	timeline  *tline.Timeline
 
-	// Sample window (SetSampleWindow). wmRemaining counts committed
-	// instructions down to the measured-region boundary; wmSnap holds
-	// the cumulative counters at that boundary so MeasuredCounters can
-	// subtract the warm-up contribution out of the final totals. A
-	// bounded measured region counts down mdRemaining, snapshots
-	// mdSnap at the closing commit, and raises stopReq so Run ends
-	// without simulating (or measuring) the end-of-stream pipeline
-	// drain.
-	wmRemaining uint64
-	wmArmed     bool
-	wmDone      bool
-	wmSnap      tline.Counters
-	mdRemaining uint64
-	mdBounded   bool
-	mdDone      bool
-	mdSnap      tline.Counters
-	stopReq     bool
+	// Sample window (SetSampleWindow). wmEnd is the instruction count
+	// closing the warm-up; wmSnap holds the cumulative counters there so
+	// MeasuredCounters can subtract the warm-up out of the totals. A
+	// bounded measured region closes at mdEnd (0: unbounded), snapshots
+	// mdSnap and raises stopReq so Run ends without simulating (or
+	// measuring) the end-of-stream pipeline drain.
+	wmEnd   uint64
+	mdEnd   uint64
+	wmSnap  metrics.Counters
+	mdSnap  metrics.Counters
+	stopReq bool
 
 	// Per-load-site attribution (EnableSiteProfile). sp is nil when
 	// profiling is off; the commit path then pays one nil check per
@@ -249,8 +246,6 @@ func NewAtArena(cfg config.Core, p *program.Program, reader trace.Reader, cmem *
 		tage:   branch.NewTAGE(cfg.TAGE),
 		ittage: branch.NewITTAGE(cfg.ITTAGE),
 		mdp:    mdp.New(cfg.MDP),
-		meter:  energy.NewMeter(),
-		emodel: energy.DefaultCoreModel(),
 	}
 	if ra, ok := reader.(trace.RandomAccess); ok {
 		// Zero-copy replay: the stream length is known up front, so the
@@ -396,23 +391,56 @@ func (c *Core) paqAt(i int) *paqEntry {
 	return &c.a.paqBuf[(int(c.paqHead)+i)%len(c.a.paqBuf)]
 }
 
-func (c *Core) finalizeStats() {
-	c.stats.Cycles = c.now
-	c.stats.L1DMissRate = c.hier.L1D.MissRate()
-	c.stats.L2MissRate = c.hier.L2.MissRate()
-	c.stats.TLBMissRate = c.hier.TLB.MissRate()
-	c.stats.TLBMisses = c.hier.TLB.Misses
-	c.stats.Probes = c.hier.Probes
-	c.stats.ProbeHits = c.hier.ProbeHits
-	c.stats.WayMispredicts = c.hier.WayMispredictions
+// counters returns the cumulative counter vector: the core's own counts
+// plus the cycle clock and the counts the predictors, the LSCD and the
+// cache hierarchy keep. It is valid mid-run and allocates nothing.
+func (c *Core) counters() metrics.Counters {
+	v := c.ctr
+	v[metrics.Cycles] = c.now
 	if c.lscd != nil {
-		c.stats.LSCDFiltered = c.lscd.Filtered
-		c.stats.LSCDInserts = c.lscd.Inserts
+		v[metrics.LSCDInserts] = c.lscd.Inserts
+		v[metrics.LSCDFiltered] = c.lscd.Filtered
 	}
-	c.meterEnergy()
-	c.stats.CoreEnergy = c.emodel.Total(c.stats.Cycles, c.stats.Instructions, c.meter)
+	if p := c.papPred; p != nil {
+		v[metrics.APTLookups] = p.Lookups
+		v[metrics.APTHits] = p.Hits
+		v[metrics.APTAllocations] = p.Allocations
+		v[metrics.APTConfResets] = p.ConfResets
+		v[metrics.APTTagAliases] = p.TagAliases
+		v[metrics.FPCBumps] = p.ConfBumps
+		v[metrics.FPCSaturations] = p.ConfSaturations
+	}
+	if c.capPred != nil {
+		v[metrics.CAPLookups] = c.capPred.Lookups
+	}
+	if c.vtPred != nil {
+		v[metrics.VTAGELookups] = c.vtPred.Lookups
+	}
+	if c.dvPred != nil {
+		v[metrics.DVTAGELookups] = c.dvPred.Lookups
+	}
+	h := c.hier
+	v[metrics.Probes] = h.Probes
+	v[metrics.ProbeHits] = h.ProbeHits
+	v[metrics.WayMispredicts] = h.WayMispredictions
+	v[metrics.L1IAccesses] = h.L1I.Accesses
+	v[metrics.L1DAccesses] = h.L1D.Accesses
+	v[metrics.L1DMisses] = h.L1D.Misses
+	v[metrics.L2Accesses] = h.L2.Accesses
+	v[metrics.L2Misses] = h.L2.Misses
+	v[metrics.L3Accesses] = h.L3.Accesses
+	v[metrics.L3Misses] = h.L3.Misses
+	v[metrics.TLBAccesses] = h.TLB.Accesses
+	v[metrics.TLBMisses] = h.TLB.Misses
+	return v
+}
+
+func (c *Core) finalizeStats() {
+	cum := c.counters()
+	c.stats = cum.RunStats(c.stats.Workload, c.stats.Scheme)
+	c.stats.CoreEnergy = c.Energy(cum)
 	if c.tl != nil {
-		c.tlSample(true)
+		c.timeline = c.tl.Finish(cum, c.tlPAQPeak, c.stats.Workload, c.stats.Scheme)
 	}
 	if c.sp != nil {
 		c.spFinish()

@@ -2,6 +2,7 @@ package uarch
 
 import (
 	"dlvp/internal/isa"
+	"dlvp/internal/metrics"
 	"dlvp/internal/trace"
 )
 
@@ -48,7 +49,7 @@ func (c *Core) executeStage() {
 		w.flags[slot] |= fCompleted
 
 		rec := c.rec(seq)
-		c.prfWrites += uint64(rec.NDst)
+		c.ctr[metrics.PRFWrites] += uint64(rec.NDst)
 		switch {
 		case rec.IsBranch():
 			if f&fTrained == 0 {
@@ -102,7 +103,7 @@ func (c *Core) resolveBranch(seq uint64, rec *trace.Rec) {
 		c.ittage.Update(rec.PC, w.ghistBefore[slot], rec.Target())
 	}
 	if w.flags[slot]&fBrMispredict != 0 {
-		c.stats.BranchFlushes++
+		c.ctr[metrics.BranchFlushes]++
 		c.ghist.Restore(w.ghistAfter[slot])
 		if c.fetchStallUntil > c.now+1 {
 			c.fetchStallUntil = c.now + 1
@@ -216,7 +217,7 @@ func (c *Core) tainted(seq uint64) bool {
 // return to the scheduler; they may re-issue once the check penalty has
 // elapsed, now sourcing the load's architecturally correct value.
 func (c *Core) replayDependents(loadSeq uint64) {
-	c.stats.ValueReplays++
+	c.ctr[metrics.ValueReplays]++
 	c.eventWake = true // sleepers must recompute wakes against the new state
 	w := &c.a.w
 	notBefore := c.now + uint64(c.cfg.ValueCheckPenalty) + 1

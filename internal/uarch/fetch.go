@@ -2,6 +2,7 @@ package uarch
 
 import (
 	"dlvp/internal/isa"
+	"dlvp/internal/metrics"
 	"dlvp/internal/trace"
 )
 
@@ -182,7 +183,7 @@ func (c *Core) fetchAddressPrediction(seq uint64, rec *trace.Rec, fga, lphist ui
 		return
 	}
 	if loadIdx >= 2 {
-		c.stats.GroupSlotMissed++
+		c.ctr[metrics.GroupSlotMissed]++
 		return
 	}
 	w := &c.a.w
@@ -215,7 +216,7 @@ func (c *Core) fetchAddressPrediction(seq uint64, rec *trace.Rec, fga, lphist ui
 		return
 	}
 	if c.paqLen() >= c.cfg.PAQEntries {
-		c.stats.PAQFull++
+		c.ctr[metrics.PAQFull]++
 		return // PAQ full: prediction lost
 	}
 	*c.paqAt(c.paqLen()) = paqEntry{
@@ -225,7 +226,7 @@ func (c *Core) fetchAddressPrediction(seq uint64, rec *trace.Rec, fga, lphist ui
 	}
 	c.paqTail++
 	w.flags[slot] |= fPaqIssued
-	c.stats.PAQAllocated++
+	c.ctr[metrics.PAQAllocated]++
 	if c.tl != nil && c.paqLen() > c.tlPAQPeak {
 		c.tlPAQPeak = c.paqLen()
 	}

@@ -1,5 +1,7 @@
 package uarch
 
+import "dlvp/internal/metrics"
+
 // scheduleFlush records a squash request; when several trigger in one cycle
 // the oldest wins (it supersedes any younger squash).
 func (c *Core) scheduleFlush(req flushReq) {
@@ -23,11 +25,11 @@ func (c *Core) applyFlush() {
 	c.flushPending = false
 	switch req.kind {
 	case flushBranch:
-		c.stats.BranchFlushes++
+		c.ctr[metrics.BranchFlushes]++
 	case flushValue:
-		c.stats.ValueFlushes++
+		c.ctr[metrics.ValueFlushes]++
 	case flushOrder:
-		c.stats.OrderFlushes++
+		c.ctr[metrics.OrderFlushes]++
 	}
 
 	w := &c.a.w

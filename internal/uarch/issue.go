@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"dlvp/internal/isa"
+	"dlvp/internal/metrics"
 	"dlvp/internal/trace"
 )
 
@@ -108,7 +109,7 @@ func (c *Core) issueStage() {
 						// issue the same cycle the store commits.
 						if f&fPartialStall == 0 {
 							w.flags[slot] = f | fPartialStall
-							c.stats.StoreFwdPartialStalls++
+							c.ctr[metrics.StoreFwdPartialStalls]++
 						}
 						continue
 					}
@@ -130,7 +131,7 @@ func (c *Core) issueStage() {
 				rec := c.rec(seq)
 				c.executeAt(seq, rec, ldFwd)
 				c.pushDone(seq, c.now)
-				c.prfReads += uint64(rec.NSrc)
+				c.ctr[metrics.PRFReads] += uint64(rec.NSrc)
 			}
 		}
 	}

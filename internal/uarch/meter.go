@@ -1,57 +1,59 @@
 package uarch
 
-import "dlvp/internal/energy"
+import (
+	"dlvp/internal/energy"
+	"dlvp/internal/metrics"
+)
 
-// meterEnergy registers the core's structures with the energy meter and
-// feeds in the access counts accumulated during the run. DLVP's probes are
-// metered against a one-way slice of the L1D data array (the way-prediction
-// power optimisation of Section 3.2.2); demand accesses read the full set.
-func (c *Core) meterEnergy() {
-	m := c.meter
+// Energy prices the counter vector v against this core's structures:
+// static energy over its cycles, base dynamic energy per committed
+// instruction, and every structure access it counts. A full run prices
+// its whole-run vector; a sampled interval prices its measured one. DLVP's
+// probes are metered against a one-way slice of the L1D data array (the
+// way-prediction power optimisation of Section 3.2.2); demand accesses
+// read the full set.
+func (c *Core) Energy(v metrics.Counters) float64 {
+	m := energy.NewMeter()
 
 	l1dBits := c.cfg.Mem.L1D.SizeBytes * 8
 	ways := c.cfg.Mem.L1D.Ways
 	m.Register(energy.RAMSpec{Name: "L1D", Bits: l1dBits, ReadPorts: 2, WritePorts: 1})
-	m.AddReads("L1D", c.hier.L1D.Accesses)
+	m.AddReads("L1D", v[metrics.L1DAccesses])
 	m.Register(energy.RAMSpec{Name: "L1D-probe", Bits: l1dBits / ways, ReadPorts: 1, WritePorts: 0})
-	m.AddReads("L1D-probe", c.hier.Probes)
+	m.AddReads("L1D-probe", v[metrics.Probes])
 
 	m.Register(energy.RAMSpec{Name: "L1I", Bits: c.cfg.Mem.L1I.SizeBytes * 8, ReadPorts: 1, WritePorts: 1})
-	m.AddReads("L1I", c.hier.L1I.Accesses)
+	m.AddReads("L1I", v[metrics.L1IAccesses])
 	m.Register(energy.RAMSpec{Name: "L2", Bits: c.cfg.Mem.L2.SizeBytes * 8, ReadPorts: 1, WritePorts: 1})
-	m.AddReads("L2", c.hier.L2.Accesses)
+	m.AddReads("L2", v[metrics.L2Accesses])
 	m.Register(energy.RAMSpec{Name: "L3", Bits: c.cfg.Mem.L3.SizeBytes * 8, ReadPorts: 1, WritePorts: 1})
-	m.AddReads("L3", c.hier.L3.Accesses)
+	m.AddReads("L3", v[metrics.L3Accesses])
 
 	m.Register(energy.PRFSpec(8, 8))
-	m.AddReads("PRF", c.prfReads)
-	m.AddWrites("PRF", c.prfWrites)
+	m.AddReads("PRF", v[metrics.PRFReads])
+	m.AddWrites("PRF", v[metrics.PRFWrites])
 
 	m.Register(energy.PVTSpec())
-	m.AddWrites("PVT", c.pvtWrites)
-	m.AddReads("PVT", c.pvtWrites) // each predicted value is read ~once
+	m.AddWrites("PVT", v[metrics.PVTWrites])
+	m.AddReads("PVT", v[metrics.PVTWrites]) // each predicted value is read ~once
 
+	// Each predictor table is trained once per lookup.
+	price := func(name string, bits int, lookups metrics.Counter) {
+		m.Register(energy.RAMSpec{Name: name, Bits: bits, ReadPorts: 2, WritePorts: 1})
+		m.AddReads(name, v[lookups])
+		m.AddWrites(name, v[lookups])
+	}
 	if c.papPred != nil {
-		m.Register(energy.RAMSpec{Name: "APT", Bits: c.papPred.StorageBits(), ReadPorts: 2, WritePorts: 1})
-		m.AddReads("APT", c.papPred.Lookups)
-		m.AddWrites("APT", c.papPred.Lookups) // trained once per lookup
+		price("APT", c.papPred.StorageBits(), metrics.APTLookups)
 	}
 	if c.capPred != nil {
-		m.Register(energy.RAMSpec{Name: "CAP", Bits: c.capPred.StorageBits(), ReadPorts: 2, WritePorts: 1})
-		m.AddReads("CAP", c.capPred.Lookups)
-		m.AddWrites("CAP", c.capPred.Lookups)
+		price("CAP", c.capPred.StorageBits(), metrics.CAPLookups)
 	}
 	if c.dvPred != nil {
-		m.Register(energy.RAMSpec{Name: "DVTAGE", Bits: c.dvPred.StorageBits(), ReadPorts: 2, WritePorts: 1})
-		m.AddReads("DVTAGE", c.dvPred.Lookups)
-		m.AddWrites("DVTAGE", c.dvPred.Lookups)
+		price("DVTAGE", c.dvPred.StorageBits(), metrics.DVTAGELookups)
 	}
 	if c.vtPred != nil {
-		m.Register(energy.RAMSpec{Name: "VTAGE", Bits: c.vtPred.StorageBits(), ReadPorts: 2, WritePorts: 1})
-		m.AddReads("VTAGE", c.vtPred.Lookups)
-		m.AddWrites("VTAGE", c.vtPred.Lookups)
+		price("VTAGE", c.vtPred.StorageBits(), metrics.VTAGELookups)
 	}
+	return energy.DefaultCoreModel().Total(v[metrics.Cycles], v[metrics.Instructions], m)
 }
-
-// Meter exposes the energy meter (populated after Run).
-func (c *Core) Meter() *energy.Meter { return c.meter }

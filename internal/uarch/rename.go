@@ -2,6 +2,7 @@ package uarch
 
 import (
 	"dlvp/internal/config"
+	"dlvp/internal/metrics"
 	"dlvp/internal/predictor/tournament"
 	"dlvp/internal/trace"
 )
@@ -75,7 +76,7 @@ func (c *Core) installPrediction(seq uint64, rec *trace.Rec, vpBudget *int) {
 
 	dlvpReady := f&fProbeDone != 0 && f&fProbeHit != 0 && cd.probeDeliver <= c.now
 	if f&fProbeDone != 0 && f&fProbeHit != 0 && cd.probeDeliver > c.now {
-		c.stats.VPDropLate++
+		c.ctr[metrics.VPDropLate]++
 	}
 	vtageReady := f&fVtAny != 0
 
@@ -121,11 +122,11 @@ func (c *Core) installPrediction(seq uint64, rec *trace.Rec, vpBudget *int) {
 		return
 	}
 	if count > *vpBudget {
-		c.stats.VPDropBudget++
+		c.ctr[metrics.VPDropBudget]++
 		return
 	}
 	if c.pvtCount+count > c.cfg.PVTEntries {
-		c.stats.VPDropPVTFull++
+		c.ctr[metrics.VPDropPVTFull]++
 		return
 	}
 
@@ -145,7 +146,7 @@ func (c *Core) installPrediction(seq uint64, rec *trace.Rec, vpBudget *int) {
 
 	*vpBudget -= count
 	c.pvtCount += count
-	c.pvtWrites += uint64(count)
+	c.ctr[metrics.PVTWrites] += uint64(count)
 	c.wakeWaiters(int(slot)) // dependents sleeping on this producer can now issue
 	w.flags[slot] |= fVpMade
 	cd.vpSource = side
@@ -169,7 +170,7 @@ func (c *Core) probeStage() {
 		}
 		c.paqHead++
 		if c.now-pe.allocated > uint64(c.cfg.PAQLifetime) {
-			c.stats.PAQDropped++
+			c.ctr[metrics.PAQDropped]++
 			continue // dropped without consuming a bubble
 		}
 		if !c.live(pe.seq) {
@@ -178,7 +179,7 @@ func (c *Core) probeStage() {
 		slot := pe.seq & windowMask
 		if w.flags[slot]&fRenamed != 0 {
 			// Too late: the load already passed rename.
-			c.stats.PAQDropped++
+			c.ctr[metrics.PAQDropped]++
 			continue
 		}
 		b++
@@ -193,7 +194,7 @@ func (c *Core) probeStage() {
 			c.readProbedValues(pe.seq, pe.addr)
 		} else if c.cfg.VP.ProbePrefetch {
 			c.hier.Prefetch(c.now, pe.addr)
-			c.stats.Prefetches++ // DLVP-generated (the stride prefetcher is counted separately)
+			c.ctr[metrics.Prefetches]++ // DLVP-generated (the stride prefetcher is counted separately)
 		}
 	}
 }

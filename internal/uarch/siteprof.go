@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"dlvp/internal/metrics"
 	"dlvp/internal/predictor/tournament"
 	"dlvp/internal/siteprof"
 )
@@ -32,14 +33,11 @@ func (c *Core) SiteProfile() *siteprof.Profile { return c.siteProfile }
 // spRecord classifies one committed statistics-eligible instruction and
 // feeds it to the collector. Called from accountPrediction behind a nil
 // check, with the (predicted, correct) outcome it already computed, so the
-// per-site Eligible/Predicted/Correct partition matches the aggregate
-// stats.VP accounting by construction.
+// per-site Eligible/Predicted/Correct partition matches the aggregate VP
+// counters by construction.
 func (c *Core) spRecord(seq uint64, predicted, correct bool) {
-	if c.wmArmed && (!c.wmDone || c.mdDone) {
-		// Outside the measured region: still warming up, or the bounded
-		// window already closed (the closing cycle can retire a few more
-		// instructions before Run observes the stop request).
-		return
+	if !c.measuring(c.ctr[metrics.Instructions]) {
+		return // still warming up, or the bounded window already closed
 	}
 	f := c.a.w.flags[seq&windowMask]
 	ev := siteprof.Event{Cause: c.spCause(seq, predicted, correct)}
@@ -130,11 +128,9 @@ func (c *Core) spCause(seq uint64, predicted, correct bool) siteprof.Cause {
 // spFinish freezes the collector into the run's profile, scoped to the
 // measured region when a sample window was armed and completed.
 func (c *Core) spFinish() {
-	instrs := c.stats.Instructions
-	if c.wmArmed {
-		if meas, ok := c.MeasuredCounters(); ok {
-			instrs = meas.Instructions
-		}
+	instrs := c.ctr[metrics.Instructions]
+	if meas, ok := c.MeasuredCounters(); ok {
+		instrs = meas[metrics.Instructions]
 	}
 	c.siteProfile = c.sp.Finish(instrs)
 }

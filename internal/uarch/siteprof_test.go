@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dlvp/internal/config"
+	"dlvp/internal/metrics"
 	"dlvp/internal/siteprof"
 	"dlvp/internal/workloads"
 )
@@ -168,13 +169,13 @@ func TestSiteProfileScopedToSampleWindow(t *testing.T) {
 	}
 	p := c.SiteProfile()
 	tot := p.Totals()
-	if tot.Eligible != meas.VPEligible || tot.Predicted != meas.VPPredicted || tot.Correct != meas.VPCorrect {
+	if tot.Eligible != meas[metrics.VPEligible] || tot.Predicted != meas[metrics.VPPredicted] || tot.Correct != meas[metrics.VPCorrect] {
 		t.Errorf("windowed site totals %d/%d/%d != measured counters %d/%d/%d",
 			tot.Eligible, tot.Predicted, tot.Correct,
-			meas.VPEligible, meas.VPPredicted, meas.VPCorrect)
+			meas[metrics.VPEligible], meas[metrics.VPPredicted], meas[metrics.VPCorrect])
 	}
-	if p.Instructions != meas.Instructions {
-		t.Errorf("profile instructions = %d, want the measured region %d", p.Instructions, meas.Instructions)
+	if p.Instructions != meas[metrics.Instructions] {
+		t.Errorf("profile instructions = %d, want the measured region %d", p.Instructions, meas[metrics.Instructions])
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dlvp/internal/config"
+	"dlvp/internal/metrics"
 	tline "dlvp/internal/timeline"
 	"dlvp/internal/workloads"
 )
@@ -28,50 +29,35 @@ func runWithTimeline(t *testing.T, name string, cfg config.Core, instrs, interva
 	return tl, c
 }
 
-// The sum of interval deltas must reconcile EXACTLY with the run's final
-// aggregate statistics — the invariant the pairwise-merge downsampling was
-// chosen to preserve. Exercised with a capacity small enough to force
-// several merge generations.
+// The sum of interval deltas must reconcile EXACTLY with the run's
+// counter vector — the invariant the pairwise-merge downsampling was
+// chosen to preserve — counter by counter, and converting that vector
+// must give the run's RunStats. Exercised with a capacity small enough to
+// force several merge generations.
 func TestTimelineReconcilesWithRunStats(t *testing.T) {
 	const instrs = 60_000
 	tl, c := runWithTimeline(t, "mcf", config.DLVP(), instrs, 1_000, 8)
-	s := c.Stats()
 	if tl.Merges == 0 {
 		t.Fatalf("expected downsampling at capacity 8 over %d intervals", instrs/1_000)
 	}
-	tot := tl.Totals()
-	checks := []struct {
-		name      string
-		got, want uint64
-	}{
-		{"instructions", tot.Instructions, s.Instructions},
-		{"cycles", tot.Cycles, s.Cycles},
-		{"loads", tot.Loads, s.Loads},
-		{"stores", tot.Stores, s.Stores},
-		{"vp eligible", tot.VPEligible, s.VP.Eligible},
-		{"vp predicted", tot.VPPredicted, s.VP.Predicted},
-		{"vp correct", tot.VPCorrect, s.VP.Correct},
-		{"value flushes", tot.ValueFlushes, s.ValueFlushes},
-		{"branch flushes", tot.BranchFlushes, s.BranchFlushes},
-		{"order flushes", tot.OrderFlushes, s.OrderFlushes},
-		{"value replays", tot.ValueReplays, s.ValueReplays},
-		{"paq allocated", tot.PAQAllocated, s.PAQAllocated},
-		{"paq dropped", tot.PAQDropped, s.PAQDropped},
-		{"paq full", tot.PAQFull, s.PAQFull},
-		{"lscd inserts", tot.LSCDInserts, s.LSCDInserts},
-		{"lscd filtered", tot.LSCDFiltered, s.LSCDFiltered},
-		{"probes", tot.Probes, s.Probes},
-		{"probe hits", tot.ProbeHits, s.ProbeHits},
-		{"prefetches", tot.Prefetches, s.Prefetches},
-		{"tlb misses", tot.TLBMisses, s.TLBMisses},
+	meas, ok := c.MeasuredCounters() // no window: the whole run
+	if !ok {
+		t.Fatal("MeasuredCounters incomplete without a sample window")
 	}
-	for _, chk := range checks {
-		if chk.got != chk.want {
-			t.Errorf("timeline total %s = %d, run stats say %d", chk.name, chk.got, chk.want)
+	tot := tl.Totals()
+	for k := range tot {
+		if tot[k] != meas[k] {
+			t.Errorf("timeline total %s = %d, run counters say %d", metrics.Counter(k), tot[k], meas[k])
 		}
 	}
-	if tot.Instructions != instrs {
-		t.Errorf("timeline instructions = %d, want the full budget %d", tot.Instructions, instrs)
+	s := c.Stats()
+	want := meas.RunStats(s.Workload, s.Scheme)
+	want.CoreEnergy = s.CoreEnergy
+	if want != s {
+		t.Errorf("RunStats converted from the counters differ from the run's:\n converted %+v\n run       %+v", want, s)
+	}
+	if tot[metrics.Instructions] != instrs {
+		t.Errorf("timeline instructions = %d, want the full budget %d", tot[metrics.Instructions], instrs)
 	}
 }
 
@@ -84,15 +70,15 @@ func TestTimelineIntervalBoundaries(t *testing.T) {
 		t.Fatalf("samples = %d, want 11 (10 full + tail)", len(tl.Samples))
 	}
 	for i, s := range tl.Samples[:10] {
-		if s.Delta.Instructions != interval {
-			t.Errorf("sample %d spans %d instrs, want %d", i, s.Delta.Instructions, interval)
+		if s.Delta[metrics.Instructions] != interval {
+			t.Errorf("sample %d spans %d instrs, want %d", i, s.Delta[metrics.Instructions], interval)
 		}
 		if s.StartInstr != uint64(i)*interval {
 			t.Errorf("sample %d starts at %d", i, s.StartInstr)
 		}
 	}
-	if tail := tl.Samples[10]; tail.Delta.Instructions != 500 {
-		t.Errorf("tail spans %d instrs, want 500", tail.Delta.Instructions)
+	if tail := tl.Samples[10]; tail.Delta[metrics.Instructions] != 500 {
+		t.Errorf("tail spans %d instrs, want 500", tail.Delta[metrics.Instructions])
 	}
 	if tl.Workload != "perlbmk" || tl.Scheme == "" {
 		t.Errorf("timeline labels = %q/%q", tl.Workload, tl.Scheme)
@@ -105,13 +91,13 @@ func TestTimelineRecordsPredictorSeries(t *testing.T) {
 	const instrs = 60_000
 	tl, _ := runWithTimeline(t, "mcf", config.DLVP(), instrs, 2_000, 0)
 	tot := tl.Totals()
-	if tot.APTLookups == 0 || tot.APTHits == 0 {
-		t.Errorf("APT series empty: lookups=%d hits=%d", tot.APTLookups, tot.APTHits)
+	if tot[metrics.APTLookups] == 0 || tot[metrics.APTHits] == 0 {
+		t.Errorf("APT series empty: lookups=%d hits=%d", tot[metrics.APTLookups], tot[metrics.APTHits])
 	}
-	if tot.FPCBumps == 0 {
+	if tot[metrics.FPCBumps] == 0 {
 		t.Error("no FPC confidence bumps recorded")
 	}
-	if tot.Probes == 0 {
+	if tot[metrics.Probes] == 0 {
 		t.Error("no probes recorded")
 	}
 	peak := 0

@@ -1,18 +1,16 @@
 package uarch
 
-import (
-	tline "dlvp/internal/timeline"
-)
+import "dlvp/internal/metrics"
 
 // SetSampleWindow marks the first warmup committed instructions of the
 // run as warm-up and the following measured committed instructions as
 // the measured region. The core simulates the warm-up normally —
 // predictors, caches, the branch history and the LSCD all train — but
-// its statistics are excluded from MeasuredCounters. The exclusion uses
-// the timeline delta machinery (cumulative snapshots at both region
-// boundaries, subtracted), so measured counters are exactly what a
-// flight-recorder interval over the measured region would report and
-// sums across sampling intervals stay reconcilable.
+// its statistics are excluded from MeasuredCounters. The exclusion
+// subtracts cumulative counter snapshots taken at both region boundaries,
+// so measured counters are exactly what a flight-recorder interval over
+// the measured region would report and sums across sampling intervals
+// stay reconcilable.
 //
 // With measured > 0 the window is bounded: at the commit that closes
 // it the core snapshots the counters and stops simulating, so the
@@ -27,35 +25,21 @@ import (
 // immediately. When the stream ends before the window completes,
 // MeasuredCounters reports that via its second return value.
 func (c *Core) SetSampleWindow(warmup, measured uint64) {
-	c.wmArmed = true
-	c.wmRemaining = warmup
-	c.wmDone = warmup == 0
-	c.mdRemaining = measured
-	c.mdBounded = measured > 0
-	c.mdDone = false
+	c.wmEnd = c.ctr[metrics.Instructions] + warmup
+	c.mdEnd = 0
+	if measured > 0 {
+		c.mdEnd = c.wmEnd + measured
+	}
+	c.armBoundary()
 }
 
-// wmTick is called once per committed instruction while a sample window
-// is armed and open; it snapshots the cumulative counters at both
-// region boundaries and requests a stop when a bounded window closes.
-func (c *Core) wmTick() {
-	if c.wmRemaining > 0 {
-		c.wmRemaining--
-		if c.wmRemaining == 0 {
-			c.tlCumulative(&c.wmSnap)
-			c.wmDone = true
-		}
-		return
-	}
-	if !c.mdBounded {
-		return
-	}
-	c.mdRemaining--
-	if c.mdRemaining == 0 {
-		c.tlCumulative(&c.mdSnap)
-		c.mdDone = true
-		c.stopReq = true
-	}
+// measuring reports whether the n-th committed instruction falls in the
+// measured region: past the warm-up and, for a bounded window, not past
+// its closing commit (the closing cycle can retire a few more
+// instructions before Run observes the stop request). Without a window
+// every instruction is measured.
+func (c *Core) measuring(n uint64) bool {
+	return n > c.wmEnd && (c.mdEnd == 0 || n <= c.mdEnd)
 }
 
 // MeasuredCounters returns the counter deltas accumulated over the
@@ -63,17 +47,13 @@ func (c *Core) wmTick() {
 // completed: the warm-up boundary was reached and, for a bounded
 // window, the closing commit happened before the stream ended. Without
 // SetSampleWindow it returns the whole run's counters.
-func (c *Core) MeasuredCounters() (tline.Counters, bool) {
-	if c.wmArmed && !c.wmDone {
-		return tline.Counters{}, false
-	}
-	if c.mdBounded {
-		if !c.mdDone {
-			return tline.Counters{}, false
-		}
+func (c *Core) MeasuredCounters() (metrics.Counters, bool) {
+	n := c.ctr[metrics.Instructions]
+	switch {
+	case n < c.wmEnd || n < c.mdEnd:
+		return metrics.Counters{}, false
+	case c.mdEnd > 0:
 		return c.mdSnap.Sub(c.wmSnap), true
 	}
-	var cum tline.Counters
-	c.tlCumulative(&cum)
-	return cum.Sub(c.wmSnap), true
+	return c.counters().Sub(c.wmSnap), true
 }

@@ -4,11 +4,11 @@ import (
 	"testing"
 
 	"dlvp/internal/config"
-	tline "dlvp/internal/timeline"
+	"dlvp/internal/metrics"
 	"dlvp/internal/workloads"
 )
 
-func sampleCore(t *testing.T, instrs, warmup, measured uint64) (*Core, tline.Counters, bool) {
+func sampleCore(t *testing.T, instrs, warmup, measured uint64) (*Core, metrics.Counters, bool) {
 	t.Helper()
 	w, ok := workloads.ByName("perlbmk")
 	if !ok {
@@ -29,9 +29,9 @@ func TestMeasuredCountersWithoutWarmup(t *testing.T) {
 		t.Fatal("zero warm-up must report complete")
 	}
 	s := c.Stats()
-	if meas.Instructions != s.Instructions || meas.Cycles != s.Cycles || meas.Loads != s.Loads {
+	if meas[metrics.Instructions] != s.Instructions || meas[metrics.Cycles] != s.Cycles || meas[metrics.Loads] != s.Loads {
 		t.Errorf("measured (%d instrs, %d cycles, %d loads) != stats (%d, %d, %d)",
-			meas.Instructions, meas.Cycles, meas.Loads, s.Instructions, s.Cycles, s.Loads)
+			meas[metrics.Instructions], meas[metrics.Cycles], meas[metrics.Loads], s.Instructions, s.Cycles, s.Loads)
 	}
 }
 
@@ -48,17 +48,17 @@ func TestWarmupExcludedFromMeasurement(t *testing.T) {
 	if s.Instructions != instrs {
 		t.Fatalf("committed %d, want %d", s.Instructions, instrs)
 	}
-	if meas.Instructions != instrs-warmup {
-		t.Errorf("measured instructions = %d, want %d", meas.Instructions, instrs-warmup)
+	if meas[metrics.Instructions] != instrs-warmup {
+		t.Errorf("measured instructions = %d, want %d", meas[metrics.Instructions], instrs-warmup)
 	}
-	if meas.Cycles == 0 || meas.Cycles >= s.Cycles {
-		t.Errorf("measured cycles = %d, want in (0, %d)", meas.Cycles, s.Cycles)
+	if meas[metrics.Cycles] == 0 || meas[metrics.Cycles] >= s.Cycles {
+		t.Errorf("measured cycles = %d, want in (0, %d)", meas[metrics.Cycles], s.Cycles)
 	}
-	if meas.Loads >= s.Loads {
-		t.Errorf("measured loads = %d, want < total %d", meas.Loads, s.Loads)
+	if meas[metrics.Loads] >= s.Loads {
+		t.Errorf("measured loads = %d, want < total %d", meas[metrics.Loads], s.Loads)
 	}
-	if meas.VPEligible > meas.Instructions {
-		t.Errorf("eligible %d exceeds measured instructions %d", meas.VPEligible, meas.Instructions)
+	if meas[metrics.VPEligible] > meas[metrics.Instructions] {
+		t.Errorf("eligible %d exceeds measured instructions %d", meas[metrics.VPEligible], meas[metrics.Instructions])
 	}
 }
 
@@ -71,8 +71,8 @@ func TestBoundedWindowStopsAtClosingCommit(t *testing.T) {
 	if !complete {
 		t.Fatal("window did not complete")
 	}
-	if meas.Instructions != measured {
-		t.Errorf("measured instructions = %d, want exactly %d", meas.Instructions, measured)
+	if meas[metrics.Instructions] != measured {
+		t.Errorf("measured instructions = %d, want exactly %d", meas[metrics.Instructions], measured)
 	}
 	// The core stopped at the closing commit, far short of the stream:
 	// at CommitWidth per cycle at most a few extra commits land in the
@@ -92,10 +92,10 @@ func TestBoundedWindowStopsAtClosingCommit(t *testing.T) {
 // A window that ends mid-measurement (stream shorter than
 // warmup+measured) must be reported incomplete, not as a short sample.
 func TestIncompleteWindowReported(t *testing.T) {
-	if _, meas, complete := sampleCore(t, 1_000, 5_000, 0); complete || meas != (tline.Counters{}) {
+	if _, meas, complete := sampleCore(t, 1_000, 5_000, 0); complete || meas != (metrics.Counters{}) {
 		t.Errorf("run shorter than warm-up: complete=%v meas=%+v, want false/zero", complete, meas)
 	}
-	if _, meas, complete := sampleCore(t, 3_000, 1_000, 5_000); complete || meas != (tline.Counters{}) {
+	if _, meas, complete := sampleCore(t, 3_000, 1_000, 5_000); complete || meas != (metrics.Counters{}) {
 		t.Errorf("stream shorter than the measured region: complete=%v meas=%+v, want false/zero", complete, meas)
 	}
 }
@@ -116,14 +116,14 @@ func TestWarmupComposesWithTimeline(t *testing.T) {
 	if !complete {
 		t.Fatal("window incomplete")
 	}
-	if meas.Instructions != instrs-warmup {
-		t.Errorf("measured instructions = %d, want %d", meas.Instructions, instrs-warmup)
+	if meas[metrics.Instructions] != instrs-warmup {
+		t.Errorf("measured instructions = %d, want %d", meas[metrics.Instructions], instrs-warmup)
 	}
 	tl := c.Timeline()
 	if tl == nil {
 		t.Fatal("timeline lost")
 	}
-	if got := tl.Totals().Instructions; got != s.Instructions {
+	if got := tl.Totals()[metrics.Instructions]; got != s.Instructions {
 		t.Errorf("timeline totals %d != stats %d", got, s.Instructions)
 	}
 }
