@@ -1,12 +1,13 @@
 package checkpoint
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
-	"sort"
-	"sync"
+	"sync/atomic"
 
 	"dlvp/internal/emu"
+	"dlvp/internal/lru"
 	"dlvp/internal/program"
 	"dlvp/internal/trace"
 )
@@ -55,21 +56,24 @@ func (e *HaltedEarlyError) Error() string {
 
 // entry is one resident encoded checkpoint.
 type entry struct {
-	key      string
 	workload string
 	offset   uint64
 	enc      []byte
 	sum      [sha256.Size]byte
-
-	prev, next *entry // intrusive LRU (head = most recent)
 }
 
-// flight is one in-progress checkpoint build; duplicate requests wait on
-// done instead of emulating the same prefix twice.
-type flight struct {
-	done chan struct{}
-	snap *emu.Snapshot // built state (readers must Clone)
-	err  error
+func newEntry(workload string, offset uint64, snap *emu.Snapshot) *entry {
+	enc := Encode(snap)
+	return &entry{workload: workload, offset: offset, enc: enc, sum: sha256.Sum256(enc)}
+}
+
+// decode verifies the entry's content hash and decodes it into a private
+// snapshot.
+func (e *entry) decode() (*emu.Snapshot, error) {
+	if sha256.Sum256(e.enc) != e.sum {
+		return nil, fmt.Errorf("checkpoint: content hash mismatch for %q@%d", e.workload, e.offset)
+	}
+	return Decode(e.enc)
 }
 
 // Stats is a snapshot of the store counters.
@@ -90,22 +94,15 @@ type Stats struct {
 // use. The zero value is not usable; construct with NewStore. A nil
 // *Store is valid and behaves as an always-cold store with no retention.
 type Store struct {
-	budget int64
+	// cache holds encoded checkpoints at their encoded size, and its Do
+	// coalesces concurrent builds of one offset.
+	cache *lru.Cache[*entry]
 
-	mu       sync.Mutex
-	entries  map[string]*entry
-	index    map[string][]uint64 // workload -> resident offsets, ascending
-	flights  map[string]*flight
-	lruHead  *entry
-	lruTail  *entry
-	resident int64
-
-	hits      int64
-	chained   int64
-	cold      int64
-	coalesced int64
-	captured  int64
-	evictions int64
+	hits      atomic.Int64
+	chained   atomic.Int64
+	cold      atomic.Int64
+	coalesced atomic.Int64
+	captured  atomic.Int64
 }
 
 // NewStore returns a store retaining up to budget bytes of encoded
@@ -114,12 +111,7 @@ func NewStore(budget int64) *Store {
 	if budget <= 0 {
 		budget = DefaultBudgetBytes
 	}
-	return &Store{
-		budget:  budget,
-		entries: make(map[string]*entry),
-		index:   make(map[string][]uint64),
-		flights: make(map[string]*flight),
-	}
+	return &Store{cache: lru.New[*entry](budget)}
 }
 
 // storeKey builds the map key for (workload, offset); the offset is
@@ -137,18 +129,17 @@ func (s *Store) Stats() Stats {
 	if s == nil {
 		return Stats{}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	cs := s.cache.Stats()
 	return Stats{
-		BudgetBytes:   s.budget,
-		ResidentBytes: s.resident,
-		Entries:       len(s.entries),
-		Hits:          s.hits,
-		Chained:       s.chained,
-		Cold:          s.cold,
-		Coalesced:     s.coalesced,
-		Captured:      s.captured,
-		Evictions:     s.evictions,
+		BudgetBytes:   cs.Budget,
+		ResidentBytes: cs.Cost,
+		Entries:       cs.Len,
+		Hits:          s.hits.Load(),
+		Chained:       s.chained.Load(),
+		Cold:          s.cold.Load(),
+		Coalesced:     s.coalesced.Load(),
+		Captured:      s.captured.Load(),
+		Evictions:     cs.Evictions,
 	}
 }
 
@@ -168,60 +159,68 @@ func (s *Store) StateAt(workload string, prog *program.Program, offset uint64) (
 		return buildFrom(nil, workload, prog, offset)
 	}
 	key := storeKey(workload, offset)
-	s.mu.Lock()
-	if snap, err := s.decodeLocked(key); err == nil && snap != nil {
-		s.hits++
-		s.mu.Unlock()
-		return snap, OutcomeHit, nil
-	}
-	if fl, ok := s.flights[key]; ok {
-		s.mu.Unlock()
-		<-fl.done
-		if fl.err != nil {
-			return nil, OutcomeCoalesced, fl.err
+	for {
+		var built *emu.Snapshot
+		outcome := OutcomeCoalesced
+		e, how, err := s.cache.Do(context.TODO(), key, func(context.Context) (*entry, int64, error) {
+			snap, o, err := buildFrom(s.base(workload, offset), workload, prog, offset)
+			outcome = o
+			if err != nil {
+				return nil, 0, err
+			}
+			built = snap
+			e := newEntry(workload, offset, snap)
+			return e, int64(len(e.enc)), nil
+		})
+		if err != nil {
+			return nil, outcome, err
 		}
-		s.mu.Lock()
-		s.coalesced++
-		s.mu.Unlock()
-		return fl.snap.Clone(), OutcomeCoalesced, nil
+		if how == lru.Miss {
+			if outcome == OutcomeChained {
+				s.chained.Add(1)
+			} else {
+				s.cold.Add(1)
+			}
+			return built, outcome, nil
+		}
+		snap, err := e.decode()
+		if err != nil {
+			// Corruption must not be served: drop it and rebuild.
+			s.cache.Remove(key)
+			continue
+		}
+		if how == lru.Hit {
+			s.hits.Add(1)
+			return snap, OutcomeHit, nil
+		}
+		s.coalesced.Add(1)
+		return snap, OutcomeCoalesced, nil
 	}
-	fl := &flight{done: make(chan struct{})}
-	s.flights[key] = fl
+}
 
-	// Base for the chain: the nearest resident checkpoint below offset.
-	var base *emu.Snapshot
-	offs := s.index[workload]
-	i := sort.Search(len(offs), func(i int) bool { return offs[i] >= offset })
-	for i > 0 {
-		i--
-		snap, err := s.decodeLocked(storeKey(workload, offs[i]))
-		if err == nil && snap != nil {
-			base = snap
-			break
+// base returns the nearest resident checkpoint of workload below offset,
+// decoded, or nil when there is none. It scans every resident checkpoint,
+// which costs little next to the emulation of at least a stride that
+// every build runs. A corrupt candidate is dropped and the scan repeated.
+func (s *Store) base(workload string, offset uint64) *emu.Snapshot {
+	for {
+		var best *entry
+		var bestKey string
+		s.cache.Range(func(key string, e *entry) bool {
+			if e.workload == workload && e.offset < offset && (best == nil || e.offset > best.offset) {
+				best, bestKey = e, key
+			}
+			return true
+		})
+		if best == nil {
+			return nil
 		}
-	}
-	s.mu.Unlock()
-
-	snap, outcome, err := buildFrom(base, workload, prog, offset)
-	if err == nil {
-		s.put(workload, offset, snap)
-		s.mu.Lock()
-		if outcome == OutcomeChained {
-			s.chained++
-		} else {
-			s.cold++
+		s.cache.Get(bestKey) // a chain base counts as a use
+		if snap, err := best.decode(); err == nil {
+			return snap
 		}
-		s.mu.Unlock()
+		s.cache.Remove(bestKey)
 	}
-	fl.snap, fl.err = snap, err
-	s.mu.Lock()
-	delete(s.flights, key)
-	s.mu.Unlock()
-	close(fl.done)
-	if err != nil {
-		return nil, outcome, err
-	}
-	return snap.Clone(), outcome, nil
 }
 
 // buildFrom emulates workload forward to offset, starting from base
@@ -251,120 +250,6 @@ func (s *Store) CPUAt(workload string, prog *program.Program, offset uint64) (*e
 		return nil, outcome, err
 	}
 	return emu.NewFromSnapshot(prog, snap), outcome, nil
-}
-
-// decodeLocked decodes the resident entry for key, verifying its content
-// hash. Returns (nil, nil) when the key is not resident. A hash or codec
-// mismatch drops the entry (corruption must not be served) and reports
-// the error. Caller holds s.mu.
-func (s *Store) decodeLocked(key string) (*emu.Snapshot, error) {
-	e, ok := s.entries[key]
-	if !ok {
-		return nil, nil
-	}
-	if sha256.Sum256(e.enc) != e.sum {
-		s.removeLocked(e)
-		return nil, fmt.Errorf("checkpoint: content hash mismatch for %q@%d", e.workload, e.offset)
-	}
-	snap, err := Decode(e.enc)
-	if err != nil {
-		s.removeLocked(e)
-		return nil, err
-	}
-	s.lruTouch(e)
-	return snap, nil
-}
-
-// put encodes and inserts a checkpoint, evicting LRU entries to respect
-// the byte budget. An encoding larger than the whole budget is not
-// retained.
-func (s *Store) put(workload string, offset uint64, snap *emu.Snapshot) {
-	if s == nil || offset == 0 {
-		return
-	}
-	enc := Encode(snap)
-	if int64(len(enc)) > s.budget {
-		return
-	}
-	key := storeKey(workload, offset)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries[key]; ok {
-		return
-	}
-	e := &entry{key: key, workload: workload, offset: offset, enc: enc, sum: sha256.Sum256(enc)}
-	s.entries[key] = e
-	s.indexInsert(workload, offset)
-	s.resident += int64(len(enc))
-	s.lruPushFront(e)
-	for s.lruTail != nil && s.resident > s.budget {
-		victim := s.lruTail
-		s.removeLocked(victim)
-		s.evictions++
-	}
-}
-
-// removeLocked drops e from the map, index, LRU and byte accounting.
-func (s *Store) removeLocked(e *entry) {
-	delete(s.entries, e.key)
-	s.indexRemove(e.workload, e.offset)
-	s.resident -= int64(len(e.enc))
-	s.lruRemove(e)
-}
-
-func (s *Store) indexInsert(workload string, offset uint64) {
-	offs := s.index[workload]
-	i := sort.Search(len(offs), func(i int) bool { return offs[i] >= offset })
-	if i < len(offs) && offs[i] == offset {
-		return
-	}
-	offs = append(offs, 0)
-	copy(offs[i+1:], offs[i:])
-	offs[i] = offset
-	s.index[workload] = offs
-}
-
-func (s *Store) indexRemove(workload string, offset uint64) {
-	offs := s.index[workload]
-	i := sort.Search(len(offs), func(i int) bool { return offs[i] >= offset })
-	if i < len(offs) && offs[i] == offset {
-		s.index[workload] = append(offs[:i], offs[i+1:]...)
-	}
-}
-
-// --- intrusive LRU (s.mu held) ----------------------------------------------
-
-func (s *Store) lruPushFront(e *entry) {
-	e.prev, e.next = nil, s.lruHead
-	if s.lruHead != nil {
-		s.lruHead.prev = e
-	}
-	s.lruHead = e
-	if s.lruTail == nil {
-		s.lruTail = e
-	}
-}
-
-func (s *Store) lruTouch(e *entry) {
-	if s.lruHead == e {
-		return
-	}
-	s.lruRemove(e)
-	s.lruPushFront(e)
-}
-
-func (s *Store) lruRemove(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if s.lruHead == e {
-		s.lruHead = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if s.lruTail == e {
-		s.lruTail = e.prev
-	}
-	e.prev, e.next = nil, nil
 }
 
 // --- opportunistic capture ---------------------------------------------------
@@ -404,10 +289,13 @@ func (r *captureReader) Next(rec *trace.Rec) bool {
 		return false
 	}
 	if r.cpu.Executed() == r.next {
-		r.store.put(r.workload, r.next, r.cpu.Snapshot())
-		r.store.mu.Lock()
-		r.store.captured++
-		r.store.mu.Unlock()
+		// A checkpoint already resident at this offset stays as it is.
+		key := storeKey(r.workload, r.next)
+		if _, ok := r.store.cache.Peek(key); !ok {
+			e := newEntry(r.workload, r.next, r.cpu.Snapshot())
+			r.store.cache.Put(key, e, int64(len(e.enc)))
+		}
+		r.store.captured.Add(1)
 		r.next += r.stride
 	}
 	return true

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"sync"
 	"time"
+
+	"dlvp/internal/lru"
 )
 
 // DefaultTraceCapacity bounds the tracer ring when NewTracer is given a
@@ -50,12 +52,10 @@ type trace struct {
 }
 
 // Tracer is a bounded ring of recent traces keyed by ID. Once the ring is
-// full, beginning a new trace evicts the oldest.
+// full, beginning a new trace evicts the one least recently begun or
+// recorded into.
 type Tracer struct {
-	mu    sync.Mutex
-	cap   int
-	order []string
-	byID  map[string]*trace
+	traces *lru.Cache[*trace] // cost 1 each: the budget is the capacity
 }
 
 // NewTracer returns a tracer retaining up to capacity traces
@@ -64,63 +64,41 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{cap: capacity, byID: make(map[string]*trace)}
+	return &Tracer{traces: lru.New[*trace](int64(capacity))}
 }
 
 // Begin registers a trace ID so subsequent StartSpan calls under it are
-// recorded. Beginning an already-live ID is a no-op (an async job reuses
-// its originating request's trace).
+// recorded. Beginning an already-live ID keeps its spans (an async job
+// reuses its originating request's trace).
 func (t *Tracer) Begin(id string) {
 	if t == nil || id == "" {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.byID[id]; ok {
-		return
-	}
-	for len(t.order) >= t.cap {
-		delete(t.byID, t.order[0])
-		t.order = t.order[1:]
-	}
-	t.byID[id] = &trace{id: id, start: time.Now()}
-	t.order = append(t.order, id)
+	t.traces.Do(context.TODO(), id, func(context.Context) (*trace, int64, error) {
+		return &trace{id: id, start: time.Now()}, 1, nil
+	})
 }
 
+// lookup returns a retained trace without refreshing its eviction order:
+// read-only queries (Get) must not keep a trace alive.
 func (t *Tracer) lookup(id string) *trace {
 	if t == nil || id == "" {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.byID[id]
+	tr, _ := t.traces.Peek(id)
+	return tr
 }
 
 // active is lookup plus an eviction-order refresh: a trace still
-// accumulating spans moves to the back of the ring. Without this the ring
-// is FIFO by Begin time, and a minutes-long operation (a distributed
-// sweep recording shard spans throughout) is evicted seconds after
-// submission by probe and poll traffic minting fresh traces. Read-only
-// queries (Get, Summaries) deliberately do not refresh.
+// accumulating spans becomes the most recent. Without this the ring is
+// FIFO by Begin time, and a minutes-long operation (a distributed sweep
+// recording shard spans throughout) is evicted seconds after submission
+// by probe and poll traffic minting fresh traces.
 func (t *Tracer) active(id string) *trace {
 	if t == nil || id == "" {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	tr := t.byID[id]
-	if tr == nil {
-		return nil
-	}
-	if n := len(t.order); n > 1 && t.order[n-1] != id {
-		for i, v := range t.order {
-			if v == id {
-				copy(t.order[i:], t.order[i+1:])
-				t.order[n-1] = id
-				break
-			}
-		}
-	}
+	tr, _ := t.traces.Get(id)
 	return tr
 }
 
@@ -183,12 +161,11 @@ func (t *Tracer) Summaries() []TraceSummary {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	traces := make([]*trace, 0, len(t.order))
-	for i := len(t.order) - 1; i >= 0; i-- {
-		traces = append(traces, t.byID[t.order[i]])
-	}
-	t.mu.Unlock()
+	var traces []*trace
+	t.traces.Range(func(_ string, tr *trace) bool {
+		traces = append(traces, tr)
+		return true
+	})
 	out := make([]TraceSummary, 0, len(traces))
 	for _, tr := range traces {
 		tr.mu.Lock()
@@ -208,9 +185,7 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.byID)
+	return t.traces.Stats().Len
 }
 
 // --- context plumbing --------------------------------------------------------

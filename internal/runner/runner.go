@@ -37,6 +37,7 @@ import (
 
 	"dlvp/internal/checkpoint"
 	"dlvp/internal/config"
+	"dlvp/internal/lru"
 	"dlvp/internal/metrics"
 	"dlvp/internal/obs"
 	"dlvp/internal/siteprof"
@@ -248,17 +249,18 @@ func registerCheckpointMetrics(reg *obs.Registry, st *checkpoint.Store) {
 type Runner struct {
 	workers int
 	sem     chan struct{}
-	cache   *LRU[Result]
+	// cache holds results at cost 1 each, so its budget is an entry
+	// count; a disabled cache has budget 0 and still coalesces.
+	cache   *lru.Cache[Result]
+	caching bool // the cache retains results: count its misses
 	tcache  *tracecache.Cache
 	ckpt    *checkpoint.Store
 	inst    *instruments
 	tlOpts  TimelineOptions
 	spOpts  SiteOptions
 
-	mu        sync.Mutex
-	flights   map[string]*flight
-	live      map[string]*timeline.Recorder
-	liveSites map[string]*siteprof.Collector
+	mu   sync.Mutex
+	live map[string]*liveJob
 
 	queued           atomic.Int64
 	running          atomic.Int64
@@ -275,12 +277,13 @@ type Runner struct {
 	sampledIntervals atomic.Int64
 }
 
-// flight is one in-progress computation of a job key; duplicates wait on
-// done instead of re-simulating.
-type flight struct {
-	done chan struct{}
-	res  Result
-	err  error
+// liveJob is what a job publishes while it simulates: its timeline
+// recorder and site collector, each nil when the engine does not record
+// it. RunResult withdraws it only after the result is cached, so the
+// timeline and sites endpoints always find one or the other.
+type liveJob struct {
+	rec *timeline.Recorder
+	col *siteprof.Collector
 }
 
 // New returns a runner with the given options.
@@ -289,12 +292,9 @@ func New(opts Options) *Runner {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	var cache *LRU[Result]
-	switch {
-	case opts.CacheEntries == 0:
-		cache = NewLRU[Result](DefaultCacheEntries)
-	case opts.CacheEntries > 0:
-		cache = NewLRU[Result](opts.CacheEntries)
+	entries := opts.CacheEntries
+	if entries == 0 {
+		entries = DefaultCacheEntries
 	}
 	if opts.Obs != nil && opts.TraceCache != nil {
 		registerTraceCacheMetrics(opts.Obs.Metrics, opts.TraceCache)
@@ -307,17 +307,16 @@ func New(opts Options) *Runner {
 		registerCheckpointMetrics(opts.Obs.Metrics, ckpt)
 	}
 	return &Runner{
-		workers:   workers,
-		sem:       make(chan struct{}, workers),
-		cache:     cache,
-		tcache:    opts.TraceCache,
-		ckpt:      ckpt,
-		inst:      newInstruments(opts.Obs),
-		tlOpts:    opts.Timeline,
-		spOpts:    opts.Sites,
-		flights:   make(map[string]*flight),
-		live:      make(map[string]*timeline.Recorder),
-		liveSites: make(map[string]*siteprof.Collector),
+		workers: workers,
+		sem:     make(chan struct{}, workers),
+		cache:   lru.New[Result](int64(entries)),
+		caching: entries > 0,
+		tcache:  opts.TraceCache,
+		ckpt:    ckpt,
+		inst:    newInstruments(opts.Obs),
+		tlOpts:  opts.Timeline,
+		spOpts:  opts.Sites,
+		live:    make(map[string]*liveJob),
 	}
 }
 
@@ -372,95 +371,54 @@ func (r *Runner) RunResult(ctx context.Context, job Job) (Result, bool, error) {
 	sp.Attr("workload", job.Workload).
 		Attr("instrs", strconv.FormatUint(job.Instrs, 10))
 
-	for {
-		if r.cache != nil {
-			// A cached result that predates a recording feature cannot
-			// satisfy an engine configured to produce it; fall through and
-			// re-simulate.
-			if res, ok := r.cache.Get(key); ok && r.satisfies(res) {
-				r.hits.Add(1)
-				r.done.Add(1)
-				r.countLookup("hit")
-				sp.Attr("cache", "hit").End()
-				return res, true, nil
-			}
+	var lv *liveJob // set when this call leads the job
+	res, out, err := r.cache.Do(ctx, key, func(ctx context.Context) (Result, int64, error) {
+		if r.caching {
+			r.misses.Add(1)
+			r.countLookup("miss")
 		}
+		lv = &liveJob{}
+		res, err := r.lead(ctx, key, lv, w, job)
+		return res, 1, err
+	})
+	if lv != nil {
 		r.mu.Lock()
-		twin, busy := r.flights[key]
-		if !busy {
-			break // still holding r.mu: this caller leads the job
+		if r.live[key] == lv {
+			delete(r.live, key)
 		}
 		r.mu.Unlock()
-		select {
-		case <-twin.done:
-			if twin.err == nil {
-				r.coalesced.Add(1)
-				r.done.Add(1)
-				r.countLookup("coalesced")
-				sp.Attr("cache", "coalesced").End()
-				return twin.res, true, nil
-			}
-			if isCancellation(twin.err) && ctx.Err() == nil {
-				// The lead's caller gave up, not this one, and the job
-				// itself never failed: look it up again and lead it if no
-				// other waiter already does.
-				continue
-			}
-			// The flight's lead already accounted this failure; counting
-			// it again per waiter would multi-count one failed simulation.
-			sp.Attr("cache", "coalesced").Attr("error", twin.err.Error()).End()
-			return zero, false, twin.err
-		case <-ctx.Done():
-			// The caller gave up waiting; the underlying simulation is
-			// unaffected (and usually succeeds), so this is a cancelled
-			// wait, not a failed job.
-			r.cancelled.Add(1)
-			r.countLookup("cancelled")
-			sp.Attr("cache", "cancelled").Attr("error", ctx.Err().Error()).End()
-			return zero, false, ctx.Err()
+	}
+	sp.Attr("cache", string(out))
+	switch {
+	case err == nil:
+		switch out {
+		case lru.Hit:
+			r.hits.Add(1)
+			r.countLookup("hit")
+		case lru.Coalesced:
+			r.coalesced.Add(1)
+			r.countLookup("coalesced")
 		}
+		r.done.Add(1)
+		sp.End()
+		return res, out != lru.Miss, nil
+	case out == lru.Coalesced && ctx.Err() != nil:
+		// The caller gave up waiting; the underlying simulation is
+		// unaffected (and usually succeeds), so this is a cancelled
+		// wait, not a failed job.
+		r.cancelled.Add(1)
+		r.countLookup("cancelled")
+		sp.Attr("cache", "cancelled")
+	case out == lru.Coalesced:
+		// The flight's lead already accounted this failure; counting it
+		// again per waiter would multi-count one failed simulation.
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		r.cancelled.Add(1) // the caller's context ended, not the job
+	default:
+		r.failed.Add(1)
 	}
-	fl := &flight{done: make(chan struct{})}
-	r.flights[key] = fl
-	r.mu.Unlock()
-	if r.cache != nil {
-		r.misses.Add(1)
-		r.countLookup("miss")
-	}
-
-	res, err := r.lead(ctx, key, fl, w, job)
-	if err != nil {
-		if isCancellation(err) {
-			r.cancelled.Add(1)
-		} else {
-			r.failed.Add(1)
-		}
-		sp.Attr("cache", "miss").Attr("error", err.Error()).End()
-		return zero, false, err
-	}
-	r.done.Add(1)
-	sp.Attr("cache", "miss").End()
-	return res, false, nil
-}
-
-// isCancellation reports whether err is a caller's context ending rather
-// than a failure of the job itself.
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// satisfies reports whether a cached result carries every recorded
-// artifact this engine is configured to produce. Results cached by an
-// engine with fewer recording features enabled (or before a feature
-// existed) miss here, forcing a re-simulation that backfills the artifact.
-func (r *Runner) satisfies(res Result) bool {
-	if r.tlOpts.Enabled && res.Timeline == nil {
-		return false
-	}
-	if r.spOpts.Enabled && res.Sites == nil {
-		return false
-	}
-	return true
+	sp.Attr("error", err.Error()).End()
+	return zero, false, err
 }
 
 // CachedResult returns the cached result for a job key, if present. It does
@@ -468,9 +426,6 @@ func (r *Runner) satisfies(res Result) bool {
 // use Run/RunResult); the timeline HTTP endpoints use it to fetch the
 // flight-recorder series of an already-finished run.
 func (r *Runner) CachedResult(key string) (Result, bool) {
-	if r.cache == nil {
-		return Result{}, false
-	}
 	return r.cache.Get(key)
 }
 
@@ -481,7 +436,10 @@ func (r *Runner) CachedResult(key string) (Result, bool) {
 func (r *Runner) LiveTimeline(key string) *timeline.Recorder {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.live[key]
+	if lv := r.live[key]; lv != nil {
+		return lv.rec
+	}
+	return nil
 }
 
 // TimelineEnabled reports whether the engine records flight-recorder
@@ -495,7 +453,10 @@ func (r *Runner) TimelineEnabled() bool { return r.tlOpts.Enabled }
 func (r *Runner) LiveSites(key string) *siteprof.Collector {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.liveSites[key]
+	if lv := r.live[key]; lv != nil {
+		return lv.col
+	}
+	return nil
 }
 
 // SitesEnabled reports whether the engine records per-load-site
@@ -509,19 +470,9 @@ func (r *Runner) countLookup(outcome string) {
 	}
 }
 
-// lead simulates a job as the unique owner of its flight, publishing the
-// outcome to any coalesced waiters and to the cache.
-func (r *Runner) lead(ctx context.Context, key string, fl *flight, w workloads.Workload, job Job) (res Result, err error) {
-	defer func() {
-		fl.res, fl.err = res, err
-		r.mu.Lock()
-		delete(r.flights, key)
-		delete(r.live, key)
-		delete(r.liveSites, key)
-		r.mu.Unlock()
-		close(fl.done)
-	}()
-
+// lead simulates a job as the unique owner of its cache flight, publishing
+// its recorders through lv while it runs.
+func (r *Runner) lead(ctx context.Context, key string, lv *liveJob, w workloads.Workload, job Job) (res Result, err error) {
 	// The worker slot is acquired here, inside the worker's own goroutine,
 	// never by the submitter — so a cancelled matrix abandons its queued
 	// jobs immediately instead of serialising on submission.
@@ -545,7 +496,7 @@ func (r *Runner) lead(ctx context.Context, key string, fl *flight, w workloads.W
 	// Sampled jobs take the checkpoint-and-interval path; the lead's
 	// worker slot (and any idle pool slots) back the interval fan-out.
 	if job.Sampling != nil {
-		return r.runSampled(ctx, key, w, job)
+		return r.runSampled(ctx, key, lv, w, job)
 	}
 
 	xsp := obs.StartSpan(ctx, "runner.execute").Attr("workload", job.Workload)
@@ -584,17 +535,12 @@ func (r *Runner) lead(ctx context.Context, key string, fl *flight, w workloads.W
 	defer uarch.ReleaseArena(arena)
 	core := uarch.NewAtArena(job.Config, w.Build(), reader, nil, arena)
 	if r.tlOpts.Enabled {
-		rec := core.EnableTimeline(r.tlOpts.IntervalInstrs, r.tlOpts.Capacity)
-		r.mu.Lock()
-		r.live[key] = rec
-		r.mu.Unlock()
+		lv.rec = core.EnableTimeline(r.tlOpts.IntervalInstrs, r.tlOpts.Capacity)
 	}
 	if r.spOpts.Enabled {
-		col := core.EnableSiteProfile(r.spOpts.MaxSites)
-		r.mu.Lock()
-		r.liveSites[key] = col
-		r.mu.Unlock()
+		lv.col = core.EnableSiteProfile(r.spOpts.MaxSites)
 	}
+	r.publishLive(key, lv)
 	res.Stats = core.Run(0)
 	res.Timeline = core.Timeline()
 	res.Sites = core.SiteProfile()
@@ -617,11 +563,15 @@ func (r *Runner) lead(ctx context.Context, key string, fl *flight, w workloads.W
 		tsp.End()
 	}
 	xsp.Attr("instructions", strconv.FormatUint(st.Instructions, 10)).End()
-
-	if r.cache != nil {
-		r.cache.Put(key, res)
-	}
 	return res, nil
+}
+
+// publishLive makes a running job's recorders reachable through
+// LiveTimeline and LiveSites.
+func (r *Runner) publishLive(key string, lv *liveJob) {
+	r.mu.Lock()
+	r.live[key] = lv
+	r.mu.Unlock()
 }
 
 // Matrix parameterises a FanOut call.
@@ -757,10 +707,8 @@ func (r *Runner) Stats() Stats {
 		SampledRuns:      r.sampledRuns.Load(),
 		SampledIntervals: r.sampledIntervals.Load(),
 	}
-	if r.cache != nil {
-		s.CacheEntries = r.cache.Len()
-		s.CacheCapacity = r.cache.Cap()
-	}
+	cs := r.cache.Stats()
+	s.CacheEntries, s.CacheCapacity = cs.Len, int(cs.Budget)
 	if r.tcache != nil {
 		ts := r.tcache.Stats()
 		s.TraceCache = &ts

@@ -12,6 +12,7 @@ import (
 
 	"dlvp/internal/config"
 	"dlvp/internal/metrics"
+	"dlvp/internal/tracecache"
 )
 
 const testInstrs = 4_000
@@ -114,23 +115,6 @@ func TestCacheDisabled(t *testing.T) {
 	}
 	if s := r.Stats(); s.SimsExecuted != 2 || s.CacheCapacity != 0 {
 		t.Errorf("stats = %+v, want 2 executions and no cache", s)
-	}
-}
-
-func TestCacheLRUEviction(t *testing.T) {
-	c := NewLRU[int](2)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	c.Get("a") // refresh a; b becomes LRU
-	c.Put("c", 3)
-	if _, ok := c.Get("b"); ok {
-		t.Error("b should have been evicted")
-	}
-	if v, ok := c.Get("a"); !ok || v != 1 {
-		t.Error("a should have survived")
-	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want 2", c.Len())
 	}
 }
 
@@ -270,13 +254,7 @@ func TestWaiterCancellationAccounting(t *testing.T) {
 		_, _, err := r.Run(leadCtx, job)
 		leadErr <- err
 	}()
-	key, _ := job.Key()
-	waitFor(t, func() bool {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		_, ok := r.flights[key]
-		return ok
-	})
+	waitFor(t, func() bool { return r.Stats().JobsQueued == 1 })
 
 	// Two waiters coalesce onto the lead's flight; cancel the first.
 	waiterCtx, cancelWaiter := context.WithCancel(bg)
@@ -410,6 +388,20 @@ func TestRunCancelledContext(t *testing.T) {
 	}
 	if s := r.Stats(); s.SimsExecuted != 0 {
 		t.Errorf("SimsExecuted = %d, want 0", s.SimsExecuted)
+	}
+}
+
+// TestEngineConstructionAllocs bounds what cmd/experiments pays to build an
+// engine before it simulates (perfbench's regen setup_s): a 512 MiB trace
+// cache plus a default runner. The caches allocate their maps on first
+// use, so construction stays within the 14 allocations it cost when each
+// store kept its own maps.
+func TestEngineConstructionAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		New(Options{TraceCache: tracecache.New(512 << 20)})
+	})
+	if allocs > 14 {
+		t.Errorf("engine construction = %v allocations, want <= 14", allocs)
 	}
 }
 

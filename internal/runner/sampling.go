@@ -154,7 +154,7 @@ func planIntervals(sp SamplingSpec, totalInstrs uint64) []sampledInterval {
 // one worker slot and owns the flight for key; extra pool slots are
 // borrowed opportunistically so intervals run in parallel without
 // starving concurrent jobs.
-func (r *Runner) runSampled(ctx context.Context, key string, w workloads.Workload, job Job) (Result, error) {
+func (r *Runner) runSampled(ctx context.Context, key string, lv *liveJob, w workloads.Workload, job Job) (Result, error) {
 	var res Result
 	spec, err := job.Sampling.Normalize(job.Instrs)
 	if err != nil {
@@ -227,9 +227,8 @@ func (r *Runner) runSampled(ctx context.Context, key string, w workloads.Workloa
 	// recorder sample per completed interval (published in interval
 	// order), live-streamable over SSE while the job runs.
 	rec := timeline.NewRecorder(spec.MeasuredInstrs, spec.Intervals+2)
-	r.mu.Lock()
-	r.live[key] = rec
-	r.mu.Unlock()
+	lv.rec = rec
+	r.publishLive(key, lv)
 
 	// Phase 2 — detailed interval simulations, fanned out over borrowed
 	// pool slots (the lead's own slot plus any immediately available).
@@ -380,8 +379,5 @@ func (r *Runner) runSampled(ctx context.Context, key string, w workloads.Workloa
 		res.Sites = merged
 	}
 	res.Sampled = &info
-	if r.cache != nil {
-		r.cache.Put(key, res)
-	}
 	return res, nil
 }

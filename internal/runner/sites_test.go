@@ -60,60 +60,6 @@ func TestRunResultRecordsSites(t *testing.T) {
 	}
 }
 
-// The cache-bypass regression test: a cached result recorded WITHOUT a
-// site profile must not satisfy an engine that is asked to produce one —
-// the hit re-runs and backfills the profile.
-func TestSitesBypassSiteLessCacheEntries(t *testing.T) {
-	r := New(Options{Workers: 1, Sites: SiteOptions{Enabled: true}})
-	job := testJob("perlbmk", testInstrs)
-	key, err := job.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Seed the cache with a profile-less result, as a pre-siteprof engine
-	// (or one running with sites off) would have left behind.
-	stale, _, err := New(Options{Workers: 1}).RunResult(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stale.Sites != nil {
-		t.Fatal("plain engine unexpectedly produced a site profile")
-	}
-	r.cache.Put(key, stale)
-
-	res, cached, err := r.RunResult(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached {
-		t.Error("site-less cache entry served as a hit to a sites-enabled engine")
-	}
-	if res.Sites == nil {
-		t.Fatal("re-run did not backfill the site profile")
-	}
-	if s := r.Stats(); s.SimsExecuted != 1 {
-		t.Errorf("SimsExecuted = %d, want 1 (the bypass re-run)", s.SimsExecuted)
-	}
-	// The backfilled entry now satisfies the engine.
-	if _, cached, _ := r.RunResult(context.Background(), job); !cached {
-		t.Error("backfilled entry not served from cache")
-	}
-
-	// And the generalized check still covers timelines alongside sites.
-	both := New(Options{Workers: 1,
-		Timeline: TimelineOptions{Enabled: true, IntervalInstrs: 500},
-		Sites:    SiteOptions{Enabled: true}})
-	both.cache.Put(key, res) // has sites, lacks a timeline
-	bres, cached, err := both.RunResult(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached || bres.Timeline == nil || bres.Sites == nil {
-		t.Errorf("timeline-less entry hit = %v (timeline %v, sites %v), want bypass with both artifacts",
-			cached, bres.Timeline != nil, bres.Sites != nil)
-	}
-}
-
 // A sampled run merges per-interval profiles into one that reconciles
 // exactly with the summed measured-region counters.
 func TestSampledRunMergesSiteProfiles(t *testing.T) {

@@ -52,6 +52,7 @@ import (
 	"dlvp/internal/config"
 	"dlvp/internal/dispatch"
 	"dlvp/internal/experiments"
+	"dlvp/internal/lru"
 	"dlvp/internal/matrix"
 	"dlvp/internal/metrics"
 	"dlvp/internal/obs"
@@ -108,9 +109,9 @@ type Server struct {
 	defaultInstrs uint64
 	maxInstrs     uint64
 
-	artifacts      *runner.LRU[*experiments.Artifact]
-	artifactHits   atomic.Int64
-	artifactMisses atomic.Int64
+	// artifacts holds whole artifacts at cost 1 each; identical concurrent
+	// requests share one build.
+	artifacts *lru.Cache[*experiments.Artifact]
 
 	started      time.Time
 	baseCtx      context.Context
@@ -164,7 +165,7 @@ func New(opts Options) *Server {
 		timeout:       opts.RequestTimeout,
 		defaultInstrs: opts.DefaultInstrs,
 		maxInstrs:     opts.MaxInstrs,
-		artifacts:     runner.NewLRU[*experiments.Artifact](opts.ArtifactCacheEntries),
+		artifacts:     lru.New[*experiments.Artifact](int64(opts.ArtifactCacheEntries)),
 		started:       time.Now(),
 		baseCtx:       ctx,
 		cancel:        cancel,
@@ -271,19 +272,13 @@ func (s *Server) registerStatsMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("dlvpd_runner_instrs_per_sec", "Aggregate simulated instructions per worker-second.",
 		func() float64 { return rs().InstrsPerSec })
 	reg.GaugeFunc("dlvpd_artifact_cache_entries", "Whole-artifact cache entries resident.",
-		func() float64 { return float64(s.artifacts.Len()) })
+		func() float64 { return float64(s.artifactStats().Entries) })
 	reg.CounterFunc("dlvpd_artifact_cache_hits", "Whole-artifact cache hits.",
-		func() float64 { return float64(s.artifactHits.Load()) })
+		func() float64 { return float64(s.artifactStats().Hits) })
 	reg.CounterFunc("dlvpd_artifact_cache_misses", "Whole-artifact cache misses.",
-		func() float64 { return float64(s.artifactMisses.Load()) })
+		func() float64 { return float64(s.artifactStats().Misses) })
 	reg.GaugeFunc("dlvpd_artifact_cache_hit_ratio", "Whole-artifact cache hit ratio in [0,1].",
-		func() float64 {
-			h, m := s.artifactHits.Load(), s.artifactMisses.Load()
-			if h+m == 0 {
-				return 0
-			}
-			return float64(h) / float64(h+m)
-		})
+		func() float64 { return s.artifactStats().HitRatio })
 	reg.GaugeFunc("dlvpd_jobs_tracked_queued", "Tracked async jobs currently queued.",
 		func() float64 { return float64(s.jobs.counts()[statusQueued]) })
 	reg.GaugeFunc("dlvpd_jobs_tracked_running", "Tracked async jobs currently running.",
@@ -549,26 +544,18 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	eng := s.engineFor(r)
 	build := func(ctx context.Context) (*experiments.Artifact, bool, error) {
 		sp := obs.StartSpan(ctx, "artifact.build").Attr("experiment", id)
-		if a, ok := s.artifacts.Get(key); ok {
-			s.artifactHits.Add(1)
-			sp.Attr("cache", "hit").End()
-			return a, true, nil
-		}
-		s.artifactMisses.Add(1)
-		defer sp.Attr("cache", "miss").End()
-		p := experiments.Params{
-			Instrs:    instrs,
-			Workloads: req.Workloads,
-			Parallel:  !req.Serial,
-			Ctx:       ctx,
-			Runner:    eng,
-		}
-		a, err := exp.RunArtifact(p)
-		if err != nil {
-			return nil, false, err
-		}
-		s.artifacts.Put(key, a)
-		return a, false, nil
+		a, out, err := s.artifacts.Do(ctx, key, func(ctx context.Context) (*experiments.Artifact, int64, error) {
+			a, err := exp.RunArtifact(experiments.Params{
+				Instrs:    instrs,
+				Workloads: req.Workloads,
+				Parallel:  !req.Serial,
+				Ctx:       ctx,
+				Runner:    eng,
+			})
+			return a, 1, err
+		})
+		sp.Attr("cache", string(out)).End()
+		return a, out != lru.Miss, err
 	}
 
 	if req.Async {
@@ -614,7 +601,9 @@ type ServerStats struct {
 	Jobs      JobStats      `json:"jobs"`
 }
 
-// ArtifactStats reports the whole-artifact cache counters.
+// ArtifactStats reports the whole-artifact cache counters. A request that
+// waited on an identical request's build counts as a hit, as the runner's
+// hit ratio counts a coalesced job: Misses is the number of builds started.
 type ArtifactStats struct {
 	Entries  int     `json:"entries"`
 	Capacity int     `json:"capacity"`
@@ -631,24 +620,27 @@ type JobStats struct {
 	Error   int `json:"error"`
 }
 
-func (s *Server) stats() ServerStats {
-	hits, misses := s.artifactHits.Load(), s.artifactMisses.Load()
-	ratio := 0.0
-	if hits+misses > 0 {
-		ratio = float64(hits) / float64(hits+misses)
+func (s *Server) artifactStats() ArtifactStats {
+	cs := s.artifacts.Stats()
+	a := ArtifactStats{
+		Entries:  cs.Len,
+		Capacity: int(cs.Budget),
+		Hits:     cs.Hits + cs.Coalesced,
+		Misses:   cs.Misses,
 	}
+	if a.Hits+a.Misses > 0 {
+		a.HitRatio = float64(a.Hits) / float64(a.Hits+a.Misses)
+	}
+	return a
+}
+
+func (s *Server) stats() ServerStats {
 	counts := s.jobs.counts()
 	return ServerStats{
 		UptimeSec: time.Since(s.started).Seconds(),
 		Build:     ReadBuildInfo(),
 		Runner:    s.runner.Stats(),
-		Artifacts: ArtifactStats{
-			Entries:  s.artifacts.Len(),
-			Capacity: s.artifacts.Cap(),
-			Hits:     hits,
-			Misses:   misses,
-			HitRatio: ratio,
-		},
+		Artifacts: s.artifactStats(),
 		Jobs: JobStats{
 			Queued:  counts[statusQueued],
 			Running: counts[statusRunning],

@@ -231,6 +231,56 @@ func TestExperimentCachesArtifacts(t *testing.T) {
 	}
 }
 
+// TestConcurrentExperimentsCoalesce: two identical experiment requests in
+// flight together share one build. The second is sent once the first's
+// miss is counted, so while the first is still building (fig1 over every
+// workload takes a few hundred milliseconds); it joins that build and is
+// answered from it as cached, so the artifact cache counts one miss and
+// one hit.
+func TestConcurrentExperimentsCoalesce(t *testing.T) {
+	_, ts := newTestServer(t)
+	url := ts.URL + "/v1/experiments/fig1"
+	body := `{"instrs":100000}`
+	type reply struct {
+		resp *http.Response
+		err  error
+	}
+	firstc := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		firstc <- reply{resp, err}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for decode[ServerStats](t, mustGet(t, ts.URL+"/v1/stats")).Artifacts.Misses == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("first request never started its build")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	secondResp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := decode[experimentResponse](t, secondResp)
+	r1 := <-firstc
+	if r1.err != nil {
+		t.Fatal(r1.err)
+	}
+	first := decode[experimentResponse](t, r1.resp)
+
+	if first.Cached || !second.Cached {
+		t.Errorf("cached = %v, %v; want the first built and the second served from it", first.Cached, second.Cached)
+	}
+	fb, _ := json.Marshal(first.Artifact)
+	sb, _ := json.Marshal(second.Artifact)
+	if !bytes.Equal(fb, sb) {
+		t.Error("the two requests got different artifacts")
+	}
+	if a := decode[ServerStats](t, mustGet(t, ts.URL+"/v1/stats")).Artifacts; a.Misses != 1 || a.Hits != 1 || a.HitRatio != 0.5 {
+		t.Errorf("artifact cache %+v, want 1 miss (one build) and 1 hit", a)
+	}
+}
+
 func TestExperimentUnknownID(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp := postJSON(t, ts.URL+"/v1/experiments/fig99", map[string]any{})

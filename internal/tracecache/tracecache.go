@@ -28,10 +28,11 @@
 //     produced.
 //
 // The byte budget bounds resident memory: complete captures (records plus
-// overflow table) live in an LRU keyed by bytes, in-flight captures count
-// against the same budget, and a stream whose upper bound (instrs × record
-// size) cannot fit is bypassed to live emulation without buffering. The
-// 512 MiB default thus retains 31 complete 300k-instruction captures.
+// overflow table) live in an lru.Cache charged their bytes, in-flight
+// captures count against the same budget, and a stream whose upper bound
+// (instrs × record size) cannot fit is bypassed to live emulation without
+// buffering. The 512 MiB default thus retains 31 complete 300k-instruction
+// captures.
 package tracecache
 
 import (
@@ -39,6 +40,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"dlvp/internal/lru"
 	"dlvp/internal/trace"
 )
 
@@ -81,10 +83,11 @@ type snapshot struct {
 // bytes is what the snapshot's contents are charged against the budget.
 func (s *snapshot) bytes() int64 { return int64(len(s.recs))*RecSize + s.ovf.Bytes() }
 
-// entry is one (workload, instrs) stream, either mid-capture or complete.
+// entry is one (workload, instrs) stream while it is captured. Followers
+// keep it until their stream ends; a completed capture's snapshot moves
+// into the cache's LRU.
 type entry struct {
 	key    string
-	instrs uint64
 	source func() trace.Reader
 
 	snap atomic.Pointer[snapshot]
@@ -93,10 +96,6 @@ type entry struct {
 	// followers re-check the snapshot.
 	mu   sync.Mutex
 	wake chan struct{}
-
-	// LRU bookkeeping (guarded by the cache mutex); resident entries only.
-	prev, next *entry
-	resident   bool
 }
 
 func (e *entry) publish(s *snapshot) {
@@ -141,15 +140,13 @@ func (s Stats) HitRatio() float64 {
 // bypasses to live emulation.
 type Cache struct {
 	budget int64
+	// complete holds the completed captures, charged their bytes. It is
+	// trimmed to what the captures in flight leave of the budget.
+	complete *lru.Cache[*snapshot]
 
-	mu       sync.Mutex
-	entries  map[string]*entry // capturing + resident
-	lruHead  *entry            // most recent resident entry
-	lruTail  *entry            // least recent resident entry
-	resident int64
-	live     int64 // published bytes of in-flight captures
-	nRes     int
-	nLive    int
+	mu        sync.Mutex // taken before complete's own lock
+	capturing map[string]*entry
+	live      int64 // published bytes of in-flight captures
 
 	captures        int64
 	capturesDone    int64
@@ -158,7 +155,6 @@ type Cache struct {
 	follows         int64
 	bypasses        int64
 	fallbacks       int64
-	evictions       int64
 	tooLarge        int64
 	emulations      int64
 }
@@ -170,7 +166,7 @@ func New(budget int64) *Cache {
 	if budget < 0 {
 		budget = 0
 	}
-	return &Cache{budget: budget, entries: make(map[string]*entry)}
+	return &Cache{budget: budget, complete: lru.New[*snapshot](budget), capturing: make(map[string]*entry)}
 }
 
 // Budget reports the configured byte budget.
@@ -230,25 +226,20 @@ func (c *Cache) Reader(workload string, instrs uint64, source func() trace.Reade
 
 	key := Key(workload, instrs)
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		snap := e.snap.Load()
-		if snap.complete {
-			c.replays++
-			if e.resident {
-				c.lruTouch(e)
-			}
-			c.mu.Unlock()
-			ovf := snap.ovf
-			return &trace.SliceReader{Recs: snap.recs, Ovf: &ovf}, nop, OutcomeReplay
-		}
+	if snap, ok := c.complete.Get(key); ok {
+		c.replays++
+		c.mu.Unlock()
+		ovf := snap.ovf
+		return &trace.SliceReader{Recs: snap.recs, Ovf: &ovf}, nop, OutcomeReplay
+	}
+	if e, ok := c.capturing[key]; ok {
 		c.follows++
 		c.mu.Unlock()
 		return &followReader{c: c, e: e}, nop, OutcomeFollow
 	}
-	e := &entry{key: key, instrs: instrs, source: source, wake: make(chan struct{})}
+	e := &entry{key: key, source: source, wake: make(chan struct{})}
 	e.snap.Store(&snapshot{})
-	c.entries[key] = e
-	c.nLive++
+	c.capturing[key] = e
 	c.captures++
 	c.emulations++
 	c.mu.Unlock()
@@ -265,12 +256,13 @@ func (c *Cache) Stats() Stats {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	cs := c.complete.Stats()
 	return Stats{
 		BudgetBytes:     c.budget,
-		ResidentBytes:   c.resident,
+		ResidentBytes:   cs.Cost,
 		CapturingBytes:  c.live,
-		Entries:         c.nRes,
-		Capturing:       c.nLive,
+		Entries:         cs.Len,
+		Capturing:       len(c.capturing),
 		Captures:        c.captures,
 		CapturesDone:    c.capturesDone,
 		CapturesAborted: c.capturesAborted,
@@ -278,60 +270,9 @@ func (c *Cache) Stats() Stats {
 		Follows:         c.follows,
 		Bypasses:        c.bypasses,
 		Fallbacks:       c.fallbacks,
-		Evictions:       c.evictions,
+		Evictions:       cs.Evictions,
 		TooLarge:        c.tooLarge,
 		Emulations:      c.emulations,
-	}
-}
-
-// --- intrusive LRU over resident entries (cache mutex held) -----------------
-
-func (c *Cache) lruPushFront(e *entry) {
-	e.prev, e.next = nil, c.lruHead
-	if c.lruHead != nil {
-		c.lruHead.prev = e
-	}
-	c.lruHead = e
-	if c.lruTail == nil {
-		c.lruTail = e
-	}
-}
-
-func (c *Cache) lruRemove(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if c.lruHead == e {
-		c.lruHead = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if c.lruTail == e {
-		c.lruTail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *Cache) lruTouch(e *entry) {
-	if c.lruHead == e {
-		return
-	}
-	c.lruRemove(e)
-	c.lruPushFront(e)
-}
-
-// evict drops least-recently-used resident entries until the resident and
-// in-flight bytes fit the budget, or nothing resident remains. Evicted
-// streams stay valid for readers already holding their snapshot — the
-// records are immutable and garbage-collected with the last reader.
-func (c *Cache) evict() {
-	for c.lruTail != nil && c.resident+c.live > c.budget {
-		victim := c.lruTail
-		c.lruRemove(victim)
-		victim.resident = false
-		delete(c.entries, victim.key)
-		c.resident -= victim.snap.Load().bytes()
-		c.nRes--
-		c.evictions++
 	}
 }
 
@@ -388,7 +329,7 @@ func (r *captureReader) Next(rec *trace.Rec) bool {
 }
 
 // publishChunk makes the buffered prefix visible and charges it against
-// the budget, evicting resident entries under pressure. If the in-flight
+// the budget, evicting complete captures under pressure. If the in-flight
 // captures alone exceed the budget, this capture aborts (streaming
 // continues uncached; followers fall back).
 func (r *captureReader) publishChunk(final bool) {
@@ -397,14 +338,16 @@ func (r *captureReader) publishChunk(final bool) {
 	c := r.c
 	c.mu.Lock()
 	c.live += delta
-	c.evict()
-	if c.resident+c.live > c.budget {
+	// Evicted streams stay valid for readers already holding their
+	// snapshot: the records are immutable and garbage-collected with the
+	// last reader.
+	c.complete.Trim(c.budget - c.live)
+	if c.live > c.budget {
 		// Another capture (or this one) outgrew the budget with nothing
 		// left to evict; fail this capture open rather than overshoot.
 		c.live -= r.charged + delta
-		c.nLive--
 		c.capturesAborted++
-		delete(c.entries, r.e.key)
+		delete(c.capturing, r.e.key)
 		c.mu.Unlock()
 		r.bypassed, r.done = true, true
 		r.buf = nil
@@ -419,10 +362,9 @@ func (r *captureReader) publishChunk(final bool) {
 	}
 }
 
-// finish publishes the complete stream and moves the entry into the
-// resident LRU. The complete snapshot is published before the LRU insert
-// so eviction (which sizes victims by their snapshot) always sees final
-// byte counts.
+// finish publishes the complete stream and moves it into the LRU of
+// complete captures. Both happen under the cache mutex, so a new reader
+// finds the stream either capturing or complete.
 func (r *captureReader) finish() {
 	r.publishChunk(true)
 	if r.done { // aborted by the final budget check
@@ -431,18 +373,14 @@ func (r *captureReader) finish() {
 	r.done = true
 	s := r.view()
 	s.complete = true
-	r.e.publish(s)
 	c := r.c
-	size := r.charged
 	c.mu.Lock()
-	c.live -= size
-	c.nLive--
-	c.resident += size
-	c.nRes++
+	r.e.publish(s)
+	delete(c.capturing, r.e.key)
+	c.live -= r.charged
 	c.capturesDone++
-	r.e.resident = true
-	c.lruPushFront(r.e)
-	c.evict()
+	c.complete.Put(r.e.key, s, r.charged)
+	c.complete.Trim(c.budget - c.live)
 	c.mu.Unlock()
 }
 
@@ -457,9 +395,8 @@ func (r *captureReader) release() {
 	c := r.c
 	c.mu.Lock()
 	c.live -= r.charged
-	c.nLive--
 	c.capturesAborted++
-	delete(c.entries, r.e.key)
+	delete(c.capturing, r.e.key)
 	c.mu.Unlock()
 	r.fail()
 	r.buf = nil
