@@ -42,7 +42,7 @@ func main() {
 	fmt.Printf("%-12s %10s %8s %8s %8s | addr>=8 val>=64 (%% of loads)\n",
 		"workload", "loads", "commit%", "infl%", "chg%")
 	for _, w := range pool {
-		conf := trace.NewConflictProfiler(64)
+		conf := trace.NewConflictProfiler(trace.ConflictWindow)
 		rep := trace.NewRepeatProfiler()
 		r := w.Reader(*instrs)
 		var rec trace.Rec

@@ -107,7 +107,7 @@ type Core struct {
 	// Value-prediction engine plumbing.
 	PVTEntries  int // predicted values table (32)
 	PAQEntries  int // predicted address queue (32)
-	PAQLifetime int // cycles before an unprobed PAQ entry is dropped (N=4)
+	PAQLifetime int // cycles before an unprobed PAQ entry is dropped (6; see Baseline for why not the paper's N=4)
 
 	// Misprediction penalties.
 	ValueCheckPenalty int // extra cycles to confirm a predicted value (1)

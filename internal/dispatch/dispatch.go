@@ -40,9 +40,14 @@ const (
 	DefaultRetryBudget    = 3
 	DefaultFailThreshold  = 2
 	DefaultHealthInterval = 3 * time.Second
-	DefaultProbeTimeout   = 2 * time.Second
 	DefaultBackoffBase    = 500 * time.Millisecond
-	DefaultBackoffMax     = 30 * time.Second
+)
+
+const (
+	// probeTimeout bounds one health probe.
+	probeTimeout = 2 * time.Second
+	// backoffMax caps the doubling re-probe backoff of a failing peer.
+	backoffMax = 30 * time.Second
 )
 
 // Options parameterises a Dispatcher.
@@ -67,12 +72,9 @@ type Options struct {
 	FailThreshold int
 	// HealthInterval is the active probe cadence (0: DefaultHealthInterval).
 	HealthInterval time.Duration
-	// ProbeTimeout bounds one health probe (0: DefaultProbeTimeout).
-	ProbeTimeout time.Duration
-	// BackoffBase/BackoffMax shape the re-probe schedule of failing peers
-	// (0: DefaultBackoffBase/DefaultBackoffMax).
+	// BackoffBase is the first re-probe delay of a failing peer; each
+	// further failure doubles it up to backoffMax (0: DefaultBackoffBase).
 	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Obs, when non-nil, registers the dispatcher's per-backend counters
 	// and histograms and enables dispatch.route/dispatch.attempt spans.
 	Obs *obs.Observer
@@ -117,14 +119,8 @@ func New(opts Options) (*Dispatcher, error) {
 	if opts.HealthInterval <= 0 {
 		opts.HealthInterval = DefaultHealthInterval
 	}
-	if opts.ProbeTimeout <= 0 {
-		opts.ProbeTimeout = DefaultProbeTimeout
-	}
 	if opts.BackoffBase <= 0 {
 		opts.BackoffBase = DefaultBackoffBase
-	}
-	if opts.BackoffMax < opts.BackoffBase {
-		opts.BackoffMax = DefaultBackoffMax
 	}
 	d := &Dispatcher{opts: opts, stop: make(chan struct{})}
 	d.local = newBackendState(opts.Local, true, 0)

@@ -42,8 +42,8 @@ func (d *Dispatcher) noteFailure(bs *backendState, err error) {
 		bs.backoff = d.opts.BackoffBase
 	} else {
 		bs.backoff *= 2
-		if bs.backoff > d.opts.BackoffMax {
-			bs.backoff = d.opts.BackoffMax
+		if bs.backoff > backoffMax {
+			bs.backoff = backoffMax
 		}
 	}
 	bs.nextProbe = now.Add(bs.backoff)
@@ -109,7 +109,7 @@ func (d *Dispatcher) ProbeAll(ctx context.Context) {
 // probe runs one health check and feeds the outcome into the
 // ejection/reinstatement state machine.
 func (d *Dispatcher) probe(bs *backendState) {
-	ctx, cancel := context.WithTimeout(context.Background(), d.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	err := bs.b.CheckHealth(ctx)
 	cancel()
 	bs.mu.Lock()

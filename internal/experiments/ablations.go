@@ -54,11 +54,7 @@ func summarize(p Params, cfgs map[string]config.Core) (map[string][3]float64, er
 			correct += r[scheme].VP.Correct
 		}
 		k := float64(len(names))
-		acc := 0.0
-		if predicted > 0 {
-			acc = 100 * float64(correct) / float64(predicted)
-		}
-		out[scheme] = [3]float64{sp / k, acc, cov / k}
+		out[scheme] = [3]float64{sp / k, aggAcc(predicted, correct), cov / k}
 	}
 	return out, nil
 }

@@ -52,15 +52,9 @@ func DVTAGEComparison(p Params) ([]*tabletext.Table, error) {
 	}
 	k := float64(len(names))
 	t.AddRow("AVERAGE", sv/k, sd/k, sl/k)
-	acc := func(p, q uint64) float64 {
-		if p == 0 {
-			return 0
-		}
-		return 100 * float64(q) / float64(p)
-	}
 	t.Notes = append(t.Notes,
 		"avg coverage: VTAGE "+fmtPct(cv/k)+", D-VTAGE "+fmtPct(cd/k)+", DLVP "+fmtPct(cl/k),
-		"aggregate accuracy: VTAGE "+fmtPct(acc(pv, qv))+", D-VTAGE "+fmtPct(acc(pd, qd))+", DLVP "+fmtPct(acc(pl, ql)),
+		"aggregate accuracy: VTAGE "+fmtPct(aggAcc(pv, qv))+", D-VTAGE "+fmtPct(aggAcc(pd, qd))+", DLVP "+fmtPct(aggAcc(pl, ql)),
 		"D-VTAGE adds stride capture over VTAGE but still goes stale on non-strided conflicting stores")
 	return []*tabletext.Table{t}, nil
 }

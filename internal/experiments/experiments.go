@@ -7,7 +7,10 @@
 // All simulation goes through internal/runner: drivers build (workload x
 // config) job matrices and submit them to a shared engine, which bounds
 // parallelism, honours cancellation, and serves repeated jobs (the Table 4
-// baseline appears in most figures) from its content-addressed cache.
+// baseline appears in most figures) from its content-addressed cache. The
+// trace-level measurements (Figures 1, 2 and 4) need no timing model: they
+// observe each workload's committed stream through streamPool, which
+// emulates every workload once however many measurements ride on it.
 package experiments
 
 import (
@@ -19,6 +22,7 @@ import (
 	"dlvp/internal/metrics"
 	"dlvp/internal/runner"
 	"dlvp/internal/tabletext"
+	"dlvp/internal/trace"
 	"dlvp/internal/workloads"
 )
 
@@ -176,6 +180,51 @@ func runMatrix(p Params, cfgs map[string]config.Core) (map[string]map[string]met
 		results[s.Workload][s.Scheme] = stats[i]
 	}
 	return results, nil
+}
+
+// observer consumes one workload's committed record stream in order.
+type observer interface{ Observe(*trace.Rec) }
+
+// probe opens the observers one measurement needs for workload w's stream
+// and a done func (nil when there is nothing to fold) that folds their
+// results into the measurement once the stream ends.
+type probe func(w workloads.Workload) (obs []observer, done func())
+
+// streamPool emulates each workload of the pool once, in pool order, and
+// feeds every record to the observers each probe opens for it. p's context
+// is checked before each workload. A workload's observers are released once
+// its stream ends and its done funcs have run, so memory stays bounded by
+// one workload's observers however large the pool.
+func streamPool(p Params, probes ...probe) error {
+	pool, err := p.pool()
+	if err != nil {
+		return err
+	}
+	for _, w := range pool {
+		if err := p.ctx().Err(); err != nil {
+			return err
+		}
+		var obs []observer
+		var dones []func()
+		for _, open := range probes {
+			o, done := open(w)
+			obs = append(obs, o...)
+			if done != nil {
+				dones = append(dones, done)
+			}
+		}
+		r := w.Reader(p.Instrs)
+		var rec trace.Rec
+		for r.Next(&rec) {
+			for _, o := range obs {
+				o.Observe(&rec)
+			}
+		}
+		for _, done := range dones {
+			done()
+		}
+	}
+	return nil
 }
 
 // sortedNames returns the workload names of a result matrix in order.

@@ -5,58 +5,74 @@ import (
 
 	"dlvp/internal/tabletext"
 	"dlvp/internal/trace"
+	"dlvp/internal/workloads"
 )
 
-// conflictWindow approximates the paper's in-flight horizon — the number
-// of instructions between a store and a load below which the store has
-// typically not yet committed when the load is fetched. The ROB bounds this
-// at 224+64, but occupancy that deep only occurs under long stalls; the
-// observed fetch-to-commit distance in this model's steady state is the
-// ~13-cycle pipeline depth times the sustained width, plus queueing. The
-// timing simulator itself decides each case exactly (its committed-memory
-// image is updated at commit); this constant only calibrates the
-// trace-level classification to match what the pipeline actually does.
-const conflictWindow = 64
+// conflictTally keeps each workload's Figure 1 conflict profile, in pool
+// order.
+type conflictTally struct {
+	names []string
+	stats []trace.ConflictStats
+}
+
+func (c *conflictTally) open(w workloads.Workload) ([]observer, func()) {
+	prof := trace.NewConflictProfiler(trace.ConflictWindow)
+	return []observer{prof}, func() {
+		c.names = append(c.names, w.Name)
+		c.stats = append(c.stats, prof.Stats())
+	}
+}
+
+// sums returns the pool totals of the per-workload committed, in-flight and
+// value-changed percentages.
+func (c *conflictTally) sums() (committed, inFlight, changed float64) {
+	for _, s := range c.stats {
+		committed += s.CommittedPct
+		inFlight += s.InFlightPct
+		changed += s.ChangedPct
+	}
+	return committed, inFlight, changed
+}
+
+// committedShare returns committed stores' share of all conflicts (%).
+func (c *conflictTally) committedShare() float64 {
+	sumC, sumI, _ := c.sums()
+	if sumC+sumI == 0 {
+		return 0
+	}
+	return 100 * sumC / (sumC + sumI)
+}
+
+// repeatTally keeps each workload's Figure 2 repeatability profile.
+type repeatTally struct{ stats []trace.RepeatStats }
+
+func (r *repeatTally) open(workloads.Workload) ([]observer, func()) {
+	prof := trace.NewRepeatProfiler()
+	return []observer{prof}, func() { r.stats = append(r.stats, prof.Stats()) }
+}
 
 // Fig1 reproduces Figure 1: the fraction of dynamic loads that consume a
 // value produced by a store that occurred since the prior dynamic instance
 // of the same static load, split by whether that store would have committed
 // by the time the load is fetched.
 func Fig1(p Params) ([]*tabletext.Table, error) {
+	var c conflictTally
+	if err := streamPool(p, c.open); err != nil {
+		return nil, err
+	}
 	t := &tabletext.Table{
 		Title:  "Figure 1: dynamic loads whose value was produced since their prior instance (%)",
 		Header: []string{"workload", "Ld->St->Ld (committed)", "Ld->inflight-St->Ld", "total", "value changed"},
 	}
-	var sumC, sumI, sumV float64
-	pool, err := p.pool()
-	if err != nil {
-		return nil, err
+	for i, s := range c.stats {
+		t.AddRow(c.names[i], s.CommittedPct, s.InFlightPct, s.CommittedPct+s.InFlightPct, s.ChangedPct)
 	}
-	for _, w := range pool {
-		if err := p.ctx().Err(); err != nil {
-			return nil, err
-		}
-		prof := trace.NewConflictProfiler(conflictWindow)
-		r := w.Reader(p.Instrs)
-		var rec trace.Rec
-		for r.Next(&rec) {
-			prof.Observe(&rec)
-		}
-		s := prof.Stats()
-		t.AddRow(w.Name, s.CommittedPct, s.InFlightPct, s.CommittedPct+s.InFlightPct, s.ChangedPct)
-		sumC += s.CommittedPct
-		sumI += s.InFlightPct
-		sumV += s.ChangedPct
-	}
-	n := float64(len(pool))
+	sumC, sumI, sumV := c.sums()
+	n := float64(len(c.stats))
 	t.AddRow("AVERAGE", sumC/n, sumI/n, (sumC+sumI)/n, sumV/n)
-	frac := 0.0
-	if sumC+sumI > 0 {
-		frac = 100 * sumC / (sumC + sumI)
-	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("committed share of all conflicts: %.1f%% (paper: ~67%% are with previously committed stores)", frac),
-		fmt.Sprintf("in-flight horizon: %d instructions (typical fetch-to-commit distance; see conflictWindow)", conflictWindow))
+		fmt.Sprintf("committed share of all conflicts: %.1f%% (paper: ~67%% are with previously committed stores)", c.committedShare()),
+		fmt.Sprintf("in-flight horizon: %d instructions (typical fetch-to-commit distance; see conflictWindow)", trace.ConflictWindow))
 	return []*tabletext.Table{t}, nil
 }
 
@@ -65,24 +81,11 @@ func Fig1(p Params) ([]*tabletext.Table, error) {
 // workloads, plus the cumulative curves behind the paper's "91% of loads
 // repeat an address >= 8 times vs 80% repeating a value >= 64 times".
 func Fig2(p Params) ([]*tabletext.Table, error) {
-	var all []trace.RepeatStats
-	pool, err := p.pool()
-	if err != nil {
+	var r repeatTally
+	if err := streamPool(p, r.open); err != nil {
 		return nil, err
 	}
-	for _, w := range pool {
-		if err := p.ctx().Err(); err != nil {
-			return nil, err
-		}
-		prof := trace.NewRepeatProfiler()
-		r := w.Reader(p.Instrs)
-		var rec trace.Rec
-		for r.Next(&rec) {
-			prof.Observe(&rec)
-		}
-		all = append(all, prof.Stats())
-	}
-	m := trace.MeanRepeatStats(all)
+	m := trace.MeanRepeatStats(r.stats)
 
 	t := &tabletext.Table{
 		Title:  "Figure 2: breakdown of dynamic loads by repeat count (mean across workloads, %)",

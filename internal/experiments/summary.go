@@ -5,8 +5,6 @@ import (
 
 	"dlvp/internal/config"
 	"dlvp/internal/metrics"
-	"dlvp/internal/predictor/cap"
-	"dlvp/internal/predictor/pap"
 	"dlvp/internal/tabletext"
 	"dlvp/internal/trace"
 )
@@ -20,60 +18,21 @@ func Summary(p Params) ([]*tabletext.Table, error) {
 		Header: []string{"quantity", "paper", "measured"},
 	}
 
-	pool, err := p.pool()
-	if err != nil {
+	// Figures 1, 2 and 4: one emulation pass per workload feeds all three.
+	var conflicts conflictTally
+	var repeats repeatTally
+	addr := newAddrTally(8)
+	if err := streamPool(p, conflicts.open, repeats.open, addr.open); err != nil {
 		return nil, err
 	}
-
-	// Figure 1 aggregate: committed share of load-store conflicts.
-	var sumC, sumI float64
-	for _, w := range pool {
-		prof := trace.NewConflictProfiler(conflictWindow)
-		r := w.Reader(p.Instrs)
-		var rec trace.Rec
-		for r.Next(&rec) {
-			prof.Observe(&rec)
-		}
-		s := prof.Stats()
-		sumC += s.CommittedPct
-		sumI += s.InFlightPct
-	}
-	committedShare := 0.0
-	if sumC+sumI > 0 {
-		committedShare = 100 * sumC / (sumC + sumI)
-	}
-	t.AddRow("conflicts with committed stores (fig 1)", "~67%", fmt.Sprintf("%.1f%%", committedShare))
-
-	// Figure 2 points.
-	var reps []trace.RepeatStats
-	for _, w := range pool {
-		prof := trace.NewRepeatProfiler()
-		r := w.Reader(p.Instrs)
-		var rec trace.Rec
-		for r.Next(&rec) {
-			prof.Observe(&rec)
-		}
-		reps = append(reps, prof.Stats())
-	}
-	m := trace.MeanRepeatStats(reps)
+	t.AddRow("conflicts with committed stores (fig 1)", "~67%", fmt.Sprintf("%.1f%%", conflicts.committedShare()))
+	m := trace.MeanRepeatStats(repeats.stats)
 	t.AddRow("loads with addresses repeating >=8x (fig 2)", "91%", fmt.Sprintf("%.1f%%", m.AddrCumPct[3]))
 	t.AddRow("loads with values repeating >=64x (fig 2)", "80%", fmt.Sprintf("%.1f%%", m.ValueCumPct[6]))
-
-	// Figure 4 standalone points.
-	papStats, err := standalonePAP(p, pap.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	cap8cfg := cap.DefaultConfig()
-	cap8cfg.Confidence = 8
-	cap8, err := standaloneCAP(p, cap8cfg)
-	if err != nil {
-		return nil, err
-	}
 	t.AddRow("PAP standalone coverage/accuracy (fig 4)", "37% / 99.1%",
-		fmt.Sprintf("%.1f%% / %.2f%%", papStats.Coverage(), papStats.Accuracy()))
+		fmt.Sprintf("%.1f%% / %.2f%%", addr.pap.Coverage(), addr.pap.Accuracy()))
 	t.AddRow("CAP@8 standalone coverage/accuracy (fig 4)", "29.5% / 97.7%",
-		fmt.Sprintf("%.1f%% / %.2f%%", cap8.Coverage(), cap8.Accuracy()))
+		fmt.Sprintf("%.1f%% / %.2f%%", addr.cap[0].Coverage(), addr.cap[0].Accuracy()))
 
 	// Figure 6 averages.
 	results, err := runMatrix(p, map[string]config.Core{

@@ -105,8 +105,11 @@ func (s *Store) path(id string) string {
 	return filepath.Join(s.dir, id+".json")
 }
 
-// Save writes st atomically.
-func (s *Store) Save(st State) error {
+// Save writes st atomically. The temp file is synced before the rename,
+// so after a power loss the file holds either the old state or the new
+// one, never a renamed but empty file. On any failure the temp file is
+// removed.
+func (s *Store) Save(st State) (err error) {
 	if st.Plan.ID == "" {
 		return fmt.Errorf("matrix: state has no plan ID")
 	}
@@ -118,14 +121,20 @@ func (s *Store) Save(st State) error {
 	if err != nil {
 		return err
 	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
+	defer func() {
+		if err != nil {
+			tmp.Close() // already closed unless Write or Sync failed
+			os.Remove(tmp.Name())
 		}
-		return cerr
+	}()
+	if _, err := tmp.Write(data); err != nil {
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
 	}
 	return os.Rename(tmp.Name(), s.path(st.Plan.ID))
 }

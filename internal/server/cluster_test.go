@@ -292,7 +292,7 @@ func TestStatsBuildBlock(t *testing.T) {
 func TestJobListPaging(t *testing.T) {
 	store := newJobStore(16, nil)
 	for i := 0; i < 5; i++ {
-		j := store.add("run", "")
+		j, _ := store.add("run", "")
 		j.setRunning()
 		j.finish(nil, nil)
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"sync"
 	"time"
 
@@ -162,8 +163,12 @@ func (j *asyncJob) currentStatus() string {
 	return j.status
 }
 
-// jobStore tracks async jobs, evicting the oldest finished records beyond
-// its capacity so the daemon's memory stays bounded.
+// errTooManyJobs reports that the job registry is full of unfinished jobs.
+var errTooManyJobs = errors.New("too many unfinished async jobs")
+
+// jobStore tracks async jobs, evicting the oldest finished records to stay
+// within its capacity and refusing new jobs when every tracked one is
+// still in flight, so the daemon's memory and goroutines stay bounded.
 type jobStore struct {
 	mu    sync.Mutex
 	jobs  map[string]*asyncJob
@@ -189,7 +194,9 @@ func newJobID() string {
 	return hex.EncodeToString(b[:])
 }
 
-func (s *jobStore) add(kind, traceID string) *asyncJob {
+// add registers a queued job, or returns errTooManyJobs when the registry
+// is at capacity and none of its jobs has finished.
+func (s *jobStore) add(kind, traceID string) (*asyncJob, error) {
 	j := &asyncJob{
 		id:      newJobID(),
 		kind:    kind,
@@ -198,21 +205,24 @@ func (s *jobStore) add(kind, traceID string) *asyncJob {
 		created: time.Now(),
 		inst:    s.inst,
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.evictLocked()
+	if len(s.jobs) >= s.max {
+		return nil, errTooManyJobs
+	}
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
 	if s.inst != nil {
 		s.inst.transitions.With(statusQueued).Inc()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.evictLocked()
-	return j
+	return j, nil
 }
 
-// evictLocked drops the oldest *finished* jobs beyond capacity; in-flight
-// jobs are never evicted.
+// evictLocked drops the oldest *finished* jobs until one more fits;
+// in-flight jobs are never evicted.
 func (s *jobStore) evictLocked() {
-	if len(s.jobs) <= s.max {
+	if len(s.jobs) < s.max {
 		return
 	}
 	kept := s.order[:0]
@@ -221,7 +231,7 @@ func (s *jobStore) evictLocked() {
 		if !ok {
 			continue
 		}
-		if len(s.jobs) > s.max && j.terminal() {
+		if len(s.jobs) >= s.max && j.terminal() {
 			delete(s.jobs, id)
 			continue
 		}

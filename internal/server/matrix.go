@@ -45,7 +45,7 @@ func (s *Server) handleMatrixSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, r, http.StatusBadRequest, errorBody{Error: "invalid JSON body: " + err.Error()})
 		return
 	}
-	instrs, err := s.clampInstrs(spec.Instrs)
+	instrs, err := clampInstrs(spec.Instrs)
 	if err != nil {
 		s.writeJSON(w, r, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return

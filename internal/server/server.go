@@ -79,22 +79,26 @@ type Options struct {
 	Matrix *matrix.Orchestrator
 	// RequestTimeout bounds synchronous request handling (default 2m).
 	RequestTimeout time.Duration
-	// DefaultInstrs is the per-workload budget when a request omits one
-	// (default 300k, the repo's standard experiment sizing).
-	DefaultInstrs uint64
-	// MaxInstrs caps per-workload budgets so one request cannot pin the
-	// daemon (default 10M; 0 keeps the default).
-	MaxInstrs uint64
-	// ArtifactCacheEntries sizes the whole-artifact cache (default 128).
-	ArtifactCacheEntries int
-	// MaxTrackedJobs bounds the async job registry (default 1024).
-	MaxTrackedJobs int
 	// Obs supplies the telemetry sinks (logger, metrics registry, tracer).
 	// Nil selects a fresh observer with a discard logger. To correlate
 	// runner-level spans and histograms with HTTP requests, construct the
 	// runner with the same observer (cmd/dlvpd does).
 	Obs *obs.Observer
 }
+
+const (
+	// defaultInstrs is the per-workload budget when a request omits one:
+	// the repo's standard experiment sizing.
+	defaultInstrs = 300_000
+	// maxInstrs caps per-workload budgets so one request cannot pin the
+	// daemon.
+	maxInstrs = 10_000_000
+	// artifactCacheEntries sizes the whole-artifact cache.
+	artifactCacheEntries = 128
+	// maxTrackedJobs bounds the async job registry. A registry full of
+	// unfinished jobs refuses further async submissions with 429.
+	maxTrackedJobs = 1024
+)
 
 // Server is the HTTP facade over the runner engine.
 type Server struct {
@@ -105,9 +109,6 @@ type Server struct {
 	mux         *http.ServeMux
 	jobs        *jobStore
 	timeout     time.Duration
-
-	defaultInstrs uint64
-	maxInstrs     uint64
 
 	// artifacts holds whole artifacts at cost 1 each; identical concurrent
 	// requests share one build.
@@ -141,36 +142,22 @@ func New(opts Options) *Server {
 	if opts.RequestTimeout <= 0 {
 		opts.RequestTimeout = 2 * time.Minute
 	}
-	if opts.DefaultInstrs == 0 {
-		opts.DefaultInstrs = 300_000
-	}
-	if opts.MaxInstrs == 0 {
-		opts.MaxInstrs = 10_000_000
-	}
-	if opts.ArtifactCacheEntries <= 0 {
-		opts.ArtifactCacheEntries = 128
-	}
-	if opts.MaxTrackedJobs <= 0 {
-		opts.MaxTrackedJobs = 1024
-	}
 	if opts.Obs == nil {
 		opts.Obs = obs.NewObserver(nil)
 	}
 	reg := opts.Obs.Metrics
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		runner:        opts.Runner,
-		dispatcher:    opts.Dispatcher,
-		mux:           http.NewServeMux(),
-		timeout:       opts.RequestTimeout,
-		defaultInstrs: opts.DefaultInstrs,
-		maxInstrs:     opts.MaxInstrs,
-		artifacts:     lru.New[*experiments.Artifact](int64(opts.ArtifactCacheEntries)),
-		started:       time.Now(),
-		baseCtx:       ctx,
-		cancel:        cancel,
-		shutdownCh:    make(chan struct{}),
-		obs:           opts.Obs,
+		runner:     opts.Runner,
+		dispatcher: opts.Dispatcher,
+		mux:        http.NewServeMux(),
+		timeout:    opts.RequestTimeout,
+		artifacts:  lru.New[*experiments.Artifact](artifactCacheEntries),
+		started:    time.Now(),
+		baseCtx:    ctx,
+		cancel:     cancel,
+		shutdownCh: make(chan struct{}),
+		obs:        opts.Obs,
 		httpReqs: reg.Counter("dlvpd_http_requests_total",
 			"HTTP requests served, by route pattern and status code.", "route", "status"),
 		httpDur: reg.Histogram("dlvpd_http_request_duration_seconds",
@@ -187,7 +174,7 @@ func New(opts Options) *Server {
 			},
 		},
 	}
-	s.jobs = newJobStore(opts.MaxTrackedJobs, &jobInstruments{
+	s.jobs = newJobStore(maxTrackedJobs, &jobInstruments{
 		transitions: reg.Counter("dlvpd_jobs_transitions_total",
 			"Async job state transitions (queued→running→done|error), by target state.", "to"),
 		queueWait: reg.Histogram("dlvpd_job_queue_wait_seconds",
@@ -454,7 +441,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	instrs, err := s.clampInstrs(req.Instrs)
+	instrs, err := clampInstrs(req.Instrs)
 	if err != nil {
 		s.writeJSON(w, r, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
@@ -482,7 +469,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if req.Async {
-		rec := s.jobs.add("run", obs.TraceID(r.Context()))
+		rec, err := s.jobs.add("run", obs.TraceID(r.Context()))
+		if err != nil {
+			s.writeJSON(w, r, http.StatusTooManyRequests, errorBody{Error: err.Error()})
+			return
+		}
 		if key, err := job.Key(); err == nil {
 			rec.setRun(key, req.Workload, req.Scheme)
 		}
@@ -534,7 +525,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	instrs, err := s.clampInstrs(req.Instrs)
+	instrs, err := clampInstrs(req.Instrs)
 	if err != nil {
 		s.writeJSON(w, r, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
@@ -559,7 +550,11 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if req.Async {
-		rec := s.jobs.add("experiment", obs.TraceID(r.Context()))
+		rec, err := s.jobs.add("experiment", obs.TraceID(r.Context()))
+		if err != nil {
+			s.writeJSON(w, r, http.StatusTooManyRequests, errorBody{Error: err.Error()})
+			return
+		}
 		s.spawn(rec, rec.trace, obs.SpanID(r.Context()), func(ctx context.Context) (any, error) {
 			start := time.Now()
 			a, cached, err := build(ctx)
@@ -783,12 +778,12 @@ func (s *Server) spawn(rec *asyncJob, traceID, parentSpan string, fn func(contex
 	}()
 }
 
-func (s *Server) clampInstrs(instrs uint64) (uint64, error) {
+func clampInstrs(instrs uint64) (uint64, error) {
 	if instrs == 0 {
-		return s.defaultInstrs, nil
+		return defaultInstrs, nil
 	}
-	if instrs > s.maxInstrs {
-		return 0, fmt.Errorf("instrs %d exceeds the per-request cap %d", instrs, s.maxInstrs)
+	if instrs > maxInstrs {
+		return 0, fmt.Errorf("instrs %d exceeds the per-request cap %d", instrs, maxInstrs)
 	}
 	return instrs, nil
 }

@@ -39,6 +39,18 @@ type loadInstance struct {
 	value uint64
 }
 
+// ConflictWindow approximates the paper's in-flight horizon — the number of
+// instructions between a store and a load below which the store has
+// typically not yet committed when the load is fetched. The ROB bounds this
+// at 224+64, but occupancy that deep only occurs under long stalls; the
+// observed fetch-to-commit distance in the timing model's steady state is
+// the ~13-cycle pipeline depth times the sustained width, plus queueing.
+// The timing simulator itself decides each case exactly (its
+// committed-memory image is updated at commit); this constant only
+// calibrates the trace-level classification to match what the pipeline
+// actually does. Figure 1 and cmd/traceprof both profile with it.
+const ConflictWindow = 64
+
 // NewConflictProfiler returns a profiler with the given in-flight window.
 func NewConflictProfiler(inFlightWindow uint64) *ConflictProfiler {
 	return &ConflictProfiler{
