@@ -33,11 +33,17 @@ type mergedFamily struct {
 
 // MergeExpositions merges per-instance expositions into one Prometheus
 // text document: every sample line gains an instance="<name>" label
-// (prepended, existing labels kept), HELP/TYPE metadata is deduplicated
-// across instances with first-seen text winning, and families are
-// regrouped so each appears exactly once. Degraded instances contribute a
-// leading annotation comment and a zero PeerUpMetric sample rather than
-// an error.
+// (prepended, existing labels kept; a peer's own instance label becomes
+// exported_instance, as Prometheus federation renames it), HELP/TYPE
+// metadata is deduplicated across instances with first-seen text winning,
+// and families are regrouped so each appears exactly once. Degraded
+// instances contribute a leading annotation comment and a zero
+// PeerUpMetric sample rather than an error.
+//
+// Peer text is untrusted: metadata lines without a family name, sample
+// lines whose label set does not parse, and a peer's own PeerUpMetric
+// samples and metadata are dropped, so every instance has exactly one
+// PeerUpMetric sample, the synthetic one.
 func MergeExpositions(parts []Exposition) string {
 	var b strings.Builder
 	fams := make(map[string]*mergedFamily)
@@ -68,6 +74,9 @@ func MergeExpositions(parts []Exposition) string {
 			}
 			if meta, ok := strings.CutPrefix(line, "# HELP "); ok {
 				name, help, _ := strings.Cut(meta, " ")
+				if name == "" || name == PeerUpMetric {
+					continue
+				}
 				cur = get(name)
 				if cur.help == "" {
 					cur.help = help
@@ -76,6 +85,9 @@ func MergeExpositions(parts []Exposition) string {
 			}
 			if meta, ok := strings.CutPrefix(line, "# TYPE "); ok {
 				name, typ, _ := strings.Cut(meta, " ")
+				if name == "" || name == PeerUpMetric {
+					continue
+				}
 				cur = get(name)
 				if cur.typ == "" {
 					cur.typ = typ
@@ -86,13 +98,17 @@ func MergeExpositions(parts []Exposition) string {
 				continue // free-form comments do not survive merging
 			}
 			name := sampleName(line)
-			if name == "" {
+			if name == "" || name == PeerUpMetric {
+				continue
+			}
+			sample, ok := injectInstance(line, part.Instance)
+			if !ok {
 				continue
 			}
 			if cur == nil || !sampleInFamily(name, cur) {
 				cur = get(name)
 			}
-			cur.samples = append(cur.samples, injectInstance(line, part.Instance))
+			cur.samples = append(cur.samples, sample)
 		}
 	}
 
@@ -155,18 +171,56 @@ func sampleInFamily(name string, f *mergedFamily) bool {
 }
 
 // injectInstance prepends instance="<name>" to a sample line's label set,
-// creating one when the sample is bare.
-func injectInstance(line, instance string) string {
+// creating one when the sample is bare, and renames a label the peer
+// itself called instance to exported_instance. ok is false when the label
+// set does not parse.
+func injectInstance(line, instance string) (string, bool) {
 	pair := `instance="` + escapeLabel(instance) + `"`
 	i := strings.IndexAny(line, "{ ")
-	if i < 0 {
-		return line
+	if line[i] == ' ' {
+		return line[:i] + "{" + pair + "}" + line[i:], true
 	}
-	if line[i] == '{' {
-		if strings.HasPrefix(line[i:], "{}") {
-			return line[:i] + "{" + pair + "}" + line[i+2:]
+	var b strings.Builder
+	b.WriteString(line[:i+1])
+	b.WriteString(pair)
+	rest := line[i+1:]
+	if !strings.HasPrefix(rest, "}") {
+		b.WriteByte(',')
+	}
+	// Copy each name="value" pair through, validating as it goes.
+	for !strings.HasPrefix(rest, "}") {
+		eq := strings.Index(rest, `="`)
+		if eq < 0 || !labelName(rest[:eq]) {
+			return "", false
 		}
-		return line[:i] + "{" + pair + "," + line[i+1:]
+		if rest[:eq] == "instance" {
+			b.WriteString("exported_")
+		}
+		v := eq + 2
+		for ; v < len(rest) && rest[v] != '"'; v++ {
+			if rest[v] == '\\' {
+				v++
+			}
+		}
+		if v++; v < len(rest) && rest[v] == ',' {
+			v++
+		} else if v >= len(rest) || rest[v] != '}' {
+			return "", false
+		}
+		b.WriteString(rest[:v])
+		rest = rest[v:]
 	}
-	return line[:i] + "{" + pair + "}" + line[i:]
+	b.WriteString(rest)
+	return b.String(), true
+}
+
+// labelName reports whether s is a valid Prometheus label name.
+func labelName(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c != '_' && (c < 'a' || c > 'z') && (c < 'A' || c > 'Z') && (i == 0 || c < '0' || c > '9') {
+			return false
+		}
+	}
+	return s != ""
 }

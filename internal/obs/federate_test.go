@@ -2,6 +2,7 @@ package obs
 
 import (
 	"errors"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -96,4 +97,58 @@ func TestMergeExpositionsEscapesInstanceNames(t *testing.T) {
 	if !strings.Contains(out, `m_total{instance="we\"ird\\name"} 1`) {
 		t.Errorf("instance label not escaped:\n%s", out)
 	}
+}
+
+// labelSetRE matches a merged sample's label set: the instance pair first,
+// then well-formed name="value" pairs; labelRE picks out the later names.
+var (
+	labelSetRE = regexp.MustCompile(`^\{instance="(a|b)"((?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*")*),?\}`)
+	labelRE    = regexp.MustCompile(`,([a-zA-Z_][a-zA-Z0-9_]*)="`)
+)
+
+// FuzzMergeExpositions merges hostile text from two peers and checks what
+// a Prometheus scraper of the result relies on: every sample line's first
+// label is its instance and no other label is named instance, every HELP
+// and TYPE line names a family and appears at most once per family, and
+// each instance has exactly one PeerUpMetric sample.
+func FuzzMergeExpositions(f *testing.F) {
+	f.Add("# HELP m_total Things.\n# TYPE m_total counter\nm_total{route=\"/x\"} 3\n", "m_total 1\n")
+	f.Add("# HELP lat_seconds L.\n# TYPE lat_seconds histogram\nlat_seconds_bucket{le=\"1\"} 1\nlat_seconds_sum 0.5\n", "lat_seconds_count{} 1\n")
+	f.Add("# HELP  x\n# TYPE  gauge\n", PeerUpMetric+" 1\n# TYPE "+PeerUpMetric+" counter\n")
+	f.Add(`foo{instance="z"} 3`, `foo{a="}\"",instance="q",} 2`+"\nbar{x=\"1\" 2\n")
+	f.Fuzz(func(t *testing.T, a, b string) {
+		out := MergeExpositions([]Exposition{{Instance: "a", Text: a}, {Instance: "b", Text: b}})
+		meta := map[string]bool{}
+		up := map[string]int{}
+		for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+			if kind, ok := strings.CutPrefix(line, "# "); ok {
+				fields := strings.SplitN(kind, " ", 3)
+				if len(fields) < 2 || (fields[0] != "HELP" && fields[0] != "TYPE") || fields[1] == "" {
+					t.Fatalf("malformed metadata line %q in:\n%s", line, out)
+				}
+				key := fields[0] + " " + fields[1]
+				if meta[key] {
+					t.Fatalf("second %s line for family %q in:\n%s", fields[0], fields[1], out)
+				}
+				meta[key] = true
+				continue
+			}
+			i := strings.IndexByte(line, '{')
+			m := labelSetRE.FindStringSubmatch(line[max(i, 0):])
+			if i <= 0 || m == nil {
+				t.Fatalf("sample %q does not open with its instance label in:\n%s", line, out)
+			}
+			for _, l := range labelRE.FindAllStringSubmatch(m[2], -1) {
+				if l[1] == "instance" {
+					t.Fatalf("sample %q carries a second instance label", line)
+				}
+			}
+			if line[:i] == PeerUpMetric {
+				up[m[1]]++
+			}
+		}
+		if up["a"] != 1 || up["b"] != 1 {
+			t.Fatalf("%s samples per instance = %v, want one each, in:\n%s", PeerUpMetric, up, out)
+		}
+	})
 }

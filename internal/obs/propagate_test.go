@@ -45,3 +45,23 @@ func TestParseTraceParentRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseTraceParent feeds arbitrary header values to the parser: it
+// must never panic, and every accepted header must round-trip through
+// FormatTraceParent to the same (trace ID, parent span ID) pair.
+func FuzzParseTraceParent(f *testing.F) {
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	f.Add("00-sweep-2026-08-0000000000000000-01")
+	f.Add(" 00-a--00f067aa0ba902b7-01\t")
+	f.Fuzz(func(t *testing.T, v string) {
+		id, span, ok := ParseTraceParent(v)
+		if !ok {
+			return
+		}
+		h := FormatTraceParent(id, span)
+		if id2, span2, ok2 := ParseTraceParent(h); !ok2 || id2 != id || span2 != span {
+			t.Fatalf("%q parsed as (%q, %q), formatted %q, reparsed as (%q, %q, %v)",
+				v, id, span, h, id2, span2, ok2)
+		}
+	})
+}

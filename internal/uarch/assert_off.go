@@ -2,8 +2,10 @@
 
 package uarch
 
-// assertEnabled gates the package's internal invariant checks. The default
-// build compiles them out entirely; `go test -tags uarchassert` turns them
-// into panics so a scheduler or bookkeeping regression fails loudly instead
-// of silently perturbing statistics.
-const assertEnabled = false
+// The default build compiles the memory-order lockstep checks out. Under
+// -tags uarchassert (assert_on.go) each compares an LSQ answer with a
+// linear scan of the window and panics on a mismatch.
+
+func (c *Core) lockstepUnissued(_ uint64, got bool) bool   { return got }
+func (c *Core) lockstepForward(uint64, uint64, fwdOutcome) {}
+func (c *Core) lockstepViolation(uint64, uint64, bool)     {}

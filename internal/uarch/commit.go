@@ -35,10 +35,10 @@ func (c *Core) commitStage() {
 		switch {
 		case rec.IsLoad():
 			c.ctr[metrics.Loads]++
-			c.a.ldqIdx.popFront()
+			c.a.lsq.pop(false)
 		case rec.IsStore():
 			c.ctr[metrics.Stores]++
-			c.a.stqIdx.popFront()
+			c.a.lsq.pop(true)
 			c.commitStore(rec)
 		}
 		c.accountPrediction(seq)

@@ -21,9 +21,10 @@
 //
 // The implementation is data-oriented: the instruction window is a
 // struct-of-arrays block (window.go), the scheduler picks ready
-// instructions from a bitmap with TrailingZeros64, memory-order checks walk
-// compact LDQ/STQ sequence rings instead of the window, and all bulk state
-// lives in an Arena a caller can recycle across runs.
+// instructions from a bitmap with TrailingZeros64, one load/store queue
+// index answers the memory-order questions without walking the window
+// (lsq.go), and all bulk state lives in an Arena a caller can recycle
+// across runs.
 package uarch
 
 import (

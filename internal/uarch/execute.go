@@ -249,9 +249,6 @@ func (c *Core) replayDependents(loadSeq uint64) {
 		w.flags[slot] &^= fIssued | fCompleted
 		w.execDone[slot] = 0
 		w.notBefore[slot] = notBefore
-		if rec.IsStore() {
-			c.insertPendingStore(seq)
-		}
 		reissue = append(reissue, seq)
 	}
 	c.a.reissue = reissue
@@ -264,22 +261,6 @@ func (c *Core) replayDependents(loadSeq uint64) {
 		c.a.iqBits[slot>>6] |= 1 << (slot & 63)
 		c.iqCount++
 	}
-}
-
-// insertPendingStore re-registers a store as unissued, keeping the slice
-// sorted by sequence number.
-func (c *Core) insertPendingStore(seq uint64) {
-	ps := c.a.pendingStores
-	for _, s := range ps {
-		if s == seq {
-			return
-		}
-	}
-	ps = append(ps, seq)
-	for i := len(ps) - 1; i > 0 && ps[i-1] > ps[i]; i-- {
-		ps[i-1], ps[i] = ps[i], ps[i-1]
-	}
-	c.a.pendingStores = ps
 }
 
 // maybeTrainLSCD inserts the load into the LSCD when its address prediction

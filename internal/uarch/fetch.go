@@ -76,7 +76,6 @@ func (c *Core) fetchStage() {
 			if c.papPred != nil {
 				c.papPred.PushLoad(rec.PC)
 			}
-			c.a.ldqIdx.push(seq)
 		}
 		if c.vtPred != nil {
 			c.fetchVTAGE(seq, rec)
@@ -84,9 +83,8 @@ func (c *Core) fetchStage() {
 		if c.dvPred != nil {
 			c.fetchDVTAGE(seq, rec)
 		}
-		if rec.IsStore() {
-			c.a.pendingStores = append(c.a.pendingStores, seq)
-			c.a.stqIdx.push(seq)
+		if fl&fIsMem != 0 {
+			c.a.lsq.push(seq, fl&fIsStore != 0, rec.Addr, rec.Bytes)
 		}
 
 		// Update the in-flight writer map and take recovery snapshots.

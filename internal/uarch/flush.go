@@ -47,8 +47,7 @@ func (c *Core) applyFlush() {
 	if c.haltSeen && c.haltSeq >= refetch {
 		c.haltSeen = false
 	}
-	c.a.ldqIdx.truncateFrom(refetch)
-	c.a.stqIdx.truncateFrom(refetch)
+	c.a.lsq.squashFrom(refetch)
 
 	// Rebuild occupancy, scheduler contents, and the writer map from the
 	// surviving window. The completion wheel is rebuilt too, in sequence
@@ -60,7 +59,6 @@ func (c *Core) applyFlush() {
 	for i := range c.a.done {
 		c.a.done[i] = c.a.done[i][:0]
 	}
-	c.a.pendingStores = c.a.pendingStores[:0]
 	for r := range c.lastWriter {
 		c.lastWriter[r] = 0
 	}
@@ -92,9 +90,6 @@ func (c *Core) applyFlush() {
 			}
 		} else {
 			c.frontCount++
-		}
-		if rec.IsStore() && f&fIssued == 0 {
-			c.a.pendingStores = append(c.a.pendingStores, seq)
 		}
 		for j := 0; j < int(rec.NDst); j++ {
 			c.lastWriter[rec.DestReg(j, c.ovf)] = seq + 1

@@ -1,7 +1,6 @@
 package uarch
 
 import (
-	"fmt"
 	"math/bits"
 
 	"dlvp/internal/isa"
@@ -92,14 +91,16 @@ func (c *Core) issueStage() {
 					}
 					continue
 				}
-				if f&fMdpWait != 0 && c.olderStoreUnissued(seq) {
+				if f&fMdpWait != 0 && c.lockstepUnissued(seq, c.a.lsq.olderStoreUnissued(seq)) {
 					// MDP holds the load until older stores resolve. Stays
 					// active: an older store may issue later this same scan.
 					continue
 				}
 				ldFwd := fwdNone
 				if f&fIsLoad != 0 {
-					_, ldFwd = c.forwardingStore(seq, c.rec(seq))
+					var st uint64
+					st, ldFwd = c.a.lsq.forward(seq)
+					c.lockstepForward(seq, st, ldFwd)
 					if ldFwd == fwdPartial {
 						// An older issued store partially covers this load's
 						// bytes: the STQ cannot forward a partial value, so
@@ -220,20 +221,6 @@ func (c *Core) predictsReg(pseq uint64, r isa.Reg) bool {
 	return false
 }
 
-// olderStoreUnissued reports whether any in-flight store older than seq has
-// not yet issued (its address is unresolved).
-func (c *Core) olderStoreUnissued(seq uint64) bool {
-	for _, s := range c.a.pendingStores {
-		if s >= seq {
-			return false
-		}
-		if c.live(s) {
-			return true
-		}
-	}
-	return false
-}
-
 // executeAt computes the completion time of a just-issued instruction and
 // performs its memory-system interaction. For loads, ldFwd is the store-
 // queue classification the issue scan already computed this cycle (a load
@@ -246,8 +233,7 @@ func (c *Core) executeAt(seq uint64, rec *trace.Rec, ldFwd fwdOutcome) {
 		// Address generation; data rides along. The cache write happens at
 		// commit through the store buffer.
 		w.execDone[slot] = c.now + 1
-		c.removePendingStore(seq)
-		c.checkOrderViolation(seq, rec)
+		c.checkOrderViolation(seq)
 	case rec.IsLoad():
 		agu := c.now + 1
 		if ldFwd == fwdHit {
@@ -263,103 +249,21 @@ func (c *Core) executeAt(seq uint64, rec *trace.Rec, ldFwd fwdOutcome) {
 	}
 }
 
-// removePendingStore unregisters a store whose address just resolved. Every
-// resolving store must be present: fetch registers it, and the only paths
-// that mark a store unissued again (selective replay, flush rebuild)
-// re-register it. A miss means the unissued-store bookkeeping diverged
-// from the window, which the assert build refuses to ignore.
-func (c *Core) removePendingStore(seq uint64) {
-	ps := c.a.pendingStores
-	for i, s := range ps {
-		if s == seq {
-			c.a.pendingStores = append(ps[:i], ps[i+1:]...)
-			return
-		}
+// checkOrderViolation squashes the load the LSQ finds executed before store
+// seq resolved its address: a memory-ordering violation. The load and
+// everything younger are refetched, and the MDP learns to hold that load in
+// the future.
+func (c *Core) checkOrderViolation(seq uint64) {
+	ld, ok := c.a.lsq.violation(seq, c.now)
+	c.lockstepViolation(seq, ld, ok)
+	if !ok {
+		return
 	}
-	if assertEnabled {
-		panic(fmt.Sprintf("uarch: pending-store bookkeeping lost store seq %d (head=%d fetch=%d pending=%d)",
-			seq, c.headSeq, c.fetchSeq, len(ps)))
-	}
-}
-
-func overlap(a1 uint64, n1 int, a2 uint64, n2 int) bool {
-	return a1 < a2+uint64(n2) && a2 < a1+uint64(n1)
-}
-
-// fwdOutcome classifies a load against the store queue.
-type fwdOutcome int8
-
-const (
-	// fwdNone: no issued older store overlaps the load; read from the
-	// cache hierarchy.
-	fwdNone fwdOutcome = iota
-	// fwdHit: the youngest overlapping store fully contains the load's
-	// bytes; the store queue forwards the value.
-	fwdHit
-	// fwdPartial: the youngest overlapping store covers only part of the
-	// load's bytes. The STQ cannot compose a value from store data plus
-	// memory, so the load must wait until that store commits and its
-	// bytes reach committed memory.
-	fwdPartial
-)
-
-// forwardingStore finds the youngest older in-flight store whose resolved
-// address overlaps the load and classifies the pair: full containment
-// (st.Addr <= ld.Addr && ld.Addr+ld.Bytes <= st.Addr+st.Bytes) forwards,
-// partial overlap blocks. The STQ index holds exactly the in-flight stores
-// in ascending seq order, so the search binary-searches to the load and
-// walks younger-to-older; the youngest overlapping store decides, since its
-// bytes are the architecturally visible ones.
-func (c *Core) forwardingStore(seq uint64, ld *trace.Rec) (uint64, fwdOutcome) {
-	stq := &c.a.stqIdx
-	w := &c.a.w
-	for i := stq.lowerBound(seq) - 1; i >= 0; i-- {
-		s := stq.at(i)
-		if w.flags[s&windowMask]&fIssued == 0 {
-			continue
-		}
-		st := c.rec(s)
-		if !overlap(st.Addr, int(st.Bytes), ld.Addr, int(ld.Bytes)) {
-			continue
-		}
-		if st.Addr <= ld.Addr && ld.Addr+uint64(ld.Bytes) <= st.Addr+uint64(st.Bytes) {
-			return s, fwdHit
-		}
-		return s, fwdPartial
-	}
-	return 0, fwdNone
-}
-
-// checkOrderViolation fires when a store resolves its address after a
-// younger overlapping load already executed: a memory-ordering violation.
-// The load (and everything younger) is squashed and refetched, and the MDP
-// learns to hold that load in the future. The LDQ index holds exactly the
-// in-flight loads in ascending seq order, oldest violation wins.
-func (c *Core) checkOrderViolation(seq uint64, st *trace.Rec) {
-	ldq := &c.a.ldqIdx
-	w := &c.a.w
-	n := ldq.len()
-	for i := ldq.lowerBound(seq + 1); i < n; i++ {
-		s := ldq.at(i)
-		slot := s & windowMask
-		// Same-cycle loads (issueCycle == now) are excluded: the issue scan
-		// is oldest-first, so a load issuing this cycle was processed after
-		// this (older) store and already saw it in the store queue — it
-		// forwarded or stalled correctly and read no stale data. Admitting
-		// it would make the squash/forward outcome depend on IQ position.
-		if w.flags[slot]&fIssued == 0 || w.issueCycle[slot] >= c.now {
-			continue
-		}
-		ld := c.rec(s)
-		if overlap(st.Addr, int(st.Bytes), ld.Addr, int(ld.Bytes)) {
-			c.mdp.RecordViolation(ld.PC)
-			c.scheduleFlush(flushReq{
-				seq:       s - 1,
-				refetchAt: s,
-				resume:    c.now + 2,
-				kind:      flushOrder,
-			})
-			return
-		}
-	}
+	c.mdp.RecordViolation(c.rec(ld).PC)
+	c.scheduleFlush(flushReq{
+		seq:       ld - 1,
+		refetchAt: ld,
+		resume:    c.now + 2,
+		kind:      flushOrder,
+	})
 }

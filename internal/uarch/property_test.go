@@ -14,6 +14,13 @@ import (
 // Every generated program is architecturally deterministic, so it checks
 // the timing model's core invariant: scheme choice never changes committed
 // state or instruction count.
+//
+// The memory operations mix widths and alignments so that stores and loads
+// meet in every relation the store queue distinguishes: 1-, 2-, 4- and
+// 8-byte LDR/STR at any byte offset, 16-byte LDP/STP, 16- to 32-byte LDM
+// and ordered LDAR next to the 8-aligned doublewords. Partial overlaps
+// (forwarding stalls) and loads that run ahead of a conflicting store
+// (order flushes) are then routine.
 func genProgram(seed uint64) *program.Program {
 	b := program.NewBuilder("fuzz")
 	const bufWords = 64
@@ -44,7 +51,11 @@ func genProgram(seed uint64) *program.Program {
 			rn := isa.Reg(2 + next(8))
 			rm := isa.Reg(2 + next(8))
 			off := int64(next(bufWords)) * 8
-			switch next(6) {
+			size := uint8(next(4))
+			// anyOff returns a byte offset at which an n-byte access stays
+			// inside the buffer.
+			anyOff := func(n int) int64 { return int64(next(uint64(bufWords*8 - n + 1))) }
+			switch next(12) {
 			case 0:
 				b.Op3(isa.ADD, rd, rn, rm)
 			case 1:
@@ -57,6 +68,19 @@ func genProgram(seed uint64) *program.Program {
 				b.Str(rn, 1, off, 3)
 			case 5:
 				b.OpImm(isa.ANDI, rd, rn, 0xffff)
+			case 6:
+				b.Ldr(rd, 1, anyOff(1<<size), size)
+			case 7:
+				b.Str(rn, 1, anyOff(1<<size), size)
+			case 8:
+				b.Ldp(rd, 2+(rd-1)%8, 1, anyOff(16)) // rd and the next scratch register
+			case 9:
+				b.Stp(rn, rm, 1, anyOff(16))
+			case 10:
+				n := 2 + uint8(next(3)) // rd..rd+n-1 stay inside x2..x9
+				b.Ldm(isa.Reg(2+next(uint64(9-n))), n, 1, anyOff(8*int(n)))
+			case 11:
+				b.Ldar(rd, 1, anyOff(1<<size), size)
 			}
 		}
 		// A data-dependent forward skip.

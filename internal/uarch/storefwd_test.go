@@ -130,8 +130,8 @@ func TestPartialOverlapDeterministic(t *testing.T) {
 	}
 }
 
-// TestOrderViolationSameCycleExcluded pins the same-cycle semantics of
-// checkOrderViolation directly: a load whose issueCycle equals the cycle
+// TestOrderViolationSameCycleExcluded pins the same-cycle semantics of the
+// LSQ's violation query directly: a load whose issueCycle equals the cycle
 // the older store resolves was processed after the store in the
 // age-ordered scan — it already saw the store in the STQ and must not be
 // squashed. A load that issued in an earlier cycle read stale data and
@@ -147,21 +147,24 @@ func TestOrderViolationSameCycleExcluded(t *testing.T) {
 		c.now = 10
 		c.fetchSeq = 2
 		w := &c.a.w
+		w.flags[0] = fValid | fIsStore | fIssued
 		w.flags[1] = fValid | fIsLoad | fIssued
-		c.a.ldqIdx.push(1)
+		for seq, r := range recs {
+			c.a.lsq.push(uint64(seq), r.IsStore(), r.Addr, r.Bytes)
+		}
 		return c
 	}
 
 	c := newCore()
 	c.a.w.issueCycle[1] = c.now // load issued this very cycle
-	c.checkOrderViolation(0, &recs[0])
+	c.checkOrderViolation(0)
 	if c.flushPending {
 		t.Error("same-cycle load squashed: it issued after the store in the age-ordered scan")
 	}
 
 	c = newCore()
 	c.a.w.issueCycle[1] = c.now - 1 // load issued before the store resolved
-	c.checkOrderViolation(0, &recs[0])
+	c.checkOrderViolation(0)
 	if !c.flushPending {
 		t.Error("stale load not squashed: it executed before the store's address resolved")
 	}

@@ -164,51 +164,8 @@ type windowState struct {
 	cold [windowCap]coldState
 }
 
-// seqRing is a bounded FIFO of ascending sequence numbers backed by a
-// power-of-two array: pushed at fetch, popped at commit, truncated from the
-// tail on a squash. It gives the memory-order checks an index of exactly
-// the in-flight loads (or stores) so they no longer walk the whole window.
-type seqRing struct {
-	buf  [windowCap]uint64
-	head uint32
-	tail uint32
-}
-
-func (r *seqRing) reset()          { r.head, r.tail = 0, 0 }
-func (r *seqRing) len() int        { return int(r.tail - r.head) }
-func (r *seqRing) push(seq uint64) { r.buf[r.tail&windowMask] = seq; r.tail++ }
-
-func (r *seqRing) popFront() uint64 {
-	s := r.buf[r.head&windowMask]
-	r.head++
-	return s
-}
-
-func (r *seqRing) at(i int) uint64 { return r.buf[(r.head+uint32(i))&windowMask] }
-
-// truncateFrom drops every element >= seq (squash of the younger tail).
-func (r *seqRing) truncateFrom(seq uint64) {
-	for r.tail != r.head && r.buf[(r.tail-1)&windowMask] >= seq {
-		r.tail--
-	}
-}
-
-// lowerBound returns the index of the first element >= seq.
-func (r *seqRing) lowerBound(seq uint64) int {
-	lo, hi := 0, r.len()
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if r.at(mid) < seq {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // Arena owns every bulk per-run allocation of a core: the SoA window, the
-// trace ring, the scheduler bitmap, the LDQ/STQ index rings, the PAQ ring
+// trace ring, the scheduler bitmap, the load/store queue index, the PAQ ring
 // and the small scheduler slices. A fresh arena is one allocation; reusing
 // one across runs (NewAtArena) makes a whole simulation allocation-free on
 // the per-instruction path and nearly so per run.
@@ -239,8 +196,7 @@ type Arena struct {
 	// only spurious wakes, which the ready checks absorb.
 	waiters [windowCap][]uint32
 
-	ldqIdx seqRing // all fetched, uncommitted loads (wider than LDQ occupancy)
-	stqIdx seqRing // all fetched, uncommitted stores
+	lsq lsq // all fetched, uncommitted loads and stores (wider than LDQ/STQ occupancy)
 
 	// done buckets issued instructions by completion cycle, so executeStage
 	// drains exactly the instructions finishing now instead of walking every
@@ -250,18 +206,16 @@ type Arena struct {
 	// the old list rebuild.
 	done [doneWheelSize][]doneEnt
 
-	pendingStores []uint64 // in-flight, not-yet-issued store seqs, ascending
-	reissue       []uint64 // selective-replay scratch
+	reissue []uint64 // selective-replay scratch
 
 	paqBuf []paqEntry // PAQ ring storage, sized to cfg.PAQEntries
 }
 
 // NewArena returns an arena ready for NewAtArena.
 func NewArena() *Arena {
-	return &Arena{
-		pendingStores: make([]uint64, 0, windowCap),
-		reissue:       make([]uint64, 0, windowCap),
-	}
+	a := &Arena{reissue: make([]uint64, 0, windowCap)}
+	a.lsq.w = &a.w
+	return a
 }
 
 var arenaPool = sync.Pool{New: func() any { return NewArena() }}
@@ -298,8 +252,6 @@ func (a *Arena) reset() {
 	for i := range a.done {
 		a.done[i] = a.done[i][:0]
 	}
-	a.ldqIdx.reset()
-	a.stqIdx.reset()
-	a.pendingStores = a.pendingStores[:0]
+	a.lsq.reset()
 	a.reissue = a.reissue[:0]
 }
