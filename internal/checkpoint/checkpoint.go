@@ -9,7 +9,6 @@ import (
 	"dlvp/internal/emu"
 	"dlvp/internal/lru"
 	"dlvp/internal/program"
-	"dlvp/internal/trace"
 )
 
 // DefaultBudgetBytes bounds the store's resident encoded checkpoints
@@ -18,12 +17,7 @@ import (
 // default holds thousands of checkpoints for the mini-ISA kernels.
 const DefaultBudgetBytes = int64(256 << 20)
 
-// DefaultCaptureStride is the checkpoint spacing used when a full
-// emulation pass is captured opportunistically (Capture with stride 0):
-// one checkpoint per million dynamic instructions.
-const DefaultCaptureStride = uint64(1_000_000)
-
-// Outcome classifies how a StateAt/CPUAt request was served.
+// Outcome classifies how a StateAt request was served.
 type Outcome string
 
 const (
@@ -85,14 +79,15 @@ type Stats struct {
 	Chained       int64 `json:"chained"` // restored an earlier checkpoint, emulated the gap
 	Cold          int64 `json:"cold"`    // emulated from the program entry
 	Coalesced     int64 `json:"coalesced"`
-	Captured      int64 `json:"captured"` // checkpoints deposited by Capture readers
 	Evictions     int64 `json:"evictions"`
 }
 
 // Store is an in-memory, byte-budgeted, content-addressed checkpoint
-// store keyed by (workload, instruction offset). Safe for concurrent
-// use. The zero value is not usable; construct with NewStore. A nil
-// *Store is valid and behaves as an always-cold store with no retention.
+// store keyed by (workload, instruction offset). StateAt is the only way
+// in: every resident checkpoint is one a StateAt request built. Safe for
+// concurrent use. The zero value is not usable; construct with NewStore.
+// A nil *Store is valid and behaves as an always-cold store with no
+// retention.
 type Store struct {
 	// cache holds encoded checkpoints at their encoded size, and its Do
 	// coalesces concurrent builds of one offset.
@@ -102,7 +97,6 @@ type Store struct {
 	chained   atomic.Int64
 	cold      atomic.Int64
 	coalesced atomic.Int64
-	captured  atomic.Int64
 }
 
 // NewStore returns a store retaining up to budget bytes of encoded
@@ -138,7 +132,6 @@ func (s *Store) Stats() Stats {
 		Chained:       s.chained.Load(),
 		Cold:          s.cold.Load(),
 		Coalesced:     s.coalesced.Load(),
-		Captured:      s.captured.Load(),
 		Evictions:     cs.Evictions,
 	}
 }
@@ -239,64 +232,4 @@ func buildFrom(base *emu.Snapshot, workload string, prog *program.Program, offse
 		return nil, outcome, &HaltedEarlyError{Workload: workload, Want: offset, Got: cpu.Executed()}
 	}
 	return cpu.Snapshot(), outcome, nil
-}
-
-// CPUAt returns a CPU for workload restored to exactly offset dynamic
-// instructions (see StateAt for the service order). The CPU is
-// independent of the store; its MaxInstrs is unset.
-func (s *Store) CPUAt(workload string, prog *program.Program, offset uint64) (*emu.CPU, Outcome, error) {
-	snap, outcome, err := s.StateAt(workload, prog, offset)
-	if err != nil {
-		return nil, outcome, err
-	}
-	return emu.NewFromSnapshot(prog, snap), outcome, nil
-}
-
-// --- opportunistic capture ---------------------------------------------------
-
-// Capture wraps cpu (a fresh, entry-positioned emulator owned by the
-// caller) so that checkpoints are deposited into the store every stride
-// executed instructions as the stream is consumed (0 selects
-// DefaultCaptureStride). The runner wraps trace-cache capture leads with
-// this, so checkpoint capture rides the single-flight emulation the
-// trace cache already guarantees — a monolithic run leaves behind the
-// checkpoints a later sampled run restores. A nil store returns cpu
-// unchanged.
-func (s *Store) Capture(cpu *emu.CPU, workload string, stride uint64) trace.Reader {
-	if s == nil {
-		return cpu
-	}
-	if stride == 0 {
-		stride = DefaultCaptureStride
-	}
-	next := (cpu.Executed()/stride + 1) * stride
-	return &captureReader{store: s, cpu: cpu, workload: workload, stride: stride, next: next}
-}
-
-type captureReader struct {
-	store    *Store
-	cpu      *emu.CPU
-	workload string
-	stride   uint64
-	next     uint64
-}
-
-// Overflow passes the emulator's table through (see trace.OverflowOf).
-func (r *captureReader) Overflow() *trace.Overflow { return r.cpu.Overflow() }
-
-func (r *captureReader) Next(rec *trace.Rec) bool {
-	if !r.cpu.Next(rec) {
-		return false
-	}
-	if r.cpu.Executed() == r.next {
-		// A checkpoint already resident at this offset stays as it is.
-		key := storeKey(r.workload, r.next)
-		if _, ok := r.store.cache.Peek(key); !ok {
-			e := newEntry(r.workload, r.next, r.cpu.Snapshot())
-			r.store.cache.Put(key, e, int64(len(e.enc)))
-		}
-		r.store.captured.Add(1)
-		r.next += r.stride
-	}
-	return true
 }

@@ -126,10 +126,10 @@ func TestCodecRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestRestoreBitIdentical locks the PR's acceptance invariant: a
+// TestRestoreBitIdentical locks the store's central invariant: a
 // checkpoint restore is bit-identical to live emulation at the same
-// offset, and the restored CPU's continued stream matches the live one
-// record for record.
+// offset, and the restored CPU counts on from that offset with a stream
+// that matches the live one record for record.
 func TestRestoreBitIdentical(t *testing.T) {
 	w, prog := testWorkload(t)
 	s := checkpoint.NewStore(0)
@@ -151,6 +151,9 @@ func TestRestoreBitIdentical(t *testing.T) {
 	live := emu.New(prog)
 	nextTo(live, offset)
 	restored := emu.NewFromSnapshot(prog, got)
+	if restored.Executed() != offset {
+		t.Fatalf("restored CPU reports %d executed, want %d", restored.Executed(), offset)
+	}
 	var lr, rr trace.Rec
 	for i := 0; i < 1_000; i++ {
 		if live.Next(&lr) != restored.Next(&rr) {
@@ -159,6 +162,9 @@ func TestRestoreBitIdentical(t *testing.T) {
 		if lr != rr {
 			t.Fatalf("record %d diverges:\n live: %+v\n rest: %+v", i, lr, rr)
 		}
+	}
+	if restored.Executed() != offset+1_000 {
+		t.Errorf("restored CPU counts %d executed after 1000 records, want the absolute %d", restored.Executed(), offset+1_000)
 	}
 
 	// Second request for the same offset is an exact hit.
@@ -285,22 +291,6 @@ func TestChainedBuildEqualsFresh(t *testing.T) {
 	}
 }
 
-func TestCPUAt(t *testing.T) {
-	w, prog := testWorkload(t)
-	s := checkpoint.NewStore(0)
-	cpu, _, err := s.CPUAt(w.Name, prog, 2_500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cpu.Executed() != 2_500 {
-		t.Errorf("restored CPU reports %d executed, want 2500", cpu.Executed())
-	}
-	var rec trace.Rec
-	if !cpu.Next(&rec) || cpu.Executed() != 2_501 {
-		t.Errorf("first record numbered %d, want the absolute offset 2500", cpu.Executed()-1)
-	}
-}
-
 func TestHaltedEarly(t *testing.T) {
 	b := program.NewBuilder("tiny")
 	b.MovImm(0, 1)
@@ -388,36 +378,6 @@ func TestConcurrentRequestsCoalesce(t *testing.T) {
 	}
 }
 
-func TestCaptureDepositsCheckpoints(t *testing.T) {
-	w, prog := testWorkload(t)
-	s := checkpoint.NewStore(0)
-	cpu := w.CPU(5_000)
-	r := s.Capture(cpu, w.Name, 1_000)
-	var rec trace.Rec
-	n := 0
-	for r.Next(&rec) {
-		n++
-	}
-	if n != 5_000 {
-		t.Fatalf("capture reader delivered %d records, want 5000", n)
-	}
-	st := s.Stats()
-	if st.Captured != 5 {
-		t.Errorf("captured = %d checkpoints, want 5 (every 1000 of 5000)", st.Captured)
-	}
-	// A later sampled run restores one of them as an exact hit.
-	snap, outcome, err := s.StateAt(w.Name, prog, 3_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outcome != checkpoint.OutcomeHit {
-		t.Errorf("outcome = %q, want hit from the captured chain", outcome)
-	}
-	if !snap.Equal(liveSnapshot(t, prog, 3_000)) {
-		t.Error("captured checkpoint differs from live emulation")
-	}
-}
-
 func TestNilStore(t *testing.T) {
 	w, prog := testWorkload(t)
 	var s *checkpoint.Store
@@ -430,10 +390,6 @@ func TestNilStore(t *testing.T) {
 	}
 	if !snap.Equal(liveSnapshot(t, prog, 1_500)) {
 		t.Error("nil-store build differs from live emulation")
-	}
-	cpu := w.CPU(100)
-	if got := s.Capture(cpu, w.Name, 10); got != trace.Reader(cpu) {
-		t.Error("nil store must return the CPU unwrapped")
 	}
 	if st := s.Stats(); st != (checkpoint.Stats{}) {
 		t.Errorf("nil store stats = %+v, want zero", st)

@@ -106,12 +106,13 @@ type Cell struct {
 }
 
 // Shard is the scatter unit: every scheme of one workload. Grouping by
-// workload makes the shard self-contained for the executing peer — its
-// first cell captures the workload's functional trace and deposits
-// checkpoints, the remaining cells replay them — and Key (the content
-// address of the workload-level prerequisite) is what the rendezvous
-// ring hashes, so repeated matrices land each shard on the peer already
-// holding those caches.
+// workload makes the shard self-contained for the executing peer — a
+// sampled shard's first cell builds the workload's checkpoint chain and a
+// full shard's first cell captures its functional trace, and the
+// remaining cells reuse them — and Key (the content address of the
+// workload-level prerequisite) is what the rendezvous ring hashes, so
+// repeated matrices land each shard on the peer already holding those
+// caches.
 type Shard struct {
 	ID       int    `json:"id"`
 	Workload string `json:"workload"`

@@ -7,6 +7,8 @@
 // and bandwidth/MSHR contention is intentionally not modelled.
 package mem
 
+import "math/bits"
+
 // CacheConfig describes one cache level.
 type CacheConfig struct {
 	Name       string
@@ -28,7 +30,8 @@ type Cache struct {
 	cfg      CacheConfig
 	lines    []line // set s holds lines[s*Ways : (s+1)*Ways]
 	setMask  uint64
-	blkShift uint8
+	blkShift uint8 // log2(BlockBytes)
+	tagShift uint8 // log2(BlockBytes × sets): addr >> tagShift is the tag
 	stamp    uint64
 
 	Accesses uint64
@@ -48,12 +51,14 @@ func NewCache(cfg CacheConfig) *Cache {
 	if numSets <= 0 || numSets&(numSets-1) != 0 {
 		panic("mem: set count must be a positive power of two")
 	}
-	c := &Cache{cfg: cfg, setMask: uint64(numSets - 1)}
-	for b := cfg.BlockBytes; b > 1; b >>= 1 {
-		c.blkShift++
+	blkShift := uint8(bits.TrailingZeros(uint(cfg.BlockBytes)))
+	return &Cache{
+		cfg:      cfg,
+		lines:    make([]line, numSets*cfg.Ways),
+		setMask:  uint64(numSets - 1),
+		blkShift: blkShift,
+		tagShift: blkShift + uint8(bits.TrailingZeros(uint(numSets))),
 	}
-	c.lines = make([]line, numSets*cfg.Ways)
-	return c
 }
 
 // Config returns the cache geometry.
@@ -61,17 +66,8 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 
 // setAndTag returns the lines of the set addr maps to, and addr's tag.
 func (c *Cache) setAndTag(addr uint64) ([]line, uint64) {
-	blk := addr >> c.blkShift
-	i := int(blk&c.setMask) * c.cfg.Ways
-	return c.lines[i : i+c.cfg.Ways], blk >> popcount(c.setMask)
-}
-
-func popcount(m uint64) uint8 {
-	var n uint8
-	for ; m != 0; m >>= 1 {
-		n += uint8(m & 1)
-	}
-	return n
+	i := int((addr>>c.blkShift)&c.setMask) * c.cfg.Ways
+	return c.lines[i : i+c.cfg.Ways], addr >> c.tagShift
 }
 
 // LookupResult describes one cache access.

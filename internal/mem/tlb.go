@@ -14,21 +14,12 @@ func DefaultTLBConfig() TLBConfig {
 	return TLBConfig{Entries: 512, Ways: 8, PageBytes: 4096, WalkLatency: 20}
 }
 
-type tlbEntry struct {
-	vpn   uint64
-	used  uint64
-	valid bool
-}
-
 // TLB models the translation lookaside buffer. Only timing matters here
-// (the simulator is virtually addressed), so an entry is just a virtual
-// page number.
+// (the simulator is virtually addressed), so the TLB is a cache of pages:
+// one line per page, filled on a miss.
 type TLB struct {
-	cfg       TLBConfig
-	sets      [][]tlbEntry
-	setMask   uint64
-	pageShift uint8
-	stamp     uint64
+	cfg   TLBConfig
+	pages *Cache
 
 	Accesses uint64
 	Hits     uint64
@@ -40,19 +31,12 @@ func NewTLB(cfg TLBConfig) *TLB {
 	if cfg.Entries == 0 {
 		cfg = DefaultTLBConfig()
 	}
-	numSets := cfg.Entries / cfg.Ways
-	if numSets <= 0 || numSets&(numSets-1) != 0 {
-		panic("mem: TLB set count must be a positive power of two")
-	}
-	t := &TLB{cfg: cfg, setMask: uint64(numSets - 1)}
-	for b := cfg.PageBytes; b > 1; b >>= 1 {
-		t.pageShift++
-	}
-	t.sets = make([][]tlbEntry, numSets)
-	for i := range t.sets {
-		t.sets[i] = make([]tlbEntry, cfg.Ways)
-	}
-	return t
+	return &TLB{cfg: cfg, pages: NewCache(CacheConfig{
+		Name:       "TLB",
+		SizeBytes:  cfg.Entries * cfg.PageBytes,
+		BlockBytes: cfg.PageBytes,
+		Ways:       cfg.Ways,
+	})}
 }
 
 // Config returns the TLB geometry.
@@ -62,31 +46,12 @@ func (t *TLB) Config() TLBConfig { return t.cfg }
 // walk penalty on a miss) and fills on a miss.
 func (t *TLB) Access(addr uint64) int {
 	t.Accesses++
-	vpn := addr >> t.pageShift
-	set := int(vpn & t.setMask)
-	for w := range t.sets[set] {
-		e := &t.sets[set][w]
-		if e.valid && e.vpn == vpn {
-			t.Hits++
-			t.stamp++
-			e.used = t.stamp
-			return 0
-		}
+	if t.pages.Access(0, addr).Hit {
+		t.Hits++
+		return 0
 	}
 	t.Misses++
-	victim, oldest := 0, ^uint64(0)
-	for w := range t.sets[set] {
-		e := &t.sets[set][w]
-		if !e.valid {
-			victim, oldest = w, 0
-			break
-		}
-		if e.used < oldest {
-			victim, oldest = w, e.used
-		}
-	}
-	t.stamp++
-	t.sets[set][victim] = tlbEntry{vpn: vpn, used: t.stamp, valid: true}
+	t.pages.Fill(addr, 0)
 	return t.cfg.WalkLatency
 }
 

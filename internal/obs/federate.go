@@ -129,7 +129,7 @@ func MergeExpositions(parts []Exposition) string {
 			v = 0
 		}
 		up.samples = append(up.samples,
-			fmt.Sprintf("%s{instance=%q} %d", PeerUpMetric, escapeLabel(part.Instance), v))
+			fmt.Sprintf("%s{%s} %d", PeerUpMetric, instancePair(part.Instance), v))
 	}
 
 	for _, name := range order {
@@ -170,12 +170,18 @@ func sampleInFamily(name string, f *mergedFamily) bool {
 	return rest == "_bucket" || rest == "_sum" || rest == "_count"
 }
 
+// instancePair is the escaped instance="<name>" label pair every merged
+// sample of an instance carries, so all of them join on it.
+func instancePair(instance string) string {
+	return `instance="` + escapeLabel(instance) + `"`
+}
+
 // injectInstance prepends instance="<name>" to a sample line's label set,
 // creating one when the sample is bare, and renames a label the peer
 // itself called instance to exported_instance. ok is false when the label
 // set does not parse.
 func injectInstance(line, instance string) (string, bool) {
-	pair := `instance="` + escapeLabel(instance) + `"`
+	pair := instancePair(instance)
 	i := strings.IndexAny(line, "{ ")
 	if line[i] == ' ' {
 		return line[:i] + "{" + pair + "}" + line[i:], true

@@ -99,6 +99,25 @@ func TestMergeExpositionsEscapesInstanceNames(t *testing.T) {
 	}
 }
 
+// The synthetic peer-up series of an instance whose name holds a quote or
+// a backslash carries the same escaped label pair as the instance's own
+// samples, healthy or degraded, so the two series join.
+func TestMergeExpositionsPeerUpJoinsInstanceSeries(t *testing.T) {
+	out := MergeExpositions([]Exposition{
+		{Instance: `http://h"1\x`, Text: "foo 3\n"},
+		{Instance: `http://d"e\ad`, Err: errors.New("connection refused")},
+	})
+	for _, want := range []string{
+		`foo{instance="http://h\"1\\x"} 3`,
+		`dlvpd_federation_peer_up{instance="http://h\"1\\x"} 1`,
+		`dlvpd_federation_peer_up{instance="http://d\"e\\ad"} 0`,
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("missing %s in:\n%s", want, out)
+		}
+	}
+}
+
 // labelSetRE matches a merged sample's label set: the instance pair first,
 // then well-formed name="value" pairs; labelRE picks out the later names.
 var (

@@ -158,8 +158,7 @@ type Options struct {
 	// through LiveTimeline while a job simulates (SSE streaming).
 	Timeline TimelineOptions
 	// Checkpoints is the architectural checkpoint store backing sampled
-	// jobs (and opportunistic checkpoint capture during full runs when
-	// the trace cache is enabled). Nil constructs a store with the
+	// jobs; full runs never touch it. Nil constructs a store with the
 	// default byte budget — every runner can serve sampled jobs.
 	Checkpoints *checkpoint.Store
 	// Sites enables per-load-site misprediction attribution on executed
@@ -236,9 +235,6 @@ func registerCheckpointMetrics(reg *obs.Registry, st *checkpoint.Store) {
 	reg.CounterFunc("dlvpd_checkpoint_builds_total",
 		"Checkpoint builds (chained from an earlier checkpoint or cold from the program entry).",
 		func() float64 { s := st.Stats(); return float64(s.Chained + s.Cold) })
-	reg.CounterFunc("dlvpd_checkpoint_captured_total",
-		"Checkpoints deposited opportunistically by full-run trace captures.",
-		func() float64 { return float64(st.Stats().Captured) })
 	reg.CounterFunc("dlvpd_checkpoint_evictions_total",
 		"Checkpoints evicted to respect the byte budget.",
 		func() float64 { return float64(st.Stats().Evictions) })
@@ -503,25 +499,15 @@ func (r *Runner) lead(ctx context.Context, key string, lv *liveJob, w workloads.
 	r.running.Add(1)
 	start := time.Now()
 
-	// The trace cache, when configured, replaces the per-job functional
-	// emulation with a capture-once/replay-many stream: the first job over
-	// a (workload, instrs) records the emulator's output, every other job
-	// replays (or tails) it. Outcomes are surfaced as runner.capture /
-	// runner.replay spans plus dedicated duration histograms. The live
-	// emulation behind a capture additionally deposits architectural
-	// checkpoints into the engine's store as it streams — checkpoint
-	// capture rides the trace cache's single-flight guarantee, so a full
-	// run leaves behind the restore points a later sampled run needs.
-	reader := trace.Reader(nil)
-	outcome := tracecache.OutcomeBypass
-	if r.tcache != nil {
-		var release func()
-		reader, release, outcome = r.tcache.Reader(job.Workload, job.Instrs,
-			func() trace.Reader { return r.ckpt.Capture(w.CPU(job.Instrs), job.Workload, 0) })
-		defer release()
-	} else {
-		reader = w.Reader(job.Instrs)
-	}
+	// The trace cache replaces the per-job functional emulation with a
+	// capture-once/replay-many stream: the first job over a (workload,
+	// instrs) records the emulator's output, every other job replays (or
+	// tails) it. A nil cache bypasses to live emulation. Outcomes are
+	// surfaced as runner.capture / runner.replay spans plus dedicated
+	// duration histograms.
+	reader, release, outcome := r.tcache.Reader(job.Workload, job.Instrs,
+		func() trace.Reader { return w.Reader(job.Instrs) })
+	defer release()
 	var tsp *obs.ActiveSpan
 	switch outcome {
 	case tracecache.OutcomeCapture:

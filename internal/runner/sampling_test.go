@@ -278,17 +278,15 @@ func TestSampledReconcilesWithFull(t *testing.T) {
 	}
 }
 
-// A monolithic run's trace-cache capture deposits checkpoints that a
-// later sampled run of the same workload restores as exact hits.
-func TestFullRunSeedsSampledCheckpoints(t *testing.T) {
+// A sampled run after a full run of the same workload, configuration and
+// budget is a distinct job: it is not served the full run's cached
+// result, and it returns sampled stats.
+func TestSampledRunAfterFullRun(t *testing.T) {
 	r := New(Options{Workers: 2})
 	const instrs = 40_000
 	if _, _, err := r.Run(context.Background(), Job{Workload: "fft", Config: config.Baseline(), Instrs: instrs}); err != nil {
 		t.Fatal(err)
 	}
-	// The capture stride for small runs is DefaultCaptureStride (1M), so
-	// nothing lands for a 40k run — this locks the graceful case: the
-	// sampled run still works, building its own chain.
 	res, _, err := r.RunResult(context.Background(), Job{Workload: "fft", Config: config.Baseline(), Instrs: instrs,
 		Sampling: &SamplingSpec{Intervals: 4}})
 	if err != nil {

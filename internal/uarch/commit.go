@@ -51,7 +51,6 @@ func (c *Core) commitStage() {
 		}
 
 		c.freeRegs += int(rec.NDst)
-		c.robCount--
 		if rec.IsLoad() {
 			c.ldqCount--
 		}

@@ -117,14 +117,14 @@ type Core struct {
 	committedGhist  uint64
 	committedLphist uint64
 
-	// Occupancy.
-	frontCount int // fetched, unrenamed
-	robCount   int // renamed, uncommitted
-	iqCount    int // bits set in a.iqBits (renamed & unissued)
-	ldqCount   int
-	stqCount   int
-	freeRegs   int
-	pvtCount   int
+	// Occupancy. The ROB holds [headSeq, renameSeq) and the decode queue
+	// [renameSeq, fetchSeq): rename runs in order, commit pops the head
+	// and a squash truncates a suffix, so neither range has a hole.
+	iqCount  int // bits set in a.iqBits (renamed & unissued)
+	ldqCount int
+	stqCount int
+	freeRegs int
+	pvtCount int
 
 	lastWriter [64]uint64 // seq+1 of last in-flight writer per arch reg
 

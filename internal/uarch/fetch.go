@@ -25,7 +25,7 @@ func (c *Core) fetchStage() {
 	w := &c.a.w
 
 	for n := 0; n < c.cfg.FetchWidth; n++ {
-		if c.frontCount >= frontQCap || c.fetchSeq-c.headSeq >= windowCap-8 {
+		if c.fetchSeq-c.renameSeq >= frontQCap || c.fetchSeq-c.headSeq >= windowCap-8 {
 			return
 		}
 		rec := c.recAt(c.fetchSeq)
@@ -104,7 +104,6 @@ func (c *Core) fetchStage() {
 		}
 		w.lphistAfter[slot] = lph
 
-		c.frontCount++
 		c.fetchSeq++
 		if rec.Op == isa.HALT {
 			c.haltSeen = true

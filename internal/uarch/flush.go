@@ -52,7 +52,7 @@ func (c *Core) applyFlush() {
 	// Rebuild occupancy, scheduler contents, and the writer map from the
 	// surviving window. The completion wheel is rebuilt too, in sequence
 	// order, which is the order the old in-flight list rebuild produced.
-	c.frontCount, c.robCount, c.ldqCount, c.stqCount, c.pvtCount = 0, 0, 0, 0, 0
+	c.ldqCount, c.stqCount, c.pvtCount = 0, 0, 0
 	used := 0
 	c.a.iqBits = [windowWords]uint64{}
 	c.iqCount = 0
@@ -71,7 +71,6 @@ func (c *Core) applyFlush() {
 		}
 		rec := c.rec(seq)
 		if f&fRenamed != 0 {
-			c.robCount++
 			used += int(rec.NDst)
 			if rec.IsLoad() {
 				c.ldqCount++
@@ -88,8 +87,6 @@ func (c *Core) applyFlush() {
 			if f&fVpMade != 0 && f&fCompleted == 0 {
 				c.pvtCount += c.cold(seq).vpNumDests
 			}
-		} else {
-			c.frontCount++
 		}
 		for j := 0; j < int(rec.NDst); j++ {
 			c.lastWriter[rec.DestReg(j, c.ovf)] = seq + 1

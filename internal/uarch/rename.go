@@ -28,7 +28,7 @@ func (c *Core) renameStage() {
 			return
 		}
 		rec := c.rec(seq)
-		if c.robCount >= c.cfg.ROBSize || c.iqCount >= c.cfg.IQSize {
+		if c.renameSeq-c.headSeq >= uint64(c.cfg.ROBSize) || c.iqCount >= c.cfg.IQSize {
 			return
 		}
 		if rec.IsLoad() && c.ldqCount >= c.cfg.LDQSize {
@@ -45,8 +45,6 @@ func (c *Core) renameStage() {
 		w.flags[slot] |= fRenamed
 		w.renameCycle[slot] = c.now
 		c.freeRegs -= nd
-		c.frontCount--
-		c.robCount++
 		if rec.IsLoad() {
 			c.ldqCount++
 		}

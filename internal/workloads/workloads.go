@@ -82,20 +82,12 @@ func ByName(name string) (Workload, bool) {
 	return Workload{}, false
 }
 
-// CPU returns a fresh functional emulator for w bounded to maxInstrs
-// dynamic instructions (callers that need the concrete emulator — e.g.
-// to snapshot checkpoints off the stream — use this; Reader is the
-// interface view).
-func (w Workload) CPU(maxInstrs uint64) *emu.CPU {
-	cpu := emu.New(w.Build())
-	cpu.MaxInstrs = maxInstrs
-	return cpu
-}
-
 // Reader returns a fresh functional stream for w bounded to maxInstrs
 // dynamic instructions.
 func (w Workload) Reader(maxInstrs uint64) trace.Reader {
-	return w.CPU(maxInstrs)
+	cpu := emu.New(w.Build())
+	cpu.MaxInstrs = maxInstrs
+	return cpu
 }
 
 // --- deterministic data generators ------------------------------------------
