@@ -40,6 +40,8 @@
 // records an interval flight-recorder timeline; async run jobs serve it at
 // GET /v1/runs/{id}/timeline (?format=prom for Prometheus text) and stream
 // it live over Server-Sent Events at GET /v1/runs/{id}/timeline/stream.
+// Every executed simulation also records a per-load-site attribution
+// profile, bounded by -max-sites and served at GET /v1/runs/{id}/sites.
 //
 // Every request gets a trace ID (X-Request-ID honoured and echoed) and
 // trace context is propagated across the cluster: forwarded jobs and
@@ -88,7 +90,6 @@ func main() {
 	checkpointBytes := flag.Int64("checkpoint-bytes", 0, "byte budget for the architectural checkpoint store backing sampled runs (0: default 256 MiB)")
 	timelineInterval := flag.Uint64("timeline-interval", 100_000, "flight-recorder sampling interval in committed instructions (0: disabled)")
 	timelineCapacity := flag.Int("timeline-capacity", 0, "flight-recorder sample ring bound per run (0: default)")
-	sites := flag.Bool("sites", true, "record per-load-site misprediction attribution, served at /v1/runs/{id}/sites")
 	maxSites := flag.Int("max-sites", 0, "per-load-site profile site bound per run (0: default 1024)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-request timeout for synchronous calls")
 	grace := flag.Duration("grace", 30*time.Second, "shutdown grace period for draining work")
@@ -135,10 +136,7 @@ func main() {
 			IntervalInstrs: *timelineInterval,
 			Capacity:       *timelineCapacity,
 		},
-		Sites: runner.SiteOptions{
-			Enabled:  *sites,
-			MaxSites: *maxSites,
-		},
+		MaxSites: *maxSites,
 	})
 
 	var peerBackends []dispatch.Backend

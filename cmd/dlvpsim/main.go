@@ -46,7 +46,7 @@ func main() {
 	timelineOut := flag.String("timeline", "", "record a flight-recorder timeline and write it as JSON to this path (\"-\": stdout)")
 	timelineInterval := flag.Uint64("timeline-interval", 0, "timeline sampling interval in committed instructions (0: default 100000)")
 	timelineCapacity := flag.Int("timeline-capacity", 0, "timeline sample ring bound (0: default 512)")
-	sitesOut := flag.String("sites", "", "record per-load-site misprediction attribution and write the profile as JSON to this path (\"-\": stdout)")
+	sitesOut := flag.String("sites", "", "write the run's per-load-site misprediction attribution profile as JSON to this path (\"-\": stdout)")
 	maxSites := flag.Int("max-sites", 0, "per-load-site profile site bound (0: default 1024)")
 	sampleIntervals := flag.Int("sample-intervals", 0, "run as a checkpointed sampled simulation with this many intervals (0: full detailed run)")
 	sampleWarmup := flag.Uint64("sample-warmup", 0, "per-interval detailed warm-up instructions before measurement (0: stride/16)")
@@ -106,10 +106,7 @@ func main() {
 			IntervalInstrs: *timelineInterval,
 			Capacity:       *timelineCapacity,
 		},
-		Sites: runner.SiteOptions{
-			Enabled:  *sitesOut != "",
-			MaxSites: *maxSites,
-		},
+		MaxSites: *maxSites,
 	})
 	var s metrics.RunStats
 	var sampled *runner.SampledInfo

@@ -149,25 +149,30 @@ func (p Params) PlanMatrix(cfgs map[string]config.Core) ([]JobSpec, error) {
 	return specs, nil
 }
 
+// fanOut runs the planned jobs through run and returns their results in
+// plan order. runner.FanOut runs them concurrently unless p.Parallel is
+// off, reporting each completion to p.Progress.
+func fanOut[R any](p Params, specs []JobSpec, run func(context.Context, runner.Job) (R, bool, error)) ([]R, error) {
+	jobs := make([]runner.Job, len(specs))
+	for i, s := range specs {
+		jobs[i] = s.Job
+	}
+	opt := runner.Matrix{Progress: p.Progress}
+	if !p.Parallel {
+		opt.MaxParallel = 1
+	}
+	return runner.FanOut(p.ctx(), jobs, opt, run)
+}
+
 // runMatrix simulates every workload under every named configuration via
 // the engine, returning results[workloadName][schemeName]. Jobs are
-// planned by PlanMatrix in deterministic (workload, scheme) order;
-// runner.FanOut runs them concurrently unless p.Parallel is off.
+// planned by PlanMatrix in deterministic (workload, scheme) order.
 func runMatrix(p Params, cfgs map[string]config.Core) (map[string]map[string]metrics.RunStats, error) {
 	specs, err := p.PlanMatrix(cfgs)
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]runner.Job, len(specs))
-	for i, s := range specs {
-		jobs[i] = s.Job
-	}
-
-	opt := runner.Matrix{Progress: p.Progress}
-	if !p.Parallel {
-		opt.MaxParallel = 1
-	}
-	stats, err := runner.FanOut(p.ctx(), jobs, opt, p.runner().Run)
+	stats, err := fanOut(p, specs, p.runner().Run)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"dlvp/internal/config"
 	"dlvp/internal/runner"
@@ -15,14 +14,12 @@ import (
 // (workload, scheme) cell of the Sites table shows.
 const sitesTopN = 3
 
-// siteEngine is the optional capability an Engine may implement to serve
-// full results with attached site profiles. The local runner does;
-// engines that cannot (a dispatcher whose jobs executed on a peer, or a
-// runner built without site recording) fall back to a private
-// sites-enabled runner below.
+// siteEngine is the capability Sites needs from an Engine: full results,
+// which carry each run's site profile. The local runner records one on
+// every run; a dispatcher's jobs that executed on a peer come back without
+// one, so the daemon runs this experiment on its local runner.
 type siteEngine interface {
 	RunResult(ctx context.Context, job runner.Job) (runner.Result, bool, error)
-	SitesEnabled() bool
 }
 
 // Sites regenerates the per-load-site attribution table: for each
@@ -31,28 +28,24 @@ type siteEngine interface {
 // which never reach confidence. This is the drill-down behind the
 // aggregate accuracy columns of Figures 6-8: two schemes with equal
 // accuracy typically fail at different sites for different reasons.
+// Figure 6 simulates the same jobs, so on an engine that ran it every
+// run here is a cache hit.
 func Sites(p Params) ([]*tabletext.Table, error) {
-	pool, err := p.pool()
-	if err != nil {
-		return nil, err
-	}
-	cfgs := map[string]config.Core{
+	specs, err := p.PlanMatrix(map[string]config.Core{
 		"dlvp":  config.DLVP(),
 		"cap":   config.CAPDLVP(),
 		"vtage": config.VTAGE(),
+	})
+	if err != nil {
+		return nil, err
 	}
-	schemes := make([]string, 0, len(cfgs))
-	for name := range cfgs {
-		schemes = append(schemes, name)
+	eng, ok := p.runner().(siteEngine)
+	if !ok {
+		return nil, fmt.Errorf("experiments: engine %T returns no full results, so no site profiles", p.runner())
 	}
-	sort.Strings(schemes)
-
-	eng, _ := p.runner().(siteEngine)
-	if eng == nil || !eng.SitesEnabled() {
-		// The ambient engine cannot attach site profiles; run the matrix on
-		// a private sites-enabled engine (results are small — the jobs here
-		// are few and the local pool still bounds parallelism).
-		eng = runner.New(runner.Options{Sites: runner.SiteOptions{Enabled: true}})
+	results, err := fanOut(p, specs, eng.RunResult)
+	if err != nil {
+		return nil, err
 	}
 
 	t := &tabletext.Table{
@@ -60,43 +53,31 @@ func Sites(p Params) ([]*tabletext.Table, error) {
 		Header: []string{"workload", "scheme", "rank", "pc", "eligible", "cov%", "acc%",
 			"mispred", "top cause", "conflict%"},
 	}
-	done, total := 0, len(pool)*len(schemes)
-	for _, w := range pool {
-		for _, scheme := range schemes {
-			res, _, err := eng.RunResult(p.ctx(), runner.Job{
-				Workload: w.Name, Config: cfgs[scheme], Instrs: p.Instrs, Sampling: p.Sampling,
-			})
-			if err != nil {
-				return nil, err
+	for i, spec := range specs {
+		w, scheme, prof := spec.Workload, spec.Scheme, results[i].Sites
+		if prof == nil {
+			return nil, fmt.Errorf("experiments: engine returned no site profile for %s/%s", w, scheme)
+		}
+		rows := topMispredictingSites(prof, sitesTopN)
+		if len(rows) == 0 {
+			t.AddRow(w, scheme, "-", "-", "-", "-", "-", "0", "none", "-")
+			continue
+		}
+		for rank, s := range rows {
+			top := "-"
+			if cause, _, ok := s.TopCause(); ok {
+				top = cause.String()
 			}
-			done++
-			if p.Progress != nil {
-				p.Progress(done, total)
-			}
-			if res.Sites == nil {
-				return nil, fmt.Errorf("experiments: engine returned no site profile for %s/%s", w.Name, scheme)
-			}
-			rows := topMispredictingSites(res.Sites, sitesTopN)
-			if len(rows) == 0 {
-				t.AddRow(w.Name, scheme, "-", "-", "-", "-", "-", "0", "none", "-")
-				continue
-			}
-			for i, s := range rows {
-				top := "-"
-				if cause, _, ok := s.TopCause(); ok {
-					top = cause.String()
-				}
-				t.AddRow(
-					w.Name, scheme,
-					fmt.Sprintf("%d", i+1),
-					fmt.Sprintf("0x%x", s.PC),
-					fmt.Sprintf("%d", s.Eligible),
-					s.Coverage(), s.Accuracy(),
-					fmt.Sprintf("%d", s.Mispredicts()),
-					top,
-					s.ConflictShare(),
-				)
-			}
+			t.AddRow(
+				w, scheme,
+				fmt.Sprintf("%d", rank+1),
+				fmt.Sprintf("0x%x", s.PC),
+				fmt.Sprintf("%d", s.Eligible),
+				s.Coverage(), s.Accuracy(),
+				fmt.Sprintf("%d", s.Mispredicts()),
+				top,
+				s.ConflictShare(),
+			)
 		}
 	}
 	return []*tabletext.Table{t}, nil

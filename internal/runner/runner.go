@@ -87,10 +87,11 @@ func (e *UnknownWorkloadError) Error() string {
 	return fmt.Sprintf("unknown workload %q", e.Name)
 }
 
-// Result is the full product of one job: the aggregate statistics and,
-// when the engine records timelines, the interval flight-recorder series.
-// Results are what the content-addressed cache stores, so a cached job
-// replays with its timeline intact.
+// Result is the full product of one job: the aggregate statistics, its
+// per-load-site attribution profile and, when the engine records
+// timelines, the interval flight-recorder series. Results are what the
+// content-addressed cache stores, so a cached job replays with its profile
+// and timeline intact.
 type Result struct {
 	Stats metrics.RunStats `json:"stats"`
 	// Timeline is nil when the engine ran without timeline recording.
@@ -99,16 +100,17 @@ type Result struct {
 	// Sampled is set on results produced by checkpointed sampled
 	// execution; nil means a monolithic detailed run.
 	Sampled *SampledInfo `json:"sampled,omitempty"`
-	// Sites is the per-load-site misprediction attribution profile; nil
-	// when the engine ran without site profiling. Sampled jobs merge one
-	// profile per measured interval.
+	// Sites is the per-load-site misprediction attribution profile.
+	// Sampled jobs merge one profile per measured interval.
 	Sites *siteprof.Profile `json:"sites,omitempty"`
 }
 
 // DefaultCacheEntries is the result-cache capacity when Options.CacheEntries
-// is zero. A RunStats is a few hundred bytes, so the default costs ~1-2 MB
-// (timeline-recording engines add up to ~230 KB per entry: a full ring of
-// ~450-byte samples).
+// is zero. A RunStats is a few hundred bytes. Over the 43 workloads x 4
+// schemes at 300k instructions a site profile held 4 KB on average in
+// memory (1.5 KB median, 41 KB for the largest, 256 sites), so a full
+// default cache costs ~20 MB (timeline-recording engines add up to
+// ~230 KB per entry: a full ring of ~450-byte samples).
 const DefaultCacheEntries = 4096
 
 // TimelineOptions configures flight-recorder sampling for every job the
@@ -123,18 +125,10 @@ type TimelineOptions struct {
 	Capacity int
 }
 
-// SiteOptions configures per-load-site misprediction attribution for
-// every job the engine executes.
-type SiteOptions struct {
-	// Enabled turns per-site attribution on.
-	Enabled bool
-	// MaxSites bounds tracked static load PCs per run
-	// (0: siteprof.DefaultMaxSites). Excess sites fold into the profile's
-	// overflow bucket, so totals stay exact.
-	MaxSites int
-}
-
-// Options parameterises a Runner.
+// Options parameterises a Runner. Every executed job records its
+// per-load-site attribution profile; finished profiles ride on Result and
+// the cache, live collectors are reachable through LiveSites while a job
+// simulates.
 type Options struct {
 	// Workers bounds concurrent simulations (<= 0: runtime.NumCPU()).
 	Workers int
@@ -161,10 +155,10 @@ type Options struct {
 	// jobs; full runs never touch it. Nil constructs a store with the
 	// default byte budget — every runner can serve sampled jobs.
 	Checkpoints *checkpoint.Store
-	// Sites enables per-load-site misprediction attribution on executed
-	// jobs; finished profiles ride on Result and the cache, live
-	// collectors are reachable through LiveSites while a job simulates.
-	Sites SiteOptions
+	// MaxSites bounds the static load PCs each job's site profile tracks
+	// (0: siteprof.DefaultMaxSites). Excess sites fold into the profile's
+	// overflow bucket, so totals stay exact.
+	MaxSites int
 }
 
 // instruments holds the engine's telemetry handles (nil when the runner
@@ -247,13 +241,13 @@ type Runner struct {
 	sem     chan struct{}
 	// cache holds results at cost 1 each, so its budget is an entry
 	// count; a disabled cache has budget 0 and still coalesces.
-	cache   *lru.Cache[Result]
-	caching bool // the cache retains results: count its misses
-	tcache  *tracecache.Cache
-	ckpt    *checkpoint.Store
-	inst    *instruments
-	tlOpts  TimelineOptions
-	spOpts  SiteOptions
+	cache    *lru.Cache[Result]
+	caching  bool // the cache retains results: count its misses
+	tcache   *tracecache.Cache
+	ckpt     *checkpoint.Store
+	inst     *instruments
+	tlOpts   TimelineOptions
+	maxSites int
 
 	mu   sync.Mutex
 	live map[string]*liveJob
@@ -274,8 +268,9 @@ type Runner struct {
 }
 
 // liveJob is what a job publishes while it simulates: its timeline
-// recorder and site collector, each nil when the engine does not record
-// it. RunResult withdraws it only after the result is cached, so the
+// recorder and site collector. A full run's recorder is nil when the
+// engine records no timelines, and a sampled run publishes no collector.
+// RunResult withdraws it only after the result is cached, so the
 // timeline and sites endpoints always find one or the other.
 type liveJob struct {
 	rec *timeline.Recorder
@@ -303,16 +298,16 @@ func New(opts Options) *Runner {
 		registerCheckpointMetrics(opts.Obs.Metrics, ckpt)
 	}
 	return &Runner{
-		workers: workers,
-		sem:     make(chan struct{}, workers),
-		cache:   lru.New[Result](int64(entries)),
-		caching: entries > 0,
-		tcache:  opts.TraceCache,
-		ckpt:    ckpt,
-		inst:    newInstruments(opts.Obs),
-		tlOpts:  opts.Timeline,
-		spOpts:  opts.Sites,
-		live:    make(map[string]*liveJob),
+		workers:  workers,
+		sem:      make(chan struct{}, workers),
+		cache:    lru.New[Result](int64(entries)),
+		caching:  entries > 0,
+		tcache:   opts.TraceCache,
+		ckpt:     ckpt,
+		inst:     newInstruments(opts.Obs),
+		tlOpts:   opts.Timeline,
+		maxSites: opts.MaxSites,
+		live:     make(map[string]*liveJob),
 	}
 }
 
@@ -335,8 +330,8 @@ func (r *Runner) Run(ctx context.Context, job Job) (metrics.RunStats, bool, erro
 	return res.Stats, cached, err
 }
 
-// RunResult is Run returning the full Result (stats plus timeline when the
-// engine records them).
+// RunResult is Run returning the full Result (stats, site profile, and
+// timeline when the engine records them).
 func (r *Runner) RunResult(ctx context.Context, job Job) (Result, bool, error) {
 	var zero Result
 	if err := ctx.Err(); err != nil {
@@ -438,10 +433,6 @@ func (r *Runner) LiveTimeline(key string) *timeline.Recorder {
 	return nil
 }
 
-// TimelineEnabled reports whether the engine records flight-recorder
-// timelines for executed jobs.
-func (r *Runner) TimelineEnabled() bool { return r.tlOpts.Enabled }
-
 // LiveSites returns the in-flight site-attribution collector for a job
 // key while its simulation is running (nil otherwise). The collector is
 // safe for concurrent reads via Snapshot — this is what the live
@@ -454,10 +445,6 @@ func (r *Runner) LiveSites(key string) *siteprof.Collector {
 	}
 	return nil
 }
-
-// SitesEnabled reports whether the engine records per-load-site
-// attribution profiles for executed jobs.
-func (r *Runner) SitesEnabled() bool { return r.spOpts.Enabled }
 
 // countLookup bumps the cache-outcome counter when instrumented.
 func (r *Runner) countLookup(outcome string) {
@@ -523,9 +510,7 @@ func (r *Runner) lead(ctx context.Context, key string, lv *liveJob, w workloads.
 	if r.tlOpts.Enabled {
 		lv.rec = core.EnableTimeline(r.tlOpts.IntervalInstrs, r.tlOpts.Capacity)
 	}
-	if r.spOpts.Enabled {
-		lv.col = core.EnableSiteProfile(r.spOpts.MaxSites)
-	}
+	lv.col = core.EnableSiteProfile(r.maxSites)
 	r.publishLive(key, lv)
 	res.Stats = core.Run(0)
 	res.Timeline = core.Timeline()
@@ -578,12 +563,12 @@ func (r *Runner) RunAll(ctx context.Context, jobs []Job, opt Matrix) ([]metrics.
 
 // FanOut executes every job through run concurrently and returns the
 // results in submission order (deterministic aggregation regardless of
-// completion order). run bounds the real parallelism: the runner's pool,
-// or a dispatcher's ring. On cancellation FanOut returns ctx.Err(); the
-// first job-level error otherwise. Results of jobs that did not run are
-// zero.
-func FanOut(ctx context.Context, jobs []Job, opt Matrix, run func(context.Context, Job) (metrics.RunStats, bool, error)) ([]metrics.RunStats, error) {
-	results := make([]metrics.RunStats, len(jobs))
+// completion order). run is Run for statistics or RunResult for full
+// results, on the runner's pool or a dispatcher's ring, which bounds the
+// real parallelism. On cancellation FanOut returns ctx.Err(); the first
+// job-level error otherwise. Results of jobs that did not run are zero.
+func FanOut[R any](ctx context.Context, jobs []Job, opt Matrix, run func(context.Context, Job) (R, bool, error)) ([]R, error) {
+	results := make([]R, len(jobs))
 	var local chan struct{}
 	if opt.MaxParallel > 0 {
 		local = make(chan struct{}, opt.MaxParallel)

@@ -470,7 +470,4 @@ func TestTimelineBypassesTimelineLessCacheEntries(t *testing.T) {
 	if res.Timeline == nil {
 		t.Fatal("timeline-enabled engine returned a timeline-less result")
 	}
-	if !rec.TimelineEnabled() || plain.TimelineEnabled() {
-		t.Error("TimelineEnabled flags wrong")
-	}
 }

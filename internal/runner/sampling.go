@@ -286,9 +286,7 @@ func (r *Runner) runSampled(ctx context.Context, key string, lv *liveJob, w work
 		defer uarch.ReleaseArena(arena)
 		core := uarch.NewAtArena(job.Config, prog, cpu, snap.Mem, arena)
 		core.SetSampleWindow(iv.warmup, spec.MeasuredInstrs)
-		if r.spOpts.Enabled {
-			core.EnableSiteProfile(r.spOpts.MaxSites)
-		}
+		core.EnableSiteProfile(r.maxSites)
 		st := core.Run(0)
 		meas, complete := core.MeasuredCounters()
 		if !complete {
@@ -370,14 +368,11 @@ func (r *Runner) runSampled(ctx context.Context, key string, lv *liveJob, w work
 	res.Stats = sum.RunStats(job.Workload, scheme)
 	res.Stats.CoreEnergy = energy
 	res.Timeline = rec.Finish(cum, 0, job.Workload, scheme)
-	if r.spOpts.Enabled {
-		// Per-interval profiles cover only measured regions (warm-up is
-		// excluded per interval), so the merged profile reconciles with
-		// the summed measured counters.
-		merged := siteprof.Merge(profiles, r.spOpts.MaxSites)
-		merged.Workload, merged.Scheme = job.Workload, scheme
-		res.Sites = merged
-	}
+	// Per-interval profiles cover only measured regions (warm-up is
+	// excluded per interval), so the merged profile reconciles with the
+	// summed measured counters.
+	res.Sites = siteprof.Merge(profiles, r.maxSites)
+	res.Sites.Workload, res.Sites.Scheme = job.Workload, scheme
 	res.Sampled = &info
 	return res, nil
 }

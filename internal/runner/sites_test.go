@@ -7,11 +7,11 @@ import (
 	"dlvp/internal/config"
 )
 
-// A sites-enabled engine attaches the attribution profile to its results,
+// A default engine attaches the attribution profile to its results,
 // caches it content-addressed alongside the stats, reconciles it exactly
 // with the aggregate VP counters, and exposes nothing live once done.
 func TestRunResultRecordsSites(t *testing.T) {
-	r := New(Options{Workers: 2, Sites: SiteOptions{Enabled: true}})
+	r := New(Options{Workers: 2})
 	job := Job{Workload: "perlbmk", Config: config.DLVP(), Instrs: testInstrs}
 	res, cached, err := r.RunResult(context.Background(), job)
 	if err != nil {
@@ -21,7 +21,7 @@ func TestRunResultRecordsSites(t *testing.T) {
 		t.Error("first run reported cached")
 	}
 	if res.Sites == nil {
-		t.Fatal("no site profile on a sites-enabled engine's result")
+		t.Fatal("no site profile on a default engine's result")
 	}
 	tot := res.Sites.Totals()
 	if tot.Eligible != res.Stats.VP.Eligible || tot.Predicted != res.Stats.VP.Predicted ||
@@ -55,15 +55,12 @@ func TestRunResultRecordsSites(t *testing.T) {
 	if got := r.LiveSites(key); got != nil {
 		t.Error("LiveSites non-nil after completion")
 	}
-	if !r.SitesEnabled() {
-		t.Error("SitesEnabled() = false on a sites-enabled engine")
-	}
 }
 
 // A sampled run merges per-interval profiles into one that reconciles
 // exactly with the summed measured-region counters.
 func TestSampledRunMergesSiteProfiles(t *testing.T) {
-	r := New(Options{Workers: 2, Sites: SiteOptions{Enabled: true}})
+	r := New(Options{Workers: 2})
 	job := Job{Workload: "perlbmk", Config: config.DLVP(), Instrs: 40_000,
 		Sampling: &SamplingSpec{Intervals: 4}}
 	res, _, err := r.RunResult(context.Background(), job)

@@ -533,6 +533,11 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 
 	key := artifactKey(id, instrs, req.Workloads, req.Serial)
 	eng := s.engineFor(r)
+	if id == "sites" {
+		// Site profiles exist only on the local engine (see sitesFor): a
+		// job a peer executed comes back without one.
+		eng = s.runner
+	}
 	build := func(ctx context.Context) (*experiments.Artifact, bool, error) {
 		sp := obs.StartSpan(ctx, "artifact.build").Attr("experiment", id)
 		a, out, err := s.artifacts.Do(ctx, key, func(ctx context.Context) (*experiments.Artifact, int64, error) {

@@ -34,7 +34,7 @@ func (s *Server) handleRunSites(w http.ResponseWriter, r *http.Request) {
 	prof, ok := s.sitesFor(key)
 	if !ok {
 		s.writeJSON(w, r, http.StatusNotFound, errorBody{
-			Error: "no site profile for this run: site attribution disabled, job not started, or result evicted"})
+			Error: "no site profile for this run: job not started, or result evicted"})
 		return
 	}
 	switch format := r.URL.Query().Get("format"); format {

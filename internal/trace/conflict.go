@@ -48,7 +48,8 @@ type loadInstance struct {
 // The timing simulator itself decides each case exactly (its
 // committed-memory image is updated at commit); this constant only
 // calibrates the trace-level classification to match what the pipeline
-// actually does. Figure 1 and cmd/traceprof both profile with it.
+// actually does. Figure 1 and the summary's committed-conflict row
+// profile with it.
 const ConflictWindow = 64
 
 // NewConflictProfiler returns a profiler with the given in-flight window.
