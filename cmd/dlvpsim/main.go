@@ -79,12 +79,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-instrs must be positive: a zero-instruction run simulates nothing")
 		os.Exit(2)
 	}
-	var sampling *runner.SamplingSpec
-	if *sampleIntervals != 0 || *sampleWarmup != 0 || *sampleBudget != 0 {
-		if *pipeview > 0 {
-			fmt.Fprintln(os.Stderr, "-pipeview needs the full detailed stream and cannot be combined with sampling flags")
-			os.Exit(2)
+	sampleFlags := *sampleIntervals != 0 || *sampleWarmup != 0 || *sampleBudget != 0
+	if *pipeview > 0 {
+		// The pipeview run bypasses the runner, which alone samples and
+		// writes the timeline and the site profile.
+		for _, c := range []struct {
+			set  bool
+			what string
+		}{{sampleFlags, "sampling flags"}, {*timelineOut != "", "-timeline"}, {*sitesOut != "", "-sites"}} {
+			if c.set {
+				fmt.Fprintf(os.Stderr, "-pipeview runs the core outside the runner and cannot be combined with %s\n", c.what)
+				os.Exit(2)
+			}
 		}
+	}
+	var sampling *runner.SamplingSpec
+	if sampleFlags {
 		sampling = &runner.SamplingSpec{
 			Intervals:      *sampleIntervals,
 			WarmupInstrs:   *sampleWarmup,

@@ -72,7 +72,7 @@ func Fig1(p Params) ([]*tabletext.Table, error) {
 	t.AddRow("AVERAGE", sumC/n, sumI/n, (sumC+sumI)/n, sumV/n)
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("committed share of all conflicts: %.1f%% (paper: ~67%% are with previously committed stores)", c.committedShare()),
-		fmt.Sprintf("in-flight horizon: %d instructions (typical fetch-to-commit distance; see conflictWindow)", trace.ConflictWindow))
+		fmt.Sprintf("in-flight horizon: %d instructions (typical fetch-to-commit distance; see trace.ConflictWindow)", trace.ConflictWindow))
 	return []*tabletext.Table{t}, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -147,7 +148,7 @@ func newTestOrchestrator(t *testing.T, c Cluster, store *Store) *Orchestrator {
 	return o
 }
 
-func waitDone(t *testing.T, m *Matrix) View {
+func waitDone(t testing.TB, m *Matrix) View {
 	t.Helper()
 	select {
 	case <-m.Done():
@@ -706,6 +707,21 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	if err := store.Delete(plan.ID); err != nil {
 		t.Fatalf("double delete: %v", err)
+	}
+}
+
+// TestLoadedCellCountSizesNothing: a persisted plan's cell count is a
+// number read from disk, so rebuilding the matrix from it must not
+// allocate in proportion to it; a corrupt count would otherwise cost a
+// restarting daemon its memory.
+func TestLoadedCellCountSizesNothing(t *testing.T) {
+	st := State{Plan: Plan{ID: "m", Cells: 1_000_000}, Status: StatusRunning}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	matrixFromState(st).View()
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("rebuilding a matrix that claims %d cells allocated %d bytes", st.Plan.Cells, n)
 	}
 }
 

@@ -166,11 +166,12 @@ func (m *Matrix) Plan() Plan { return m.plan }
 func (m *Matrix) Done() <-chan struct{} { return m.done }
 
 // newMatrix builds the runtime state for a plan with every shard pending.
+// A resumed plan comes from disk, so nothing is sized by its Cells count.
 func newMatrix(plan Plan) *Matrix {
 	m := &Matrix{
 		plan:   plan,
 		status: StatusRunning,
-		cells:  make(map[string]CellResult, plan.Cells),
+		cells:  make(map[string]CellResult),
 		done:   make(chan struct{}),
 		cancel: func() {},
 	}

@@ -141,20 +141,6 @@ func (c *Cache) Fill(addr uint64, ready uint64) int {
 	return victim
 }
 
-// Invalidate drops the block containing addr if present (used by tests and
-// by way-misprediction experiments that force re-insertion at a new way).
-func (c *Cache) Invalidate(addr uint64) bool {
-	set, tag := c.setAndTag(addr)
-	for w := range set {
-		l := &set[w]
-		if l.valid && l.tag == tag {
-			l.valid = false
-			return true
-		}
-	}
-	return false
-}
-
 // MissRate returns misses/accesses in percent.
 func (c *Cache) MissRate() float64 {
 	if c.Accesses == 0 {

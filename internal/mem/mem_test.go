@@ -82,20 +82,6 @@ func TestCachePeekDoesNotDisturb(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidate(t *testing.T) {
-	c := smallCache()
-	c.Fill(0x1000, 0)
-	if !c.Invalidate(0x1000) {
-		t.Error("invalidate of present block must return true")
-	}
-	if hit, _ := c.Peek(0x1000); hit {
-		t.Error("block present after invalidate")
-	}
-	if c.Invalidate(0x1000) {
-		t.Error("invalidate of absent block must return false")
-	}
-}
-
 func TestCacheRefillRefreshesReadiness(t *testing.T) {
 	c := smallCache()
 	c.Fill(0x1000, 100)

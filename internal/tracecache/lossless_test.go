@@ -2,8 +2,6 @@ package tracecache_test
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"dlvp/internal/config"
@@ -187,40 +185,6 @@ func losslessPaths(t *testing.T, prog *program.Program) map[string]func() (trace
 			cpu := src()
 			return &trace.SliceReader{Recs: trace.Collect(cpu, 0), Ovf: trace.OverflowOf(cpu)}, nop
 		},
-		"codec": func() (trace.Reader, func()) {
-			path := filepath.Join(t.TempDir(), "mix.trace")
-			f, err := os.Create(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := trace.NewWriter(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cpu := src()
-			var rec trace.Rec
-			for cpu.Next(&rec) {
-				if err := w.Write(&rec, trace.OverflowOf(cpu)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.Seek(0, 0); err != nil {
-				t.Fatal(err)
-			}
-			fr, err := trace.NewFileReader(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return fr, func() {
-				if fr.Err() != nil {
-					t.Errorf("codec: %v", fr.Err())
-				}
-				f.Close()
-			}
-		},
 		"capture": func() (trace.Reader, func()) {
 			return cacheReader(tracecache.New(64<<20), tracecache.OutcomeCapture)
 		},
@@ -264,11 +228,10 @@ func losslessPaths(t *testing.T, prog *program.Program) map[string]func() (trace
 // TestLosslessRecords: for generated programs mixing every record shape,
 // every accessor the core reads (destination registers and values, source
 // registers, target, taken and the class flags) agrees between live
-// emulation and every other hand-off — trace.Collect + SliceReader, the
-// file codec, and the trace cache's capture, follow, replay and
-// fallback-after-abort paths — and the core's RunStats agree too. CI runs
-// this under -race, since a follower reads the overflow table another
-// goroutine publishes.
+// emulation and every other hand-off — trace.Collect + SliceReader and
+// the trace cache's capture, follow, replay and fallback-after-abort
+// paths — and the core's RunStats agree too. CI runs this under -race,
+// since a follower reads the overflow table another goroutine publishes.
 func TestLosslessRecords(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		prog := mixProgram(seed)

@@ -45,8 +45,7 @@ func TestLockstepMismatchPanics(t *testing.T) {
 		{PC: 0x1000, Op: isa.STR, Flags: isa.STR.Flags(), Addr: 0x8000, Bytes: 8},
 		{PC: 0x1004, Op: isa.LDR, Flags: isa.LDR.Flags(), Addr: 0x8004, Bytes: 1},
 	}
-	c := NewAt(config.Baseline(), program.NewBuilder("ls").Build(),
-		&trace.SliceReader{Recs: recs}, nil)
+	c := New(config.Baseline(), program.NewBuilder("ls").Build(), &trace.SliceReader{Recs: recs})
 	c.fetchSeq = 2
 	c.a.w.flags[0] = fValid | fIsStore | fIssued
 	c.a.w.flags[1] = fValid | fIsLoad

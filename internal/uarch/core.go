@@ -206,24 +206,20 @@ func New(cfg config.Core, p *program.Program, reader trace.Reader) *Core {
 	return NewAtArena(cfg, p, reader, nil, nil)
 }
 
-// NewAt builds a core whose committed-memory image starts from cmem
+// NewAtArena builds a core whose committed-memory image starts from cmem
 // instead of the program image — the mid-stream form used by sampled
 // simulation, where reader is a checkpoint-restored emulator (its stream
 // positions start at 0 like any other) and cmem is the architectural
 // memory at the restore offset.
-// cmem is cloned, never mutated; nil selects the program image
-// (equivalent to New). The probe-staleness model depends on this: a
-// DLVP probe reads the committed image, so an interval starting
-// mid-stream must see the memory the committed stream has produced so
-// far, not the initial data segments.
-func NewAt(cfg config.Core, p *program.Program, reader trace.Reader, cmem *emu.Memory) *Core {
-	return NewAtArena(cfg, p, reader, cmem, nil)
-}
-
-// NewAtArena is NewAt with an explicit arena. Passing an arena recycled
-// from a finished run (never one still in use — arenas are not
-// concurrency-safe) reuses its memory, making back-to-back simulations
-// allocation-free on the bulk state. nil allocates a fresh arena.
+// cmem is cloned, never mutated; nil selects the program image. The
+// probe-staleness model depends on this: a DLVP probe reads the committed
+// image, so an interval starting mid-stream must see the memory the
+// committed stream has produced so far, not the initial data segments.
+//
+// Passing an arena recycled from a finished run (never one still in use —
+// arenas are not concurrency-safe) reuses its memory, making back-to-back
+// simulations allocation-free on the bulk state. A nil a allocates a
+// fresh arena.
 func NewAtArena(cfg config.Core, p *program.Program, reader trace.Reader, cmem *emu.Memory, a *Arena) *Core {
 	var mimg *emu.Memory
 	if cmem != nil {

@@ -36,8 +36,8 @@ func TestRandomAccessReplayMatchesStreaming(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := w.Build()
-			streamed := NewAt(tc.cfg, prog, streamOnly{&trace.SliceReader{Recs: recs}}, nil).Run(0)
-			random := NewAt(tc.cfg, prog, &trace.SliceReader{Recs: recs}, nil).Run(0)
+			streamed := New(tc.cfg, prog, streamOnly{&trace.SliceReader{Recs: recs}}).Run(0)
+			random := New(tc.cfg, prog, &trace.SliceReader{Recs: recs}).Run(0)
 			if !reflect.DeepEqual(streamed, random) {
 				t.Errorf("random-access replay diverged from streaming replay:\nstream: %+v\nrandom: %+v", streamed, random)
 			}

@@ -142,8 +142,7 @@ func TestOrderViolationSameCycleExcluded(t *testing.T) {
 		{PC: 0x1004, Op: isa.LDR, Flags: isa.LDR.Flags(), Addr: 0x8004, Bytes: 1},
 	}
 	newCore := func() *Core {
-		c := NewAt(config.Baseline(), program.NewBuilder("ov").Build(),
-			&trace.SliceReader{Recs: recs}, nil)
+		c := New(config.Baseline(), program.NewBuilder("ov").Build(), &trace.SliceReader{Recs: recs})
 		c.now = 10
 		c.fetchSeq = 2
 		w := &c.a.w
