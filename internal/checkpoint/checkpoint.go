@@ -1,8 +1,19 @@
+// Package checkpoint provides SimPoint-style architectural checkpoints
+// for the functional emulator and the store the sampled simulation mode
+// restores them from.
+//
+// A checkpoint is an emu.Snapshot — registers, PC, dynamic instruction
+// count, halt flag and the resident memory page set — kept as built,
+// keyed by (workload, instruction offset), and handed out only as clones.
+// Because the emulator is deterministic, restoring the checkpoint at
+// offset N and continuing execution reproduces the instruction stream of
+// a fresh emulation bit-for-bit from N onward; that invariant is what
+// lets the sampling driver in internal/runner stitch per-interval
+// measurements into a whole-run estimate.
 package checkpoint
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"sync/atomic"
 
@@ -11,10 +22,10 @@ import (
 	"dlvp/internal/program"
 )
 
-// DefaultBudgetBytes bounds the store's resident encoded checkpoints
-// when a caller passes 0 to NewStore. A checkpoint costs roughly
-// 4 KiB per resident memory page plus ~0.5 KiB of header, so the
-// default holds thousands of checkpoints for the mini-ISA kernels.
+// DefaultBudgetBytes bounds the store's resident checkpoints when a
+// caller passes 0 to NewStore. A checkpoint is charged emu.PageSize
+// (4 KiB) per resident memory page plus its 512-byte register file, so
+// the default holds thousands of checkpoints for the mini-ISA kernels.
 const DefaultBudgetBytes = int64(256 << 20)
 
 // Outcome classifies how a StateAt request was served.
@@ -23,7 +34,7 @@ type Outcome string
 const (
 	// OutcomeFresh: offset 0 — a fresh CPU, no store involvement.
 	OutcomeFresh Outcome = "fresh"
-	// OutcomeHit: decoded from a resident checkpoint at the exact offset.
+	// OutcomeHit: cloned from a resident checkpoint at the exact offset.
 	OutcomeHit Outcome = "hit"
 	// OutcomeChained: restored the nearest earlier checkpoint and
 	// emulated the gap (the result is stored for next time).
@@ -48,26 +59,13 @@ func (e *HaltedEarlyError) Error() string {
 		e.Workload, e.Got, e.Want)
 }
 
-// entry is one resident encoded checkpoint.
+// entry is one resident checkpoint: the snapshot its build produced.
+// Nothing writes it after the build; StateAt hands out clones, and a
+// chained build restores from a copy.
 type entry struct {
 	workload string
 	offset   uint64
-	enc      []byte
-	sum      [sha256.Size]byte
-}
-
-func newEntry(workload string, offset uint64, snap *emu.Snapshot) *entry {
-	enc := Encode(snap)
-	return &entry{workload: workload, offset: offset, enc: enc, sum: sha256.Sum256(enc)}
-}
-
-// decode verifies the entry's content hash and decodes it into a private
-// snapshot.
-func (e *entry) decode() (*emu.Snapshot, error) {
-	if sha256.Sum256(e.enc) != e.sum {
-		return nil, fmt.Errorf("checkpoint: content hash mismatch for %q@%d", e.workload, e.offset)
-	}
-	return Decode(e.enc)
+	snap     *emu.Snapshot
 }
 
 // Stats is a snapshot of the store counters.
@@ -82,15 +80,15 @@ type Stats struct {
 	Evictions     int64 `json:"evictions"`
 }
 
-// Store is an in-memory, byte-budgeted, content-addressed checkpoint
-// store keyed by (workload, instruction offset). StateAt is the only way
-// in: every resident checkpoint is one a StateAt request built. Safe for
+// Store is an in-memory, byte-budgeted checkpoint store keyed by
+// (workload, instruction offset). StateAt is the only way in: every
+// resident checkpoint is one a StateAt request built. Safe for
 // concurrent use. The zero value is not usable; construct with NewStore.
 // A nil *Store is valid and behaves as an always-cold store with no
 // retention.
 type Store struct {
-	// cache holds encoded checkpoints at their encoded size, and its Do
-	// coalesces concurrent builds of one offset.
+	// cache holds checkpoints at their charged size, and its Do coalesces
+	// concurrent builds of one offset.
 	cache *lru.Cache[*entry]
 
 	hits      atomic.Int64
@@ -99,8 +97,8 @@ type Store struct {
 	coalesced atomic.Int64
 }
 
-// NewStore returns a store retaining up to budget bytes of encoded
-// checkpoints (0 selects DefaultBudgetBytes).
+// NewStore returns a store retaining up to budget bytes of checkpoints
+// (0 selects DefaultBudgetBytes).
 func NewStore(budget int64) *Store {
 	if budget <= 0 {
 		budget = DefaultBudgetBytes
@@ -138,12 +136,13 @@ func (s *Store) Stats() Stats {
 
 // StateAt returns the architectural state of workload (built from prog)
 // after exactly offset dynamic instructions. The returned snapshot is a
-// private copy the caller owns. Service order: exact resident checkpoint
-// (decoded and hash-verified), else restore the nearest earlier
-// checkpoint and emulate the gap, else emulate from the program entry;
-// either build deposits a checkpoint at offset for next time.
-// Concurrent requests for the same (workload, offset) coalesce onto one
-// build. A workload that halts before offset yields *HaltedEarlyError.
+// clone the caller owns and may write: the resident checkpoint never
+// leaves the store. Service order: exact resident checkpoint, else
+// restore the nearest earlier checkpoint and emulate the gap, else
+// emulate from the program entry; either build deposits a checkpoint at
+// offset for next time. Concurrent requests for the same (workload,
+// offset) coalesce onto one build. A workload that halts before offset
+// yields *HaltedEarlyError.
 func (s *Store) StateAt(workload string, prog *program.Program, offset uint64) (*emu.Snapshot, Outcome, error) {
 	if offset == 0 {
 		return emu.New(prog).Snapshot(), OutcomeFresh, nil
@@ -151,73 +150,55 @@ func (s *Store) StateAt(workload string, prog *program.Program, offset uint64) (
 	if s == nil {
 		return buildFrom(nil, workload, prog, offset)
 	}
-	key := storeKey(workload, offset)
-	for {
-		var built *emu.Snapshot
-		outcome := OutcomeCoalesced
-		e, how, err := s.cache.Do(context.TODO(), key, func(context.Context) (*entry, int64, error) {
-			snap, o, err := buildFrom(s.base(workload, offset), workload, prog, offset)
-			outcome = o
-			if err != nil {
-				return nil, 0, err
-			}
-			built = snap
-			e := newEntry(workload, offset, snap)
-			return e, int64(len(e.enc)), nil
-		})
+	outcome := OutcomeCoalesced
+	e, how, err := s.cache.Do(context.TODO(), storeKey(workload, offset), func(context.Context) (*entry, int64, error) {
+		snap, o, err := buildFrom(s.base(workload, offset), workload, prog, offset)
+		outcome = o
 		if err != nil {
-			return nil, outcome, err
+			return nil, 0, err
 		}
-		if how == lru.Miss {
-			if outcome == OutcomeChained {
-				s.chained.Add(1)
-			} else {
-				s.cold.Add(1)
-			}
-			return built, outcome, nil
-		}
-		snap, err := e.decode()
-		if err != nil {
-			// Corruption must not be served: drop it and rebuild.
-			s.cache.Remove(key)
-			continue
-		}
-		if how == lru.Hit {
-			s.hits.Add(1)
-			return snap, OutcomeHit, nil
-		}
+		charge := int64(snap.Mem.Pages())*emu.PageSize + int64(len(snap.Regs))*8
+		return &entry{workload: workload, offset: offset, snap: snap}, charge, nil
+	})
+	if err != nil {
+		return nil, outcome, err
+	}
+	switch {
+	case how == lru.Hit:
+		outcome = OutcomeHit
+		s.hits.Add(1)
+	case how == lru.Coalesced:
 		s.coalesced.Add(1)
-		return snap, OutcomeCoalesced, nil
+	case outcome == OutcomeChained:
+		s.chained.Add(1)
+	default:
+		s.cold.Add(1)
 	}
+	return e.snap.Clone(), outcome, nil
 }
 
-// base returns the nearest resident checkpoint of workload below offset,
-// decoded, or nil when there is none. It scans every resident checkpoint,
-// which costs little next to the emulation of at least a stride that
-// every build runs. A corrupt candidate is dropped and the scan repeated.
+// base returns the resident snapshot of workload's nearest checkpoint
+// below offset, or nil when there is none. The caller only reads it. It
+// scans every resident checkpoint, which costs little next to the
+// emulation of at least a stride that every build runs.
 func (s *Store) base(workload string, offset uint64) *emu.Snapshot {
-	for {
-		var best *entry
-		var bestKey string
-		s.cache.Range(func(key string, e *entry) bool {
-			if e.workload == workload && e.offset < offset && (best == nil || e.offset > best.offset) {
-				best, bestKey = e, key
-			}
-			return true
-		})
-		if best == nil {
-			return nil
+	var best *entry
+	var bestKey string
+	s.cache.Range(func(key string, e *entry) bool {
+		if e.workload == workload && e.offset < offset && (best == nil || e.offset > best.offset) {
+			best, bestKey = e, key
 		}
-		s.cache.Get(bestKey) // a chain base counts as a use
-		if snap, err := best.decode(); err == nil {
-			return snap
-		}
-		s.cache.Remove(bestKey)
+		return true
+	})
+	if best == nil {
+		return nil
 	}
+	s.cache.Get(bestKey) // a chain base counts as a use
+	return best.snap
 }
 
-// buildFrom emulates workload forward to offset, starting from base
-// (nil: the program entry). It returns a snapshot at exactly offset.
+// buildFrom emulates workload forward to offset, starting from a copy of
+// base (nil: the program entry). It returns a snapshot at exactly offset.
 func buildFrom(base *emu.Snapshot, workload string, prog *program.Program, offset uint64) (*emu.Snapshot, Outcome, error) {
 	var cpu *emu.CPU
 	outcome := OutcomeCold

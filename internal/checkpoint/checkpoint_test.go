@@ -1,8 +1,6 @@
 package checkpoint_test
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -45,85 +43,6 @@ func liveSnapshot(t testing.TB, prog *program.Program, offset uint64) *emu.Snaps
 		t.Fatalf("live emulation stopped at %d, want %d", cpu.Executed(), offset)
 	}
 	return cpu.Snapshot()
-}
-
-func TestCodecRoundTrip(t *testing.T) {
-	_, prog := testWorkload(t)
-	snap := liveSnapshot(t, prog, 5_000)
-	enc := checkpoint.Encode(snap)
-	if want := checkpoint.EncodedSize(snap.Mem.Pages()); len(enc) != want {
-		t.Errorf("encoding is %d bytes, EncodedSize says %d", len(enc), want)
-	}
-	got, err := checkpoint.Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(snap) {
-		t.Error("decoded snapshot differs from the original")
-	}
-}
-
-func TestCodecCanonical(t *testing.T) {
-	_, prog := testWorkload(t)
-	a := checkpoint.Encode(liveSnapshot(t, prog, 3_000))
-	b := checkpoint.Encode(liveSnapshot(t, prog, 3_000))
-	if string(a) != string(b) {
-		t.Error("equal states encode to different bytes; the content hash cannot fingerprint state")
-	}
-}
-
-func TestCodecRejectsMalformed(t *testing.T) {
-	_, prog := testWorkload(t)
-	enc := checkpoint.Encode(liveSnapshot(t, prog, 1_000))
-
-	bad := append([]byte(nil), enc...)
-	bad[0] ^= 0xff
-	if _, err := checkpoint.Decode(bad); !errors.Is(err, checkpoint.ErrBadMagic) {
-		t.Errorf("flipped magic: err = %v, want ErrBadMagic", err)
-	}
-	if _, err := checkpoint.Decode(enc[:4]); !errors.Is(err, checkpoint.ErrBadMagic) {
-		t.Errorf("4-byte input: err = %v, want ErrBadMagic", err)
-	}
-
-	bad = append([]byte(nil), enc...)
-	bad[8] ^= 0xff // version field
-	if _, err := checkpoint.Decode(bad); !errors.Is(err, checkpoint.ErrBadVersion) {
-		t.Errorf("wrong version: err = %v, want ErrBadVersion", err)
-	}
-
-	if _, err := checkpoint.Decode(enc[:len(enc)-1]); !errors.Is(err, checkpoint.ErrTruncated) {
-		t.Errorf("short input: err = %v, want ErrTruncated", err)
-	}
-	if _, err := checkpoint.Decode(enc[:20]); !errors.Is(err, checkpoint.ErrTruncated) {
-		t.Errorf("header-only input: err = %v, want ErrTruncated", err)
-	}
-	if _, err := checkpoint.Decode(append(append([]byte(nil), enc...), 0)); !errors.Is(err, checkpoint.ErrTruncated) {
-		t.Errorf("trailing garbage: err = %v, want ErrTruncated", err)
-	}
-
-	// Well-formed bytes Encode never writes. Pages 3, 5 and 9 are
-	// resident; page k's number sits at EncodedSize(k), and the halt byte
-	// just before the 4-byte page count that ends the header.
-	three := &emu.Snapshot{Mem: emu.NewMemory()}
-	for _, pn := range []uint64{3, 5, 9} {
-		three.Mem.Write(pn*emu.PageSize, pn, 8)
-	}
-	enc = checkpoint.Encode(three)
-	for name, corrupt := range map[string]func(b []byte){
-		"halt byte 2": func(b []byte) { b[checkpoint.EncodedSize(0)-5] = 2 },
-		"pages out of order": func(b []byte) {
-			binary.LittleEndian.PutUint64(b[checkpoint.EncodedSize(1):], 2)
-		},
-		"duplicate page": func(b []byte) {
-			binary.LittleEndian.PutUint64(b[checkpoint.EncodedSize(2):], 5)
-		},
-	} {
-		bad := bytes.Clone(enc)
-		corrupt(bad)
-		if _, err := checkpoint.Decode(bad); !errors.Is(err, checkpoint.ErrNonCanonical) {
-			t.Errorf("%s: err = %v, want ErrNonCanonical", name, err)
-		}
-	}
 }
 
 // TestRestoreBitIdentical locks the store's central invariant: a
@@ -176,7 +95,7 @@ func TestRestoreBitIdentical(t *testing.T) {
 		t.Errorf("second request outcome = %q, want hit", outcome)
 	}
 	if !again.Equal(want) {
-		t.Error("decoded hit differs from live emulation")
+		t.Error("restored hit differs from live emulation")
 	}
 	if st := s.Stats(); st.Hits != 1 || st.Cold != 1 {
 		t.Errorf("stats = %+v, want 1 hit / 1 cold", st)
@@ -185,8 +104,8 @@ func TestRestoreBitIdentical(t *testing.T) {
 
 // TestFastForwardMatchesRecordPath holds Run, the record-free
 // fast-forward every checkpoint build uses, to the record path: state
-// reached by Run must equal the state Next reaches, in Snapshot.Equal and
-// in encoded bytes, and Run must leave no overflow-table entries.
+// reached by Run must equal the state Next reaches, and Run must leave no
+// overflow-table entries.
 func TestFastForwardMatchesRecordPath(t *testing.T) {
 	same := func(t *testing.T, fast, ref *emu.CPU) {
 		t.Helper()
@@ -194,9 +113,6 @@ func TestFastForwardMatchesRecordPath(t *testing.T) {
 		if !a.Equal(b) {
 			t.Fatalf("Run reached a different state than Next (executed %d vs %d, halted %v vs %v)",
 				a.Seq, b.Seq, a.Halted, b.Halted)
-		}
-		if !bytes.Equal(checkpoint.Encode(a), checkpoint.Encode(b)) {
-			t.Fatal("equal states encode to different bytes")
 		}
 		if n := fast.Overflow().Bytes(); n != 0 {
 			t.Fatalf("Run left %d bytes in the overflow table", n)
@@ -255,6 +171,42 @@ func TestFastForwardMatchesRecordPath(t *testing.T) {
 	})
 }
 
+// TestRestoredStateIsPrivate holds StateAt to handing out private copies.
+// A caller may write the state it gets (the core's committed-memory image
+// starts from it), so each state is overwritten here after it is checked:
+// later hits, and a build chained off the resident checkpoint, must still
+// equal live emulation. Handing out the resident snapshot fails this.
+func TestRestoredStateIsPrivate(t *testing.T) {
+	w, prog := testWorkload(t)
+	data := prog.Data[0].Base // resident from the first instruction
+	s := checkpoint.NewStore(0)
+	for _, step := range []struct {
+		offset uint64
+		want   checkpoint.Outcome
+	}{
+		{3_000, checkpoint.OutcomeCold},
+		{3_000, checkpoint.OutcomeHit},
+		{7_000, checkpoint.OutcomeChained},
+		{3_000, checkpoint.OutcomeHit},
+		{7_000, checkpoint.OutcomeHit},
+	} {
+		snap, outcome, err := s.StateAt(w.Name, prog, step.offset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if outcome != step.want {
+			t.Errorf("state at %d: outcome %q, want %q", step.offset, outcome, step.want)
+		}
+		if !snap.Equal(liveSnapshot(t, prog, step.offset)) {
+			t.Fatalf("%s state at %d differs from live emulation: a caller's writes reached the store", outcome, step.offset)
+		}
+		snap.Regs[3] ^= 0x5a5a
+		snap.PC += 4
+		snap.Mem.Write(data, ^snap.Mem.Read(data, 8), 8)
+		snap.Mem.Write(1<<40, 1, 8) // a page no kernel touches
+	}
+}
+
 func TestStateAtOffsetZero(t *testing.T) {
 	w, prog := testWorkload(t)
 	s := checkpoint.NewStore(0)
@@ -311,9 +263,13 @@ func TestHaltedEarly(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	w, prog := testWorkload(t)
-	one := len(checkpoint.Encode(liveSnapshot(t, prog, 1_000)))
+	probe := checkpoint.NewStore(0)
+	if _, _, err := probe.StateAt(w.Name, prog, 1_000); err != nil {
+		t.Fatal(err)
+	}
+	one := probe.Stats().ResidentBytes
 	// Room for about two checkpoints: inserting four must evict.
-	s := checkpoint.NewStore(int64(one)*2 + int64(one)/2)
+	s := checkpoint.NewStore(one*2 + one/2)
 	for _, off := range []uint64{1_000, 2_000, 3_000, 4_000} {
 		if _, _, err := s.StateAt(w.Name, prog, off); err != nil {
 			t.Fatal(err)

@@ -6,7 +6,6 @@ package emu
 
 import (
 	"encoding/binary"
-	"sort"
 
 	"dlvp/internal/program"
 )
@@ -17,8 +16,8 @@ const (
 	pageMask  = pageSize - 1
 )
 
-// PageSize is the memory's page granularity in bytes; checkpoints
-// serialize resident pages whole at this size.
+// PageSize is the memory's page granularity in bytes; the checkpoint
+// store charges each resident page of a checkpoint at this size.
 const PageSize = pageSize
 
 type page [pageSize]byte
@@ -28,8 +27,8 @@ type page [pageSize]byte
 //
 // A Memory is not safe for concurrent use, not even by readers only: every
 // access, reads included, updates its cache of the last resident page it
-// touched. Clone, Equal, PageNums and PageBytes never touch that cache, so
-// several goroutines may call them on one Memory that nothing writes.
+// touched. Clone and Equal never touch that cache, so several goroutines
+// may call them on one Memory that nothing writes.
 type Memory struct {
 	pages map[uint64]*page
 
@@ -166,38 +165,6 @@ func (m *Memory) Clone() *Memory {
 		out.pages[pn] = &cp
 	}
 	return out
-}
-
-// PageNums returns the resident page numbers in ascending order (the
-// deterministic iteration order the checkpoint codec serializes in).
-func (m *Memory) PageNums() []uint64 {
-	nums := make([]uint64, 0, len(m.pages))
-	for pn := range m.pages {
-		nums = append(nums, pn)
-	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
-	return nums
-}
-
-// PageBytes returns the raw bytes of resident page pn (nil when the page
-// was never touched). The returned slice aliases live memory; callers
-// must not retain it across writes.
-func (m *Memory) PageBytes(pn uint64) []byte {
-	pg := m.pages[pn]
-	if pg == nil {
-		return nil
-	}
-	return pg[:]
-}
-
-// SetPageBytes installs a full page of raw bytes at page number pn
-// (len(src) must be PageSize); the checkpoint decoder uses it to rebuild
-// memory page-at-a-time without the byte-loop of WriteBytes.
-func (m *Memory) SetPageBytes(pn uint64, src []byte) {
-	pg := new(page)
-	copy(pg[:], src)
-	m.pages[pn] = pg
-	m.lastPN, m.last = pn, pg // the page it replaces may be the cached one
 }
 
 // Equal reports whether m and other hold identical contents: the same

@@ -108,23 +108,3 @@ func TestEqualDistinguishesResidentZeroPage(t *testing.T) {
 		t.Error("resident zero page compared equal to an absent page")
 	}
 }
-
-func TestSetPageBytesInstallsCopy(t *testing.T) {
-	m := NewMemory()
-	src := make([]byte, pageSize)
-	src[17] = 0x5a
-	m.SetPageBytes(4, src)
-	src[17] = 0 // the store must not alias the caller's slice
-	if got := m.ByteAt(4*pageSize + 17); got != 0x5a {
-		t.Errorf("byte = %#x, want 0x5a", got)
-	}
-	if got := m.PageBytes(4); got[17] != 0x5a {
-		t.Errorf("PageBytes[17] = %#x, want 0x5a", got[17])
-	}
-	if m.PageBytes(5) != nil {
-		t.Error("PageBytes of an absent page must be nil")
-	}
-	if nums := m.PageNums(); len(nums) != 1 || nums[0] != 4 {
-		t.Errorf("PageNums = %v, want [4]", nums)
-	}
-}

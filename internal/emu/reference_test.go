@@ -1,7 +1,6 @@
 package emu
 
 import (
-	"bytes"
 	"maps"
 	"testing"
 
@@ -158,17 +157,6 @@ func (p *memPair) read(addr uint64, size int) {
 	p.checkPages()
 }
 
-// setPage installs page pn with every byte set to fill.
-func (p *memPair) setPage(pn uint64, fill byte) {
-	p.t.Helper()
-	p.m.SetPageBytes(pn, bytes.Repeat([]byte{fill}, pageSize))
-	for i := uint64(0); i < pageSize; i++ {
-		p.bytes[pn<<pageShift+i] = fill
-	}
-	p.pages[pn] = true
-	p.checkPages()
-}
-
 func (p *memPair) checkPages() {
 	p.t.Helper()
 	if got, want := p.m.Pages(), len(p.pages); got != want {
@@ -218,18 +206,6 @@ func TestMemoryAgainstShadowMap(t *testing.T) {
 			p.read(3*pg+40, 8)
 			p.read(pg, 8)
 		}},
-		{"SetPageBytes over the cached page", func(p *memPair) {
-			p.write(5*pg+16, 0x1111, 8)
-			p.read(5*pg+16, 8) // the cache holds page 5
-			p.setPage(5, 0x5a)
-			p.read(5*pg+16, 8)
-			p.write(5*pg+24, 0x2222, 8)
-			p.read(5*pg+16, 8)
-			p.read(5*pg+24, 8)
-			p.setPage(6, 0x33)
-			p.read(6*pg+8, 8)
-			p.read(5*pg+24, 8)
-		}},
 		{"scalars straddling a page boundary", func(p *memPair) {
 			boundary := 10 * pg
 			for _, size := range []int{2, 4, 8} {
@@ -257,7 +233,6 @@ func TestMemoryAgainstShadowMap(t *testing.T) {
 		cp.write(4*pg+8, 0xbbbb, 8)
 		cp.write(4*pg+16, 0xcccc, 4)
 		cp.write(9*pg, 1, 8)
-		cp.setPage(4, 0x77)
 		src.read(4*pg+8, 8)
 		src.read(4*pg+16, 4)
 		src.read(9*pg, 8)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"dlvp/internal/metrics"
 	"dlvp/internal/runner"
 )
 
@@ -217,5 +218,35 @@ func TestRunArtifact(t *testing.T) {
 	}
 	if a.ID != "tab4" || len(a.Tables) == 0 || a.Instrs != tinyParams().Instrs {
 		t.Errorf("artifact = %+v", a)
+	}
+}
+
+// validatingEngine fails any job whose config does not pass
+// config.Core.Validate, then runs it on r.
+type validatingEngine struct{ r *runner.Runner }
+
+func (e validatingEngine) Run(ctx context.Context, job runner.Job) (metrics.RunStats, bool, error) {
+	if err := job.Config.Validate(); err != nil {
+		return metrics.RunStats{}, false, err
+	}
+	return e.r.Run(ctx, job)
+}
+
+func (e validatingEngine) RunResult(ctx context.Context, job runner.Job) (runner.Result, bool, error) {
+	if err := job.Config.Validate(); err != nil {
+		return runner.Result{}, false, err
+	}
+	return e.r.RunResult(ctx, job)
+}
+
+// Every config an experiment builds, ablations included, passes the
+// validation that configs arriving over the wire get.
+func TestExperimentConfigsValidate(t *testing.T) {
+	p := Params{Instrs: 2_000, Workloads: []string{"perlbmk"}, Parallel: true,
+		Runner: validatingEngine{runner.New(runner.Options{})}}
+	for _, e := range All() {
+		if _, err := e.Run(p); err != nil {
+			t.Errorf("%s: %v", e.ID, err)
+		}
 	}
 }

@@ -67,7 +67,8 @@ type Spec struct {
 }
 
 // resolveConfigs expands scheme names plus explicit configs into the
-// named-configuration set, rejecting unknown schemes and collisions.
+// named-configuration set, rejecting unknown schemes, collisions and
+// explicit configs that fail config.Core.Validate.
 func (s Spec) resolveConfigs() (map[string]config.Core, error) {
 	cfgs := make(map[string]config.Core, len(s.Schemes)+len(s.Configs))
 	for _, name := range s.Schemes {
@@ -86,6 +87,9 @@ func (s Spec) resolveConfigs() (map[string]config.Core, error) {
 		}
 		if _, dup := cfgs[name]; dup {
 			return nil, fmt.Errorf("matrix: config %q collides with a scheme of the same name", name)
+		}
+		if err := c.Validate(); err != nil {
+			return nil, fmt.Errorf("matrix: config %q: %w", name, err)
 		}
 		cfgs[name] = c
 	}

@@ -714,14 +714,20 @@ func TestStoreRoundTrip(t *testing.T) {
 // number read from disk, so rebuilding the matrix from it must not
 // allocate in proportion to it; a corrupt count would otherwise cost a
 // restarting daemon its memory.
+// A persisted plan's cell count is neither trusted nor used to size
+// anything: the loaded matrix counts the cells its shards hold.
 func TestLoadedCellCountSizesNothing(t *testing.T) {
-	st := State{Plan: Plan{ID: "m", Cells: 1_000_000}, Status: StatusRunning}
+	shards := []Shard{{ID: 0, Workload: "linpack", Cells: []Cell{{Workload: "linpack", Scheme: "dlvp", Key: "k"}}}}
+	st := State{Plan: Plan{ID: "m", Cells: 1_000_000, Shards: shards}, Status: StatusRunning}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	matrixFromState(st).View()
+	v := matrixFromState(st).View()
 	runtime.ReadMemStats(&after)
 	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
 		t.Fatalf("rebuilding a matrix that claims %d cells allocated %d bytes", st.Plan.Cells, n)
+	}
+	if v.CellsTotal != 1 {
+		t.Errorf("CellsTotal = %d, want 1, the cells its one shard holds (the file claims %d)", v.CellsTotal, st.Plan.Cells)
 	}
 }
 

@@ -220,6 +220,11 @@ func (o *Orchestrator) Resume() (int, error) {
 
 // matrixFromState rebuilds runtime state from a persisted snapshot.
 func matrixFromState(st State) *Matrix {
+	// The cell count comes from the shards, not from the file.
+	st.Plan.Cells = 0
+	for _, sh := range st.Plan.Shards {
+		st.Plan.Cells += len(sh.Cells)
+	}
 	m := newMatrix(st.Plan)
 	m.resumed = st.Status == StatusRunning
 	m.errMsg = st.Error

@@ -119,10 +119,12 @@ func TestMergeExpositionsPeerUpJoinsInstanceSeries(t *testing.T) {
 }
 
 // labelSetRE matches a merged sample's label set: the instance pair first,
-// then well-formed name="value" pairs; labelRE picks out the later names.
+// then well-formed name="value" pairs; labelRE walks the later pairs one
+// whole pair at a time, so text inside a quoted value is never read as a
+// name.
 var (
 	labelSetRE = regexp.MustCompile(`^\{instance="(a|b)"((?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*")*),?\}`)
-	labelRE    = regexp.MustCompile(`,([a-zA-Z_][a-zA-Z0-9_]*)="`)
+	labelRE    = regexp.MustCompile(`,([a-zA-Z_][a-zA-Z0-9_]*)="(?:[^"\\]|\\.)*"`)
 )
 
 // FuzzMergeExpositions merges hostile text from two peers and checks what
@@ -135,6 +137,7 @@ func FuzzMergeExpositions(f *testing.F) {
 	f.Add("# HELP lat_seconds L.\n# TYPE lat_seconds histogram\nlat_seconds_bucket{le=\"1\"} 1\nlat_seconds_sum 0.5\n", "lat_seconds_count{} 1\n")
 	f.Add("# HELP  x\n# TYPE  gauge\n", PeerUpMetric+" 1\n# TYPE "+PeerUpMetric+" counter\n")
 	f.Add(`foo{instance="z"} 3`, `foo{a="}\"",instance="q",} 2`+"\nbar{x=\"1\" 2\n")
+	f.Add("", `0{A="0,instance="}0`)
 	f.Fuzz(func(t *testing.T, a, b string) {
 		out := MergeExpositions([]Exposition{{Instance: "a", Text: a}, {Instance: "b", Text: b}})
 		meta := map[string]bool{}

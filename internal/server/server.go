@@ -332,8 +332,9 @@ type runRequest struct {
 	Workload string `json:"workload"`
 	Scheme   string `json:"scheme"`
 	// Config, when present, overrides Scheme with an explicit core
-	// configuration. Dispatcher-forwarded jobs always use it so ablated
-	// configurations content-address identically on every peer.
+	// configuration, which must pass config.Core.Validate.
+	// Dispatcher-forwarded jobs always use it so ablated configurations
+	// content-address identically on every peer.
 	Config *config.Core `json:"config"`
 	Instrs uint64       `json:"instrs"`
 	// Sampling, when present, runs the job as a checkpointed sampled
@@ -417,6 +418,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case req.Config != nil:
 		cfg = *req.Config
+		if err := cfg.Validate(); err != nil {
+			s.writeJSON(w, r, http.StatusBadRequest, errorBody{Error: err.Error()})
+			return
+		}
 		if req.Scheme == "" {
 			req.Scheme = "custom"
 		}

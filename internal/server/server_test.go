@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"dlvp/internal/config"
 	"dlvp/internal/runner"
 	"dlvp/internal/tracecache"
 )
@@ -132,6 +133,44 @@ func TestRunEndpointRejectsUnknowns(t *testing.T) {
 	resp = postJSON(t, ts.URL+"/v1/runs", map[string]any{"workload": "perlbmk", "instrs": 1 << 60})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("over-cap instrs: status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// A core config the simulator cannot run gets 400 naming the field,
+// sync and async, on /v1/runs and under /v1/matrices configs, and the
+// daemon stays up with no job left running. Unvalidated, CommitWidth 0 or
+// ROBSize 0 spun a worker forever, and L1D SizeBytes 0 panicked the core:
+// a sync run leaked a running job, and the async and matrix forms killed
+// the process from a goroutine.
+func TestUnrunnableConfigsRejected(t *testing.T) {
+	s, ts := newTestServer(t)
+	for field, edit := range map[string]func(*config.Core){
+		"CommitWidth":       func(c *config.Core) { c.CommitWidth = 0 },
+		"ROBSize":           func(c *config.Core) { c.ROBSize = 0 },
+		"Mem.L1D.SizeBytes": func(c *config.Core) { c.Mem.L1D.SizeBytes = 0 },
+	} {
+		cfg := config.Baseline()
+		edit(&cfg)
+		for _, async := range []bool{false, true} {
+			resp := postJSON(t, ts.URL+"/v1/runs", map[string]any{
+				"workload": "perlbmk", "config": cfg, "instrs": testInstrs, "async": async,
+			})
+			if body := decode[errorBody](t, resp); resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, field) {
+				t.Errorf("run with bad %s (async %v): status %d, error %q; want 400 naming it", field, async, resp.StatusCode, body.Error)
+			}
+		}
+		resp := postJSON(t, ts.URL+"/v1/matrices", map[string]any{
+			"configs": map[string]any{"bad": cfg}, "workloads": []string{"perlbmk"}, "instrs": testInstrs,
+		})
+		if body := decode[errorBody](t, resp); resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, field) {
+			t.Errorf("matrix with bad %s: status %d, error %q; want 400 naming it", field, resp.StatusCode, body.Error)
+		}
+	}
+	if resp := mustGet(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after the rejected bodies: %d", resp.StatusCode)
+	}
+	if st := s.runner.Stats(); st.JobsRunning != 0 || st.SimsExecuted != 0 {
+		t.Errorf("runner after the rejected bodies: %d running, %d executed; want none", st.JobsRunning, st.SimsExecuted)
 	}
 }
 
