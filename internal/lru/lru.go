@@ -117,15 +117,6 @@ func (c *Cache[V]) Put(key string, v V, cost int64) {
 	c.put(key, v, cost)
 }
 
-// Remove drops key's value, if resident. A removal is not an eviction.
-func (c *Cache[V]) Remove(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.items[key]; ok {
-		c.unlink(e)
-	}
-}
-
 // Trim evicts the least recent values until the total cost is at most
 // budget; a negative budget evicts everything. The cache's own budget is
 // unchanged. Owners that charge costs the cache does not hold, such as

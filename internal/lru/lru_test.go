@@ -112,7 +112,7 @@ func TestDifferentialAgainstModel(t *testing.T) {
 		for op := 0; op < 2000; op++ {
 			key := fmt.Sprintf("k%d", rng.Intn(12))
 			var desc string
-			switch r := rng.Intn(10); {
+			switch r := rng.Intn(9); {
 			case r < 3:
 				desc = "Get " + key
 				gv, gok := c.Get(key)
@@ -135,12 +135,6 @@ func TestDifferentialAgainstModel(t *testing.T) {
 				desc = fmt.Sprintf("Put %s cost %d", key, cost)
 				c.Put(key, val, cost)
 				m.put(key, val, cost)
-			case r < 9:
-				desc = "Remove " + key
-				c.Remove(key)
-				if i := m.find(key); i >= 0 {
-					m.remove(i)
-				}
 			default:
 				b := int64(rng.Intn(int(budget)+2)) - 1
 				desc = fmt.Sprintf("Trim %d", b)
@@ -201,7 +195,7 @@ func TestConcurrentUse(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for op := 0; op < 2000; op++ {
 				key := fmt.Sprintf("k%d", rng.Intn(16))
-				switch rng.Intn(7) {
+				switch rng.Intn(6) {
 				case 0:
 					c.Get(key)
 				case 1:
@@ -209,10 +203,8 @@ func TestConcurrentUse(t *testing.T) {
 				case 2:
 					c.Put(key, op, int64(rng.Intn(8)))
 				case 3:
-					c.Remove(key)
-				case 4:
 					c.Trim(int64(rng.Intn(budget)))
-				case 5:
+				case 4:
 					c.Range(func(string, int) bool { return rng.Intn(4) != 0 })
 				default:
 					c.Do(context.Background(), key, func(context.Context) (int, int64, error) {

@@ -484,6 +484,7 @@ func (r *Runner) lead(ctx context.Context, key string, lv *liveJob, w workloads.
 
 	xsp := obs.StartSpan(ctx, "runner.execute").Attr("workload", job.Workload)
 	r.running.Add(1)
+	defer r.running.Add(-1) // also when the simulation panics
 	start := time.Now()
 
 	// The trace cache replaces the per-job functional emulation with a
@@ -518,7 +519,6 @@ func (r *Runner) lead(ctx context.Context, key string, lv *liveJob, w workloads.
 	st := res.Stats
 	elapsed := time.Since(start)
 	r.simNanos.Add(int64(elapsed))
-	r.running.Add(-1)
 	r.executed.Add(1)
 	r.instrs.Add(st.Instructions)
 	if r.inst != nil {

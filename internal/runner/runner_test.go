@@ -471,3 +471,24 @@ func TestTimelineBypassesTimelineLessCacheEntries(t *testing.T) {
 		t.Fatal("timeline-enabled engine returned a timeline-less result")
 	}
 }
+
+// TestPanickingSimulationReleasesState runs a job whose configuration the
+// runner does not validate and the core cannot build (a zero-byte L1D):
+// the panic reaches the caller, and the engine must not count the job as
+// running afterwards.
+func TestPanickingSimulationReleasesState(t *testing.T) {
+	r := New(Options{})
+	job := testJob("perlbmk", testInstrs)
+	job.Config.Mem.L1D.SizeBytes = 0
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a zero-byte L1D simulated without panicking")
+			}
+		}()
+		r.Run(context.Background(), job)
+	}()
+	if n := r.Stats().JobsRunning; n != 0 {
+		t.Errorf("JobsRunning = %d after the simulation panicked, want 0", n)
+	}
+}

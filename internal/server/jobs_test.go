@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,5 +86,21 @@ func TestAsyncSubmissionsBounded(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		t.Errorf("async run after a job finished: status %d, want 202", resp.StatusCode)
+	}
+}
+
+// TestPanickingAsyncJobFails: an async job whose function panics ends in
+// the error state carrying the panic text, and the process survives it.
+func TestPanickingAsyncJobFails(t *testing.T) {
+	s := New(Options{Runner: runner.New(runner.Options{})})
+	t.Cleanup(s.Close)
+	rec, err := s.jobs.add("run", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.spawn(rec, "", "", func(context.Context) (any, error) { panic("core state corrupt") })
+	s.async.Wait()
+	if v := rec.view(); v.Status != statusError || !strings.Contains(v.Error, "core state corrupt") {
+		t.Fatalf("job = %s %q, want %s carrying the panic text", v.Status, v.Error, statusError)
 	}
 }

@@ -44,6 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -778,7 +779,18 @@ func (s *Server) spawn(rec *asyncJob, traceID, parentSpan string, fn func(contex
 		rec.setRunning()
 		ctx, sp := obs.StartSpanCtx(ctx, "job.execute")
 		sp.Attr("kind", rec.kind).Attr("job_id", rec.id)
-		result, err := fn(ctx)
+		result, err := func() (result any, err error) {
+			// A panicking job fails alone: this goroutine is the top of
+			// its stack, so an unrecovered panic would end the daemon.
+			defer func() {
+				if p := recover(); p != nil {
+					s.obs.Log.Error("async job panicked", "job_id", rec.id, "kind", rec.kind, "trace_id", traceID,
+						"panic", fmt.Sprint(p), "stack", string(debug.Stack()))
+					err = fmt.Errorf("panic: %v", p)
+				}
+			}()
+			return fn(ctx)
+		}()
 		if err != nil {
 			sp.Attr("error", err.Error())
 			s.obs.Log.Warn("async job failed", "job_id", rec.id, "kind", rec.kind, "trace_id", traceID, "error", err)

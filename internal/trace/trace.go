@@ -163,17 +163,10 @@ func OverflowOf(r Reader) *Overflow {
 	return nil
 }
 
-// RandomAccess is implemented by readers that can serve any record by
-// position without re-streaming. A simulator replaying such a trace can
-// skip its staging ring and serve records zero-copy — including refetches
-// after a squash, which a pure stream cannot rewind for.
-type RandomAccess interface {
-	RecAt(pos uint64) *Rec
-	NumRecs() uint64
-}
-
 // SliceReader serves a recorded stream: Recs plus Ovf, the table its wide
-// records index (nil when it has none). It implements RandomAccess.
+// records index (nil when it has none). Because every record stays
+// addressable, a simulator replaying one can index Recs in place instead
+// of staging the stream, refetches after a squash included.
 type SliceReader struct {
 	Recs []Rec
 	Ovf  *Overflow
@@ -192,12 +185,6 @@ func (s *SliceReader) Next(rec *Rec) bool {
 
 // Overflow returns Ovf (see OverflowOf).
 func (s *SliceReader) Overflow() *Overflow { return s.Ovf }
-
-// RecAt implements RandomAccess. The caller must not mutate the record.
-func (s *SliceReader) RecAt(pos uint64) *Rec { return &s.Recs[pos] }
-
-// NumRecs implements RandomAccess.
-func (s *SliceReader) NumRecs() uint64 { return uint64(len(s.Recs)) }
 
 // Collect drains up to max records from r (all records if max <= 0). Wide
 // records among them index r's table: replay them as

@@ -26,9 +26,9 @@ func statsJSON(t *testing.T, s metrics.RunStats) string {
 // TestReplayEquivalence proves the trace cache's correctness claim: for
 // every registered workload, a timing simulation fed by (a) live
 // emulation, (b) the capture pass, and (c) a pure replay produces
-// bit-identical RunStats — and the replay is served zero-copy, through a
-// trace.RandomAccess reader, while the capture streams. CI runs this under
-// -race.
+// bit-identical RunStats — and the replay is served zero-copy, as a
+// *trace.SliceReader the core indexes in place, while the capture streams.
+// CI runs this under -race.
 func TestReplayEquivalence(t *testing.T) {
 	const instrs = 3_000
 	cfg := config.DLVP()
@@ -48,8 +48,8 @@ func TestReplayEquivalence(t *testing.T) {
 				if outcome != want {
 					t.Fatalf("outcome %q, want %q", outcome, want)
 				}
-				if _, ra := r.(trace.RandomAccess); ra != (want == tracecache.OutcomeReplay) {
-					t.Errorf("%s reader %T: implements trace.RandomAccess = %v", want, r, ra)
+				if _, sr := r.(*trace.SliceReader); sr != (want == tracecache.OutcomeReplay) {
+					t.Errorf("%s reader %T: is a *trace.SliceReader = %v", want, r, sr)
 				}
 				return statsJSON(t, uarch.New(cfg, w.Build(), r).Run(0))
 			}

@@ -146,18 +146,18 @@ func streamViews(r trace.Reader) []recView {
 	return out
 }
 
-// positionalViews reads a RandomAccess reader by position, as the core's
+// positionalViews reads a *trace.SliceReader by position, as the core's
 // zero-copy path does.
 func positionalViews(t *testing.T, r trace.Reader) []recView {
 	t.Helper()
-	ra, ok := r.(trace.RandomAccess)
+	sr, ok := r.(*trace.SliceReader)
 	if !ok {
-		t.Fatalf("%T does not implement trace.RandomAccess", r)
+		t.Fatalf("%T is not a *trace.SliceReader", r)
 	}
 	ovf := trace.OverflowOf(r)
-	out := make([]recView, ra.NumRecs())
+	out := make([]recView, len(sr.Recs))
 	for i := range out {
-		out[i] = viewOf(ra.RecAt(uint64(i)), ovf)
+		out[i] = viewOf(&sr.Recs[i], ovf)
 	}
 	return out
 }

@@ -19,8 +19,8 @@
 //     at once), tailing the published prefix lock-free and parking only
 //     when they catch up to the lead;
 //   - once a capture completes, later readers get a pure replay of the
-//     buffered records with zero re-emulation, served by position
-//     (trace.RandomAccess) so the core reads them in place;
+//     buffered records with zero re-emulation, served as a
+//     *trace.SliceReader whose records the core indexes in place;
 //   - a capture that is abandoned (its simulation stopped early) or that
 //     runs out of budget fails open: followers transparently fall back to
 //     a fresh emulator, skipping the records they already consumed, so a

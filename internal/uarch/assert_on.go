@@ -4,11 +4,11 @@ package uarch
 
 import "fmt"
 
-// This build checks every memory-order answer the LSQ gives the core in
-// lockstep with a linear reference and panics on a mismatch, so a
-// bookkeeping or semantics regression fails loudly instead of silently
-// perturbing statistics. FuzzLSQ drives the LSQ alone against the same
-// references.
+// This build checks every memory-order answer the LSQ gives the core, and
+// every issue stage's selection, in lockstep with a linear reference and
+// panics on a mismatch, so a bookkeeping or semantics regression fails
+// loudly instead of silently perturbing statistics. FuzzLSQ drives the LSQ
+// alone against the same references.
 //
 // Each reference scans the live window [head, fetch) slot by slot. It
 // reads issue state from the window columns and each access's address and
@@ -29,15 +29,16 @@ func coveredBytes(sa uint64, sn uint8, a uint64, n uint8) int {
 	return k
 }
 
-// refOlderStoreUnissued reports whether a live store older than seq has
-// not issued.
-func refOlderStoreUnissued(w *windowState, head, seq uint64) bool {
-	for s := head; s < seq; s++ {
+// refOlderStoreUnissued returns the youngest live store older than seq
+// that has not issued.
+func refOlderStoreUnissued(w *windowState, head, seq uint64) (uint64, bool) {
+	for s := seq; s > head; {
+		s--
 		if f := w.flags[s&windowMask]; f&fValid != 0 && f&fIsStore != 0 && f&fIssued == 0 {
-			return true
+			return s, true
 		}
 	}
-	return false
+	return 0, false
 }
 
 // refForward returns the youngest issued store older than load seq that
@@ -87,11 +88,10 @@ func (c *Core) access(seq uint64) (uint64, uint8) {
 	return r.Addr, r.Bytes
 }
 
-func (c *Core) lockstepUnissued(seq uint64, got bool) bool {
-	if want := refOlderStoreUnissued(&c.a.w, c.headSeq, seq); got != want {
-		c.lsqMismatch("olderStoreUnissued", seq, got, want)
+func (c *Core) lockstepUnissued(seq, st uint64, got bool) {
+	if ws, want := refOlderStoreUnissued(&c.a.w, c.headSeq, seq); st != ws || got != want {
+		c.lsqMismatch("olderUnissuedStore", seq, [2]any{st, got}, [2]any{ws, want})
 	}
-	return got
 }
 
 func (c *Core) lockstepForward(seq, st uint64, got fwdOutcome) {
@@ -109,4 +109,52 @@ func (c *Core) lockstepViolation(seq, ld uint64, got bool) {
 func (c *Core) lsqMismatch(query string, seq uint64, got, want any) {
 	panic(fmt.Sprintf("uarch: lsq %s(%d) = %v, linear reference %v (cycle %d, window [%d, %d))",
 		query, seq, got, want, c.now, c.headSeq, c.fetchSeq))
+}
+
+// lockstepIssue checks the issue stage just run against an oldest-first
+// walk of the window that reads none of the scheduler's wake state
+// (activeBits, the timing wheel, the waiter lists). Every renamed,
+// unissued instruction must have been blocked: by the issue width or the
+// load-store lanes that older instructions used this cycle, by its replay
+// cool-down, by an operand, by an older unissued store while the MDP holds
+// it, or by a partially covering older store. One that was not is a lost
+// wakeup: the scan skipped a candidate that could issue.
+func (c *Core) lockstepIssue() {
+	w := &c.a.w
+	issued, memIssued := 0, 0
+	for seq := c.headSeq; seq < c.fetchSeq; seq++ {
+		slot := seq & windowMask
+		f := w.flags[slot]
+		if f&fValid == 0 || f&fRenamed == 0 {
+			continue
+		}
+		isMem := f&fIsMem != 0
+		if f&fIssued != 0 {
+			if w.issueCycle[slot] == c.now {
+				issued++
+				if isMem {
+					memIssued++
+				}
+			}
+			continue
+		}
+		if issued >= c.cfg.IssueWidth || isMem && memIssued >= c.cfg.LSLanes || w.notBefore[slot] > c.now {
+			continue
+		}
+		if ready, _, _ := c.depsReady(seq); !ready {
+			continue
+		}
+		if f&fMdpWait != 0 {
+			if _, held := refOlderStoreUnissued(w, c.headSeq, seq); held {
+				continue
+			}
+		}
+		if f&fIsLoad != 0 {
+			if _, fwd := refForward(w, c.headSeq, seq, c.access); fwd == fwdPartial {
+				continue
+			}
+		}
+		panic(fmt.Sprintf("uarch: issue left seq %d unissued in cycle %d although nothing blocked it (window [%d, %d))",
+			seq, c.now, c.headSeq, c.fetchSeq))
+	}
 }

@@ -69,10 +69,10 @@ type Core struct {
 	cfg    config.Core
 	prog   *program.Program
 	reader trace.Reader
-	// ra is set when reader supports positional access: records are then
-	// served straight out of the reader (zero-copy) and the staging ring
+	// recs is the replayed stream when reader is a *trace.SliceReader:
+	// records are then indexed in place (zero-copy) and the staging ring
 	// in the arena goes unused.
-	ra trace.RandomAccess
+	recs []trace.Rec
 	// ovf is the reader's overflow table: the destinations of wide records
 	// past the inline ones (nil when the reader supplies none).
 	ovf *trace.Overflow
@@ -139,8 +139,8 @@ type Core struct {
 	replayEpoch uint64 // selective-replay taint-mark epoch
 
 	// eventWake re-activates every sleeping scheduler candidate next cycle;
-	// set by the transitions that can create readiness out of band: an
-	// issue, a VP install at rename, a selective replay, a flush.
+	// set by a selective replay and by a flush, which change the window
+	// under the sleepers' wake conditions.
 	eventWake bool
 
 	memIssuedThisCycle     int
@@ -244,12 +244,12 @@ func NewAtArena(cfg config.Core, p *program.Program, reader trace.Reader, cmem *
 		ittage: branch.NewITTAGE(cfg.ITTAGE),
 		mdp:    mdp.New(cfg.MDP),
 	}
-	if ra, ok := reader.(trace.RandomAccess); ok {
+	if sr, ok := reader.(*trace.SliceReader); ok {
 		// Zero-copy replay: the stream length is known up front, so the
 		// cursor starts at the end and the EOF flag is pre-set — done()
 		// then reads identically to a drained streaming reader.
-		c.ra = ra
-		c.bufHi = ra.NumRecs()
+		c.recs = sr.Recs
+		c.bufHi = uint64(len(sr.Recs))
 		c.traceEOF = true
 	}
 	paqCap := cfg.PAQEntries
@@ -290,8 +290,8 @@ func (c *Core) usesAddressPrediction() bool {
 // rec returns the trace record for an in-flight (or just-fetched) seq; the
 // ring slot is valid for any seq in [bufHi-bufCap, bufHi).
 func (c *Core) rec(seq uint64) *trace.Rec {
-	if c.ra != nil {
-		return c.ra.RecAt(seq)
+	if c.recs != nil {
+		return &c.recs[seq]
 	}
 	return &c.a.buf[seq&bufMask]
 }
@@ -368,11 +368,11 @@ func (c *Core) fill(seq uint64) bool {
 }
 
 func (c *Core) recAt(seq uint64) *trace.Rec {
-	if c.ra != nil {
-		if seq >= c.bufHi { // bufHi == NumRecs in random-access mode
+	if c.recs != nil {
+		if seq >= c.bufHi { // bufHi == len(recs) when replaying in place
 			return nil
 		}
-		return c.ra.RecAt(seq)
+		return &c.recs[seq]
 	}
 	if !c.fill(seq) {
 		return nil

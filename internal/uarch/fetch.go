@@ -47,6 +47,11 @@ func (c *Core) fetchStage() {
 			fl |= fIsStore
 		}
 		w.flags[slot] = fl
+		if bit := uint64(1) << (slot & 63); fl&fIsMem != 0 {
+			c.a.memBits[slot>>6] |= bit
+		} else {
+			c.a.memBits[slot>>6] &^= bit
+		}
 		w.fetchCycle[slot] = c.now
 		w.notBefore[slot] = 0
 		c.a.waiters[slot] = c.a.waiters[slot][:0] // drop a squashed occupant's sleepers

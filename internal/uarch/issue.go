@@ -17,13 +17,18 @@ import (
 // than a queue scan: the words are walked starting from the commit head's
 // slot — which is age order, because a slot's seq is unique among live
 // instructions — and each word yields its candidates via TrailingZeros64.
+// Only active candidates are examined (Arena.activeBits). One that fails a
+// check sleeps until the event that can change the answer: the wheel cycle
+// it can next be ready in, or the issue of the producer or the older store
+// it waits for. Once the load-store lanes are used up, memBits masks the
+// remaining memory candidates out of the scan; they stay active for the
+// next cycle.
 func (c *Core) issueStage() {
 	issued, memIssued, loadsIssued := 0, 0, 0
 	w := &c.a.w
-	// Wake sleeping candidates first: the wheel bucket for this cycle holds
-	// every timed sleeper whose wake cycle arrived, and an event wake
-	// re-activates everyone (conservatively — woken candidates that are
-	// still not ready simply fail their checks and sleep again).
+	// Wake the sleepers whose wheel cycle arrived and, after a selective
+	// replay or a flush changed the window behind their backs, every
+	// candidate (those still not ready fail their checks and sleep again).
 	if bkt := &c.a.wheel[c.now&wheelMask]; len(*bkt) > 0 {
 		for _, slot := range *bkt {
 			c.a.activeBits[slot>>6] |= 1 << (slot & 63)
@@ -52,11 +57,15 @@ func (c *Core) issueStage() {
 	scan:
 		for k := 0; k < lastK; k++ {
 			wi := (startWord + k) & (windowWords - 1)
-			word := c.a.activeBits[wi] & c.a.iqBits[wi]
+			span := ^uint64(0)
 			if k == 0 {
-				word &^= (1 << startBit) - 1 // slots below the head belong to the wrapped tail
+				span <<= startBit // slots below the head belong to the wrapped tail
 			} else if k == windowWords {
-				word &= (1 << startBit) - 1 // wrapped tail: only slots below the head
+				span = 1<<startBit - 1 // wrapped tail: only slots below the head
+			}
+			word := c.a.activeBits[wi] & c.a.iqBits[wi] & span
+			if memIssued >= c.cfg.LSLanes {
+				word &^= c.a.memBits[wi]
 			}
 			for word != 0 {
 				if issued >= c.cfg.IssueWidth {
@@ -75,26 +84,27 @@ func (c *Core) issueStage() {
 					continue
 				}
 				f := w.flags[slot]
-				isMem := f&fIsMem != 0
-				if isMem && memIssued >= c.cfg.LSLanes {
-					continue // structural only: stays active for next cycle
-				}
 				if ready, wake, blocker := c.depsReady(seq); !ready {
 					if wake > c.now {
 						c.sleepUntil(slot, wake)
 					} else {
 						// The blocking producer has not issued, so its
 						// completion time is unknown: sleep on its waiter
-						// list until it issues or gets a value prediction.
-						c.a.waiters[blocker] = append(c.a.waiters[blocker], uint32(slot))
-						c.a.activeBits[wi] &^= 1 << uint(b)
+						// list until it issues.
+						c.sleepOn(blocker, slot)
 					}
 					continue
 				}
-				if f&fMdpWait != 0 && c.lockstepUnissued(seq, c.a.lsq.olderStoreUnissued(seq)) {
-					// MDP holds the load until older stores resolve. Stays
-					// active: an older store may issue later this same scan.
-					continue
+				if f&fMdpWait != 0 {
+					st, held := c.a.lsq.olderUnissuedStore(seq)
+					c.lockstepUnissued(seq, st, held)
+					if held {
+						// MDP holds the load until every older store has
+						// resolved its address: sleep on the youngest
+						// unissued one, which wakes it when it issues.
+						c.sleepOn(int(st&windowMask), slot)
+						continue
+					}
 				}
 				ldFwd := fwdNone
 				if f&fIsLoad != 0 {
@@ -121,11 +131,7 @@ func (c *Core) issueStage() {
 				c.a.iqBits[wi] &^= 1 << uint(b)
 				c.a.activeBits[wi] &^= 1 << uint(b)
 				c.iqCount--
-				c.wakeWaiters(slot)
 				issued++
-				if isMem {
-					memIssued++
-				}
 				if f&fIsLoad != 0 {
 					loadsIssued++
 				}
@@ -133,6 +139,20 @@ func (c *Core) issueStage() {
 				c.executeAt(seq, rec, ldFwd)
 				c.pushDone(seq, c.now)
 				c.ctr[metrics.PRFReads] += uint64(rec.NSrc)
+				if f&fIsStore != 0 {
+					// The loads held behind this store may issue later in
+					// this same scan: wake them, and merge those that sit
+					// in this word, younger than the store, into it.
+					c.wakeWaiters(slot)
+					word |= c.a.activeBits[wi] & c.a.iqBits[wi] & span &^ (2<<uint(b) - 1)
+				} else {
+					c.parkWaiters(slot)
+				}
+				if f&fIsMem != 0 {
+					if memIssued++; memIssued >= c.cfg.LSLanes {
+						word &^= c.a.memBits[wi]
+					}
+				}
 			}
 		}
 	}
@@ -142,19 +162,35 @@ func (c *Core) issueStage() {
 	// ports free, so only issued loads consume probe opportunities.
 	c.loadPortsFreeThisCycle = c.cfg.LSLanes - loadsIssued
 	c.memIssuedThisCycle = memIssued
+	c.lockstepIssue()
 }
 
-// sleepUntil removes a scheduler candidate from the active set until cycle
-// t (clamped to the wheel horizon; waking early is safe).
-func (c *Core) sleepUntil(slot int, t uint64) {
+// wheelAt returns the timing-wheel wake list for cycle t > now, clamped to
+// the wheel's horizon (waking early is safe: the candidate re-checks and
+// sleeps again).
+func (c *Core) wheelAt(t uint64) *[]uint32 {
 	if t >= c.now+wheelSize {
 		t = c.now + wheelSize - 1
 	}
-	c.a.wheel[t&wheelMask] = append(c.a.wheel[t&wheelMask], uint32(slot))
+	return &c.a.wheel[t&wheelMask]
+}
+
+// sleepUntil removes a scheduler candidate from the active set until cycle
+// t > now.
+func (c *Core) sleepUntil(slot int, t uint64) {
+	bkt := c.wheelAt(t)
+	*bkt = append(*bkt, uint32(slot))
 	c.a.activeBits[slot>>6] &^= 1 << (uint(slot) & 63)
 }
 
-// wakeWaiters re-activates every candidate sleeping on producer slot p.
+// sleepOn removes a scheduler candidate from the active set until the
+// instruction in slot p issues.
+func (c *Core) sleepOn(p, slot int) {
+	c.a.waiters[p] = append(c.a.waiters[p], uint32(slot))
+	c.a.activeBits[slot>>6] &^= 1 << (uint(slot) & 63)
+}
+
+// wakeWaiters re-activates every candidate sleeping on slot p.
 func (c *Core) wakeWaiters(p int) {
 	ws := c.a.waiters[p]
 	if len(ws) == 0 {
@@ -166,6 +202,20 @@ func (c *Core) wakeWaiters(p int) {
 	c.a.waiters[p] = ws[:0]
 }
 
+// parkWaiters moves every candidate sleeping on slot p, a register producer
+// that has just issued, to the wheel at p's completion cycle: none of them
+// can be ready before it, so waking them now would only put them back to
+// sleep until then.
+func (c *Core) parkWaiters(p int) {
+	ws := c.a.waiters[p]
+	if len(ws) == 0 {
+		return
+	}
+	bkt := c.wheelAt(c.a.w.execDone[p])
+	*bkt = append(*bkt, ws...)
+	c.a.waiters[p] = ws[:0]
+}
+
 // depsReady reports whether every source operand is available: either the
 // producer completed, or the producer carries a value prediction for that
 // register and has passed rename (the PVT supplies the value). Unused
@@ -174,7 +224,8 @@ func (c *Core) wakeWaiters(p int) {
 // On failure, wake is the cycle the blocking operand becomes available when
 // that is already known (the producer has issued, so its completion time is
 // fixed). When it is not (wake 0), blocker is the producer's window slot:
-// readiness then requires that producer to issue or be value-predicted.
+// readiness then requires that producer to issue (a value prediction is
+// installed at its rename, before any dependent is examined).
 func (c *Core) depsReady(seq uint64) (ready bool, wake uint64, blocker int) {
 	w := &c.a.w
 	slot := seq & windowMask

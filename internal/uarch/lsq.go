@@ -41,16 +41,17 @@ func (q *lsq) pop(store bool) { q.ring(store).head++ }
 // squashFrom drops every access from seq on.
 func (q *lsq) squashFrom(seq uint64) { q.ld.truncateFrom(seq); q.st.truncateFrom(seq) }
 
-// olderStoreUnissued reports whether a store older than seq has not issued
-// yet, so its address is still unknown. The walk runs younger to older:
-// stores issue roughly in age order, so an unissued one sits near seq.
-func (q *lsq) olderStoreUnissued(seq uint64) bool {
+// olderUnissuedStore returns the youngest store older than seq that has
+// not issued yet, so its address is still unknown; ok reports whether one
+// exists. The walk runs younger to older: stores issue roughly in age
+// order, so an unissued one sits near seq.
+func (q *lsq) olderUnissuedStore(seq uint64) (st uint64, ok bool) {
 	for i := q.st.lowerBound(seq) - 1; i >= 0; i-- {
-		if q.w.flags[q.st.at(i)&windowMask]&fIssued == 0 {
-			return true
+		if s := q.st.at(i); q.w.flags[s&windowMask]&fIssued == 0 {
+			return s, true
 		}
 	}
-	return false
+	return 0, false
 }
 
 // fwdOutcome classifies a load against the older issued stores. On

@@ -89,9 +89,10 @@ func FuzzLSQ(f *testing.F) {
 				}
 				fetch = pick
 			case op == 7:
-				if got, want := a.lsq.olderStoreUnissued(pick), refOlderStoreUnissued(w, head, pick); got != want {
-					t.Fatalf("op %d: olderStoreUnissued(%d) = %v, reference %v (window [%d, %d))",
-						i, pick, got, want, head, fetch)
+				st, got := a.lsq.olderUnissuedStore(pick)
+				if ws, want := refOlderStoreUnissued(w, head, pick); st != ws || got != want {
+					t.Fatalf("op %d: olderUnissuedStore(%d) = %d/%v, reference %d/%v (window [%d, %d))",
+						i, pick, st, got, ws, want, head, fetch)
 				}
 				if w.flags[slot]&fIsLoad != 0 {
 					st, got := a.lsq.forward(pick)

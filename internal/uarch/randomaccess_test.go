@@ -9,8 +9,8 @@ import (
 	"dlvp/internal/workloads"
 )
 
-// streamOnly hides SliceReader's RandomAccess methods, forcing the core
-// onto the staging-ring path.
+// streamOnly hides the *trace.SliceReader type, forcing the core onto the
+// staging-ring path.
 type streamOnly struct{ r *trace.SliceReader }
 
 func (s streamOnly) Next(rec *trace.Rec) bool { return s.r.Next(rec) }

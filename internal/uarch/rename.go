@@ -145,7 +145,6 @@ func (c *Core) installPrediction(seq uint64, rec *trace.Rec, vpBudget *int) {
 	*vpBudget -= count
 	c.pvtCount += count
 	c.ctr[metrics.PVTWrites] += uint64(count)
-	c.wakeWaiters(int(slot)) // dependents sleeping on this producer can now issue
 	w.flags[slot] |= fVpMade
 	cd.vpSource = side
 	cd.vpNumDests = count

@@ -177,23 +177,32 @@ type Arena struct {
 	// instructions oldest-first with TrailingZeros64 over these words.
 	iqBits [windowWords]uint64
 
-	// activeBits ⊆ iqBits marks the candidates worth examining this cycle.
-	// A candidate that fails its ready checks goes to sleep: into the
-	// timing wheel when the earliest cycle it could become ready is known
-	// (replay cool-down, an issued producer's completion time), or until
-	// the next wake event otherwise (any issue, a VP install, a replay, a
-	// flush — the only transitions that can create readiness). Sleeping
-	// candidates are provably not ready, so scanning only active ones
-	// issues the exact same instructions in the exact same order.
+	// activeBits marks the candidates worth examining; only its bits
+	// that are also in iqBits count. A candidate that fails a ready check
+	// goes to sleep: into the timing wheel when the earliest cycle it
+	// could become ready is known (replay cool-down, an issued producer's
+	// completion time), or onto the waiter list of the slot it waits for
+	// otherwise. A selective replay or a flush re-activates every
+	// candidate. Sleeping candidates are provably not ready, so scanning
+	// only active ones issues the exact same instructions in the exact
+	// same order; the assert build checks that after every issue stage.
 	activeBits [windowWords]uint64
 	wheel      [wheelSize][]uint32 // per-cycle wake lists (slot numbers)
 
-	// waiters[p] lists the candidate slots sleeping on producer slot p (its
-	// completion time is unknown until it issues). Drained — waking every
-	// listed candidate — when p issues or receives a value prediction, the
-	// only transitions that can unblock a register dependent. Stale entries
-	// (from sleepers since woken elsewhere, or a squashed producer) cause
-	// only spurious wakes, which the ready checks absorb.
+	// memBits marks the slots that hold a load or a store, written at
+	// fetch. Once the cycle's load-store lanes are used up, the issue scan
+	// masks these candidates out instead of examining each one.
+	memBits [windowWords]uint64
+
+	// waiters[p] lists the candidate slots sleeping on slot p until it
+	// issues: register dependents of p while p's completion time is
+	// unknown and, when p is a store, the MDP-held loads whose youngest
+	// unissued older store it is. When a store issues, its waiters wake at
+	// once (a held load may issue later in the same scan); when any other
+	// instruction issues, they move to the wheel bucket of its completion
+	// cycle, the earliest one they can be ready in. Stale entries (from
+	// sleepers since woken elsewhere, or a squashed producer) cause only
+	// spurious wakes, which the ready checks absorb.
 	waiters [windowCap][]uint32
 
 	lsq lsq // all fetched, uncommitted loads and stores (wider than LDQ/STQ occupancy)
