@@ -3,6 +3,7 @@ package dlvp
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -84,6 +85,47 @@ func TestCoreThroughputGate(t *testing.T) {
 		if best < floor {
 			t.Errorf("%s throughput %.0f instrs/sec regressed >10%% below the committed reference %.0f",
 				name, best, entry.Reference)
+		}
+	}
+}
+
+// TestWarmArenaAllocationGate is an exact gate on per-run set-up: after
+// one warm-up run on an arena, another 100k-instruction perlbmk run must
+// allocate less than 256 KiB, under baseline and under DLVP. It counts
+// bytes instead of timing, so it holds on any host: a core that rebuilds
+// its cache hierarchy (1.7 MB of lines) or any other bulk structure per
+// run fails it. The smallest of three runs counts, so an allocation by
+// another goroutine cannot fail it.
+func TestWarmArenaAllocationGate(t *testing.T) {
+	const instrs, limit = 100_000, 256 << 10
+	w, ok := WorkloadByName("perlbmk")
+	if !ok {
+		t.Fatal("perlbmk not registered")
+	}
+	prog := w.Build()
+	recs := trace.Collect(w.Reader(instrs), 0)
+	for _, tc := range []struct {
+		name string
+		cfg  CoreConfig
+	}{
+		{"baseline", Baseline()},
+		{"dlvp", DLVP()},
+	} {
+		arena := uarch.NewArena()
+		run := func() { uarch.NewAtArena(tc.cfg, prog, &trace.SliceReader{Recs: recs}, nil, arena).Run(0) }
+		run() // warm-up: the arena builds its bulk state
+		bytes, allocs := ^uint64(0), ^uint64(0)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+			allocs = min(allocs, after.Mallocs-before.Mallocs)
+		}
+		t.Logf("%s: %d bytes in %d allocations per warm run", tc.name, bytes, allocs)
+		if bytes >= limit {
+			t.Errorf("%s: a run on a warm arena allocates %d bytes (%d allocations), want < %d", tc.name, bytes, allocs, limit)
 		}
 	}
 }

@@ -81,8 +81,8 @@ type Stats struct {
 }
 
 // Store is an in-memory, byte-budgeted checkpoint store keyed by
-// (workload, instruction offset). StateAt is the only way in: every
-// resident checkpoint is one a StateAt request built. Safe for
+// (workload, instruction offset). StateAt and Ensure are the only ways
+// in: every resident checkpoint is one of their requests built. Safe for
 // concurrent use. The zero value is not usable; construct with NewStore.
 // A nil *Store is valid and behaves as an always-cold store with no
 // retention.
@@ -136,16 +136,33 @@ func (s *Store) Stats() Stats {
 
 // StateAt returns the architectural state of workload (built from prog)
 // after exactly offset dynamic instructions. The returned snapshot is a
-// clone the caller owns and may write: the resident checkpoint never
-// leaves the store. Service order: exact resident checkpoint, else
+// clone the caller owns and may write, or hand to emu.NewFromSnapshot,
+// which takes it over without a further copy: the resident checkpoint
+// never leaves the store. Service order: exact resident checkpoint, else
 // restore the nearest earlier checkpoint and emulate the gap, else
 // emulate from the program entry; either build deposits a checkpoint at
 // offset for next time. Concurrent requests for the same (workload,
 // offset) coalesce onto one build. A workload that halts before offset
 // yields *HaltedEarlyError.
 func (s *Store) StateAt(workload string, prog *program.Program, offset uint64) (*emu.Snapshot, Outcome, error) {
+	return s.state(workload, prog, offset, true)
+}
+
+// Ensure makes the checkpoint at offset resident exactly as StateAt
+// would, with the same outcome, counters and errors, but copies nothing
+// out. A sampled run calls it to build its checkpoint chain before any
+// interval asks for its state.
+func (s *Store) Ensure(workload string, prog *program.Program, offset uint64) (Outcome, error) {
+	_, outcome, err := s.state(workload, prog, offset, false)
+	return outcome, err
+}
+
+// state serves StateAt and Ensure. The snapshot it returns is private to
+// the caller when private is set; otherwise it may be the resident
+// checkpoint itself and must not be written.
+func (s *Store) state(workload string, prog *program.Program, offset uint64, private bool) (*emu.Snapshot, Outcome, error) {
 	if offset == 0 {
-		return emu.New(prog).Snapshot(), OutcomeFresh, nil
+		return emu.New(prog).Detach(), OutcomeFresh, nil
 	}
 	if s == nil {
 		return buildFrom(nil, workload, prog, offset)
@@ -174,6 +191,9 @@ func (s *Store) StateAt(workload string, prog *program.Program, offset uint64) (
 	default:
 		s.cold.Add(1)
 	}
+	if !private {
+		return e.snap, outcome, nil
+	}
 	return e.snap.Clone(), outcome, nil
 }
 
@@ -197,13 +217,15 @@ func (s *Store) base(workload string, offset uint64) *emu.Snapshot {
 	return best.snap
 }
 
-// buildFrom emulates workload forward to offset, starting from a copy of
-// base (nil: the program entry). It returns a snapshot at exactly offset.
+// buildFrom emulates workload forward to offset, starting from a clone of
+// base (nil: the program entry), which it never writes. It returns a
+// snapshot at exactly offset that owns the throwaway emulator's memory,
+// so a build copies memory once, for the clone of base.
 func buildFrom(base *emu.Snapshot, workload string, prog *program.Program, offset uint64) (*emu.Snapshot, Outcome, error) {
 	var cpu *emu.CPU
 	outcome := OutcomeCold
 	if base != nil && base.Seq <= offset {
-		cpu = emu.NewFromSnapshot(prog, base)
+		cpu = emu.NewFromSnapshot(prog, base.Clone())
 		outcome = OutcomeChained
 	} else {
 		cpu = emu.New(prog)
@@ -212,5 +234,5 @@ func buildFrom(base *emu.Snapshot, workload string, prog *program.Program, offse
 	if cpu.Executed() != offset {
 		return nil, outcome, &HaltedEarlyError{Workload: workload, Want: offset, Got: cpu.Executed()}
 	}
-	return cpu.Snapshot(), outcome, nil
+	return cpu.Detach(), outcome, nil
 }

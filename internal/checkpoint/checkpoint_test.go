@@ -172,10 +172,12 @@ func TestFastForwardMatchesRecordPath(t *testing.T) {
 }
 
 // TestRestoredStateIsPrivate holds StateAt to handing out private copies.
-// A caller may write the state it gets (the core's committed-memory image
-// starts from it), so each state is overwritten here after it is checked:
-// later hits, and a build chained off the resident checkpoint, must still
-// equal live emulation. Handing out the resident snapshot fails this.
+// A caller may write the state it gets, and a sampled interval's emulator
+// takes it over (emu.NewFromSnapshot copies nothing) and writes its
+// memory as it runs. So each state is overwritten here after it is
+// checked, by an emulator restored from it and then directly: later hits,
+// and a build chained off the resident checkpoint, must still equal live
+// emulation. Handing out the resident snapshot fails this.
 func TestRestoredStateIsPrivate(t *testing.T) {
 	w, prog := testWorkload(t)
 	data := prog.Data[0].Base // resident from the first instruction
@@ -200,10 +202,50 @@ func TestRestoredStateIsPrivate(t *testing.T) {
 		if !snap.Equal(liveSnapshot(t, prog, step.offset)) {
 			t.Fatalf("%s state at %d differs from live emulation: a caller's writes reached the store", outcome, step.offset)
 		}
+		cpu := emu.NewFromSnapshot(prog, snap)
+		cpu.Run(2_000) // its stores land in snap.Mem
+		cpu.Mem().Write(data, ^cpu.Mem().Read(data, 8), 8)
+		cpu.Mem().Write(1<<40, 1, 8) // a page no kernel touches
+		if snap.Mem.Read(1<<40, 8) != 1 {
+			t.Fatal("the restored emulator does not write the snapshot it was given")
+		}
 		snap.Regs[3] ^= 0x5a5a
 		snap.PC += 4
-		snap.Mem.Write(data, ^snap.Mem.Read(data, 8), 8)
-		snap.Mem.Write(1<<40, 1, 8) // a page no kernel touches
+	}
+}
+
+// TestEnsureMatchesStateAt: Ensure, which copies nothing out, builds a
+// chain exactly as StateAt does (the same outcomes and store counters),
+// and StateAt then hands out what Ensure left resident.
+func TestEnsureMatchesStateAt(t *testing.T) {
+	w, prog := testWorkload(t)
+	viaEnsure, viaStateAt := checkpoint.NewStore(0), checkpoint.NewStore(0)
+	for _, off := range []uint64{3_000, 7_000, 3_000, 5_000, 7_000} {
+		got, err := viaEnsure.Ensure(w.Name, prog, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, want, err := viaStateAt.StateAt(w.Name, prog, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("offset %d: Ensure served %q, StateAt %q", off, got, want)
+		}
+	}
+	if got, want := viaEnsure.Stats(), viaStateAt.Stats(); got != want {
+		t.Errorf("store counters after Ensure %+v, after StateAt %+v", got, want)
+	}
+	snap, outcome, err := viaEnsure.StateAt(w.Name, prog, 5_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outcome != checkpoint.OutcomeHit || !snap.Equal(liveSnapshot(t, prog, 5_000)) {
+		t.Errorf("state at 5000 after Ensure: outcome %q, equal to live emulation %v", outcome, snap.Equal(liveSnapshot(t, prog, 5_000)))
+	}
+	var none *checkpoint.Store
+	if outcome, err := none.Ensure(w.Name, prog, 1_500); err != nil || outcome != checkpoint.OutcomeCold {
+		t.Errorf("nil store Ensure: outcome %q, err %v; want cold", outcome, err)
 	}
 }
 

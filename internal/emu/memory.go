@@ -138,17 +138,27 @@ func (m *Memory) Write(addr uint64, v uint64, size int) {
 	}
 }
 
-// ReadBytes copies len(dst) bytes starting at addr into dst.
+// ReadBytes copies len(dst) bytes starting at addr into dst, one page
+// span at a time; absent pages read as zeros and stay absent.
 func (m *Memory) ReadBytes(addr uint64, dst []byte) {
-	for i := range dst {
-		dst[i] = m.ByteAt(addr + uint64(i))
+	for len(dst) > 0 {
+		off := addr & pageMask
+		n := min(len(dst), int(pageSize-off))
+		if pg := m.pageFor(addr, false); pg != nil {
+			copy(dst[:n], pg[off:])
+		} else {
+			clear(dst[:n])
+		}
+		dst, addr = dst[n:], addr+uint64(n)
 	}
 }
 
-// WriteBytes copies src into memory starting at addr.
+// WriteBytes copies src into memory starting at addr, one page span at a
+// time. It makes exactly the pages it writes resident.
 func (m *Memory) WriteBytes(addr uint64, src []byte) {
-	for i, b := range src {
-		m.SetByteAt(addr+uint64(i), b)
+	for len(src) > 0 {
+		n := copy(m.pageFor(addr, true)[addr&pageMask:], src)
+		src, addr = src[n:], addr+uint64(n)
 	}
 }
 

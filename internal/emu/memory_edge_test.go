@@ -28,6 +28,47 @@ func TestWriteBytesAcrossPages(t *testing.T) {
 	}
 }
 
+// TestBulkCopiesMatchByteAccess holds WriteBytes and ReadBytes, which copy
+// whole page spans, to byte-at-a-time access: the same bytes, and the
+// same resident page set (Equal tells a resident zero page from an
+// absent one), for spans from empty to several pages long.
+func TestBulkCopiesMatchByteAccess(t *testing.T) {
+	for _, tc := range []struct{ addr, n uint64 }{
+		{100, 0},
+		{pageSize - 1, 1},
+		{pageSize, pageSize},
+		{3, pageSize - 3},
+		{pageSize*5 - 7, 3*pageSize + 20},
+	} {
+		src := make([]byte, tc.n)
+		for i := range src {
+			src[i] = byte(i%251) + 1
+		}
+		src = append(src[:tc.n/2], make([]byte, tc.n-tc.n/2)...) // a zero tail still makes its pages resident
+		bulk, ref := NewMemory(), NewMemory()
+		bulk.WriteBytes(tc.addr, src)
+		for i, b := range src {
+			ref.SetByteAt(tc.addr+uint64(i), b)
+		}
+		if !bulk.Equal(ref) {
+			t.Errorf("WriteBytes(%#x, %d bytes): %d resident pages differ from byte-at-a-time writes (%d pages)",
+				tc.addr, tc.n, bulk.Pages(), ref.Pages())
+		}
+		// Read a window wider than the write, so it covers absent pages.
+		from := tc.addr - min(tc.addr, pageSize+9)
+		dst := bytes.Repeat([]byte{0xee}, int(tc.n+3*pageSize))
+		bulk.ReadBytes(from, dst)
+		for i, got := range dst {
+			if want := ref.ByteAt(from + uint64(i)); got != want {
+				t.Fatalf("ReadBytes(%#x) byte %d = %d, want %d", from, i, got, want)
+			}
+		}
+		if !bulk.Equal(ref) {
+			t.Errorf("ReadBytes(%#x) changed the resident page set", from)
+		}
+	}
+}
+
 // TestReadNeverTouchedPages locks the sparse contract: reads of absent
 // pages return zero without materialising the page.
 func TestReadNeverTouchedPages(t *testing.T) {

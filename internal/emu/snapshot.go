@@ -21,13 +21,25 @@ type Snapshot struct {
 
 // Snapshot captures the CPU's current architectural state. The memory is
 // deep-copied, so the snapshot stays valid while the CPU keeps running.
-func (c *CPU) Snapshot() *Snapshot {
+func (c *CPU) Snapshot() *Snapshot { return c.capture(c.mem.Clone()) }
+
+// Detach captures the CPU's current architectural state like Snapshot but
+// hands the CPU's memory over instead of copying it: the snapshot owns it,
+// and the CPU must not be used afterwards. It is the way to keep the state
+// of an emulator that has done its work.
+func (c *CPU) Detach() *Snapshot {
+	s := c.capture(c.mem)
+	c.mem = nil
+	return s
+}
+
+func (c *CPU) capture(m *Memory) *Snapshot {
 	return &Snapshot{
 		Regs:   c.regs,
 		PC:     c.pc,
 		Seq:    c.seq,
 		Halted: c.halt,
-		Mem:    c.mem.Clone(),
+		Mem:    m,
 	}
 }
 
@@ -49,15 +61,16 @@ func (s *Snapshot) Equal(other *Snapshot) bool {
 }
 
 // NewFromSnapshot returns a CPU for program p restored to snapshot s.
-// The snapshot's memory is deep-copied, so the caller may reuse s (and
-// restore it again) after the returned CPU runs. Executed (and MaxInstrs)
-// continue from s.Seq, while the stream it produces starts afresh: its
-// first record is position 0, as in a fresh run, and its overflow table
-// starts empty.
+// The CPU takes s.Mem over as its memory instead of copying it, so its
+// writes land in s.Mem: restore a Clone of s to keep s itself, as the
+// checkpoint store does with its resident checkpoints. Executed (and
+// MaxInstrs) continue from s.Seq, while the stream it produces starts
+// afresh: its first record is position 0, as in a fresh run, and its
+// overflow table starts empty.
 func NewFromSnapshot(p *program.Program, s *Snapshot) *CPU {
 	return &CPU{
 		prog: p,
-		mem:  s.Mem.Clone(),
+		mem:  s.Mem,
 		regs: s.Regs,
 		pc:   s.PC,
 		seq:  s.Seq,

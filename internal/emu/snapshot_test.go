@@ -60,11 +60,33 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Error("snapshot mutated by continued execution")
 	}
 
-	// A restored CPU runs without disturbing the snapshot either.
-	re := emu.NewFromSnapshot(w.Build(), snap)
+	// A restored CPU takes over the memory of the snapshot it is given,
+	// so restoring a clone leaves the original untouched.
+	cp := snap.Clone()
+	re := emu.NewFromSnapshot(w.Build(), cp)
+	if re.Mem() != cp.Mem {
+		t.Error("restored CPU copied the snapshot's memory instead of taking it over")
+	}
 	re.Run(5_000)
 	if !snap.Equal(ref) {
-		t.Error("snapshot mutated by a CPU restored from it")
+		t.Error("snapshot mutated by a CPU restored from its clone")
+	}
+}
+
+// TestDetachHandsOverMemory: Detach captures the same state as Snapshot
+// and hands over the CPU's memory instead of copying it.
+func TestDetachHandsOverMemory(t *testing.T) {
+	w := snapshotWorkload(t)
+	cpu := emu.New(w.Build())
+	advance(cpu, 1_000)
+	live := cpu.Mem()
+	want := cpu.Snapshot()
+	got := cpu.Detach()
+	if !got.Equal(want) {
+		t.Fatal("detached state differs from a snapshot taken at the same point")
+	}
+	if got.Mem != live {
+		t.Error("Detach copied the memory instead of handing it over")
 	}
 }
 

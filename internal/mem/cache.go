@@ -18,11 +18,13 @@ type CacheConfig struct {
 	Latency    int // access latency in cycles on a hit
 }
 
+// line is one cache way. A line is valid exactly when its LRU stamp is
+// non-zero: a hit and a fill both store a pre-incremented stamp, so the
+// zero value is the invalid line.
 type line struct {
 	tag   uint64
 	ready uint64 // cycle at which the fill completes
-	used  uint64 // LRU stamp
-	valid bool
+	used  uint64 // LRU stamp (0: invalid)
 }
 
 // Cache is one set-associative cache level.
@@ -43,7 +45,12 @@ type Cache struct {
 }
 
 // NewCache returns a cache with the given geometry.
-func NewCache(cfg CacheConfig) *Cache {
+func NewCache(cfg CacheConfig) *Cache { return newCache(cfg, nil) }
+
+// newCache returns a cold cache with the given geometry. It takes over buf
+// as its line storage, cleared, when buf has the geometry's length, and
+// allocates new storage otherwise.
+func newCache(cfg CacheConfig, buf []line) *Cache {
 	if cfg.BlockBytes&(cfg.BlockBytes-1) != 0 {
 		panic("mem: block size must be a power of two")
 	}
@@ -51,10 +58,15 @@ func NewCache(cfg CacheConfig) *Cache {
 	if numSets <= 0 || numSets&(numSets-1) != 0 {
 		panic("mem: set count must be a positive power of two")
 	}
+	if n := numSets * cfg.Ways; len(buf) == n {
+		clear(buf)
+	} else {
+		buf = make([]line, n)
+	}
 	blkShift := uint8(bits.TrailingZeros(uint(cfg.BlockBytes)))
 	return &Cache{
 		cfg:      cfg,
-		lines:    make([]line, numSets*cfg.Ways),
+		lines:    buf,
 		setMask:  uint64(numSets - 1),
 		blkShift: blkShift,
 		tagShift: blkShift + uint8(bits.TrailingZeros(uint(numSets))),
@@ -85,7 +97,7 @@ func (c *Cache) Access(now uint64, addr uint64) LookupResult {
 	set, tag := c.setAndTag(addr)
 	for w := range set {
 		l := &set[w]
-		if l.valid && l.tag == tag {
+		if l.used != 0 && l.tag == tag {
 			c.Hits++
 			c.stamp++
 			l.used = c.stamp
@@ -107,7 +119,7 @@ func (c *Cache) Peek(addr uint64) (hit bool, way int) {
 	set, tag := c.setAndTag(addr)
 	for w := range set {
 		l := &set[w]
-		if l.valid && l.tag == tag {
+		if l.used != 0 && l.tag == tag {
 			return true, w
 		}
 	}
@@ -122,13 +134,13 @@ func (c *Cache) Fill(addr uint64, ready uint64) int {
 	victim, oldest := 0, ^uint64(0)
 	for w := range set {
 		l := &set[w]
-		if l.valid && l.tag == tag {
+		if l.used != 0 && l.tag == tag {
 			if ready < l.ready {
 				l.ready = ready
 			}
 			return w
 		}
-		if !l.valid {
+		if l.used == 0 {
 			victim, oldest = w, 0
 			continue
 		}
@@ -137,7 +149,7 @@ func (c *Cache) Fill(addr uint64, ready uint64) int {
 		}
 	}
 	c.stamp++
-	set[victim] = line{tag: tag, ready: ready, used: c.stamp, valid: true}
+	set[victim] = line{tag: tag, ready: ready, used: c.stamp}
 	return victim
 }
 

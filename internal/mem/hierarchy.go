@@ -59,13 +59,28 @@ type Hierarchy struct {
 
 // NewHierarchy builds the memory system.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
+	return newHierarchy(cfg, [5][]line{})
+}
+
+// Renew returns a hierarchy in exactly NewHierarchy(h.Config())'s cold
+// state, built on h's line storage: every cache and the TLB are new
+// structs that take over h's cleared lines, and the stride prefetcher is
+// new, so no counter, LRU stamp or line carries over. h must not be used
+// afterwards.
+func (h *Hierarchy) Renew() *Hierarchy {
+	return newHierarchy(h.cfg, [5][]line{h.L1I.lines, h.L1D.lines, h.L2.lines, h.L3.lines, h.TLB.pages.lines})
+}
+
+// newHierarchy builds the memory system on the given line storage (L1I,
+// L1D, L2, L3, TLB; nil entries allocate).
+func newHierarchy(cfg HierarchyConfig, bufs [5][]line) *Hierarchy {
 	h := &Hierarchy{
 		cfg: cfg,
-		L1I: NewCache(cfg.L1I),
-		L1D: NewCache(cfg.L1D),
-		L2:  NewCache(cfg.L2),
-		L3:  NewCache(cfg.L3),
-		TLB: NewTLB(cfg.TLB),
+		L1I: newCache(cfg.L1I, bufs[0]),
+		L1D: newCache(cfg.L1D, bufs[1]),
+		L2:  newCache(cfg.L2, bufs[2]),
+		L3:  newCache(cfg.L3, bufs[3]),
+		TLB: newTLB(cfg.TLB, bufs[4]),
 	}
 	if cfg.PrefetchEnabled {
 		h.pf = stride.New(stride.Config{Entries: 512, TagBits: 10, Confidence: 2, Seed: 0x9f})

@@ -66,7 +66,7 @@ func residentLRU(c *Cache, addr uint64) []uint64 {
 	set, _ := c.setAndTag(addr)
 	var live []line
 	for _, l := range set {
-		if l.valid {
+		if l.used != 0 {
 			live = append(live, l)
 		}
 	}

@@ -27,16 +27,20 @@ type TLB struct {
 }
 
 // NewTLB returns a TLB with the given geometry.
-func NewTLB(cfg TLBConfig) *TLB {
+func NewTLB(cfg TLBConfig) *TLB { return newTLB(cfg, nil) }
+
+// newTLB returns a cold TLB whose page cache takes over buf as newCache
+// does.
+func newTLB(cfg TLBConfig, buf []line) *TLB {
 	if cfg.Entries == 0 {
 		cfg = DefaultTLBConfig()
 	}
-	return &TLB{cfg: cfg, pages: NewCache(CacheConfig{
+	return &TLB{cfg: cfg, pages: newCache(CacheConfig{
 		Name:       "TLB",
 		SizeBytes:  cfg.Entries * cfg.PageBytes,
 		BlockBytes: cfg.PageBytes,
 		Ways:       cfg.Ways,
-	})}
+	}, buf)}
 }
 
 // Config returns the TLB geometry.

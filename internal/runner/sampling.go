@@ -204,7 +204,8 @@ func (r *Runner) runSampled(ctx context.Context, key string, lv *liveJob, w work
 	// Phase 1 — build the checkpoint chain. Ascending restore offsets
 	// chain off each other, so this costs ~one functional emulation pass
 	// over the span on a cold store and almost nothing once the store is
-	// warm (matrices over one workload share the chain).
+	// warm (matrices over one workload share the chain). Ensure copies
+	// no state out; each interval takes its own copy in phase 2.
 	psp := obs.StartSpan(ctx, "runner.sampled.checkpoints").Attr("workload", job.Workload)
 	for i := range plan {
 		if err := ctx.Err(); err != nil {
@@ -214,7 +215,7 @@ func (r *Runner) runSampled(ctx context.Context, key string, lv *liveJob, w work
 		if plan[i].restore == 0 {
 			continue
 		}
-		_, outcome, err := store.StateAt(job.Workload, prog, plan[i].restore)
+		outcome, err := store.Ensure(job.Workload, prog, plan[i].restore)
 		if err != nil {
 			psp.Attr("error", err.Error()).End()
 			return res, fmt.Errorf("runner: sampled interval %d: %w", i, err)
@@ -275,6 +276,9 @@ func (r *Runner) runSampled(ctx context.Context, key string, lv *liveJob, w work
 			setErr(fmt.Errorf("runner: sampled interval %d: %w", i, err))
 			return
 		}
+		// The emulator takes over snap, the private copy StateAt made, and
+		// the core clones its committed-memory image from snap.Mem before
+		// the emulator runs: two copies of the checkpoint's memory.
 		cpu := emu.NewFromSnapshot(prog, snap)
 		// Slack past the measured region keeps the pipeline full at the
 		// closing commit: the window ends by counter, not by stream

@@ -218,8 +218,11 @@ func New(cfg config.Core, p *program.Program, reader trace.Reader) *Core {
 //
 // Passing an arena recycled from a finished run (never one still in use —
 // arenas are not concurrency-safe) reuses its memory, making back-to-back
-// simulations allocation-free on the bulk state. A nil a allocates a
-// fresh arena.
+// simulations allocation-free on the bulk state. That includes the cache
+// hierarchy when cfg.Mem equals the previous core's: it is renewed to
+// NewHierarchy's cold state on the same line storage, and otherwise
+// replaced. The previous core must not be used afterwards. A nil a
+// allocates a fresh arena.
 func NewAtArena(cfg config.Core, p *program.Program, reader trace.Reader, cmem *emu.Memory, a *Arena) *Core {
 	var mimg *emu.Memory
 	if cmem != nil {
@@ -232,6 +235,11 @@ func NewAtArena(cfg config.Core, p *program.Program, reader trace.Reader, cmem *
 	} else {
 		a.reset()
 	}
+	if a.hier != nil && a.hier.Config() == cfg.Mem {
+		a.hier = a.hier.Renew()
+	} else {
+		a.hier = mem.NewHierarchy(cfg.Mem)
+	}
 	c := &Core{
 		cfg:    cfg,
 		prog:   p,
@@ -239,7 +247,7 @@ func NewAtArena(cfg config.Core, p *program.Program, reader trace.Reader, cmem *
 		ovf:    trace.OverflowOf(reader),
 		cmem:   mimg,
 		a:      a,
-		hier:   mem.NewHierarchy(cfg.Mem),
+		hier:   a.hier,
 		tage:   branch.NewTAGE(cfg.TAGE),
 		ittage: branch.NewITTAGE(cfg.ITTAGE),
 		mdp:    mdp.New(cfg.MDP),
@@ -446,3 +454,8 @@ func (c *Core) finalizeStats() {
 
 // Stats returns the statistics accumulated so far (valid after Run).
 func (c *Core) Stats() metrics.RunStats { return c.stats }
+
+// Hierarchy returns the core's cache hierarchy, counters and lines
+// included. It belongs to the core's arena: the next core built there
+// renews or replaces it.
+func (c *Core) Hierarchy() *mem.Hierarchy { return c.hier }

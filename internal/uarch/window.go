@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"dlvp/internal/branch"
+	"dlvp/internal/mem"
 	"dlvp/internal/predictor/cap"
 	"dlvp/internal/predictor/dvtage"
 	"dlvp/internal/predictor/pap"
@@ -165,10 +166,10 @@ type windowState struct {
 }
 
 // Arena owns every bulk per-run allocation of a core: the SoA window, the
-// trace ring, the scheduler bitmap, the load/store queue index, the PAQ ring
-// and the small scheduler slices. A fresh arena is one allocation; reusing
-// one across runs (NewAtArena) makes a whole simulation allocation-free on
-// the per-instruction path and nearly so per run.
+// trace ring, the scheduler bitmap, the load/store queue index, the PAQ ring,
+// the small scheduler slices and the cache hierarchy. A fresh arena is one
+// allocation; reusing one across runs (NewAtArena) makes a whole simulation
+// allocation-free on the per-instruction path and nearly so per run.
 type Arena struct {
 	w   windowState
 	buf [bufCap]trace.Rec
@@ -218,6 +219,11 @@ type Arena struct {
 	reissue []uint64 // selective-replay scratch
 
 	paqBuf []paqEntry // PAQ ring storage, sized to cfg.PAQEntries
+
+	// hier is the cache hierarchy of the last core built on the arena (nil
+	// before the first). The next core with the same cfg.Mem renews it
+	// (mem.Hierarchy.Renew) instead of allocating its 1.7 MB of lines.
+	hier *mem.Hierarchy
 }
 
 // NewArena returns an arena ready for NewAtArena.
