@@ -118,13 +118,13 @@ func BenchmarkCoreThroughput(b *testing.B) {
 				b.Fatal("perlbmk not registered")
 			}
 			prog := w.Build()
-			recs := trace.Collect(w.Reader(instrs), 0)
+			stream := trace.Capture(w.Reader(instrs), 0)
 			arena := uarch.NewArena() // reused across runs, like the runner does
 			b.ReportAllocs()
 			b.ResetTimer()
 			var committed uint64
 			for i := 0; i < b.N; i++ {
-				core := uarch.NewAtArena(tc.cfg, prog, &trace.SliceReader{Recs: recs}, nil, arena)
+				core := uarch.NewAtArena(tc.cfg, prog, stream.Replay(), nil, arena)
 				stats := core.Run(0)
 				if stats.Instructions == 0 {
 					b.Fatal("nothing committed")

@@ -39,12 +39,12 @@ func measureThroughput(cfg CoreConfig, name string, instrs uint64, runs int) flo
 		panic("workload not registered: " + name)
 	}
 	prog := w.Build()
-	recs := trace.Collect(w.Reader(instrs), 0)
+	stream := trace.Capture(w.Reader(instrs), 0)
 	arena := uarch.NewArena()
 	var committed uint64
 	start := time.Now()
 	for i := 0; i < runs; i++ {
-		core := uarch.NewAtArena(cfg, prog, &trace.SliceReader{Recs: recs}, nil, arena)
+		core := uarch.NewAtArena(cfg, prog, stream.Replay(), nil, arena)
 		committed += core.Run(0).Instructions
 	}
 	return float64(committed) / time.Since(start).Seconds()
@@ -103,7 +103,7 @@ func TestWarmArenaAllocationGate(t *testing.T) {
 		t.Fatal("perlbmk not registered")
 	}
 	prog := w.Build()
-	recs := trace.Collect(w.Reader(instrs), 0)
+	stream := trace.Capture(w.Reader(instrs), 0)
 	for _, tc := range []struct {
 		name string
 		cfg  CoreConfig
@@ -112,7 +112,7 @@ func TestWarmArenaAllocationGate(t *testing.T) {
 		{"dlvp", DLVP()},
 	} {
 		arena := uarch.NewArena()
-		run := func() { uarch.NewAtArena(tc.cfg, prog, &trace.SliceReader{Recs: recs}, nil, arena).Run(0) }
+		run := func() { uarch.NewAtArena(tc.cfg, prog, stream.Replay(), nil, arena).Run(0) }
 		run() // warm-up: the arena builds its bulk state
 		bytes, allocs := ^uint64(0), ^uint64(0)
 		for i := 0; i < 3; i++ {

@@ -33,9 +33,7 @@ func TestArenaReuseMatchesFreshArena(t *testing.T) {
 	)
 	w, _ := workloads.ByName("mcf")
 	prog := w.Build()
-	rd := w.Reader(instrs)
-	recs := trace.Collect(rd, 0)
-	ovf := trace.OverflowOf(rd)
+	stream := trace.Capture(w.Reader(instrs), 0)
 	store := checkpoint.NewStore(0)
 
 	// run builds one core for the job on a and returns everything it
@@ -52,7 +50,7 @@ func TestArenaReuseMatchesFreshArena(t *testing.T) {
 			core = uarch.NewAtArena(cfg, prog, cpu, snap.Mem, a)
 			core.SetSampleWindow(warmup, measured)
 		} else {
-			core = uarch.NewAtArena(cfg, prog, &trace.SliceReader{Recs: recs, Ovf: ovf}, nil, a)
+			core = uarch.NewAtArena(cfg, prog, stream.Replay(), nil, a)
 		}
 		core.EnableSiteProfile(0)
 		st := core.Run(0)

@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"fmt"
 	"maps"
 	"testing"
 
@@ -8,6 +9,329 @@ import (
 	"dlvp/internal/program"
 	"dlvp/internal/trace"
 )
+
+// RefCPU is the reference interpreter the decoded one is held to: it
+// fetches each instruction through program.InstAt, switches over the wide
+// isa.Inst, tests every register access for XZR and computes each
+// record's destinations and sources afresh.
+type RefCPU struct {
+	prog *program.Program
+	mem  *Memory
+	regs [isa.NumRegs]uint64
+	pc   uint64
+	seq  uint64
+	halt bool
+	ovf  trace.Overflow
+
+	// MaxInstrs, when non-zero, bounds the number of records produced.
+	MaxInstrs uint64
+}
+
+// NewRef returns a reference CPU at p's entry point, set up as New sets
+// up a CPU.
+func NewRef(p *program.Program) *RefCPU {
+	c := &RefCPU{prog: p, mem: NewMemoryFromProgram(p), pc: p.Entry}
+	c.regs[SPReg] = program.StackTop
+	return c
+}
+
+// Reg returns the current value of r.
+func (c *RefCPU) Reg(r isa.Reg) uint64 {
+	if r == isa.XZR {
+		return 0
+	}
+	return c.regs[r]
+}
+
+// SetReg sets r (writes to XZR are discarded).
+func (c *RefCPU) SetReg(r isa.Reg, v uint64) {
+	if r != isa.XZR {
+		c.regs[r] = v
+	}
+}
+
+// Overflow returns the table the wide records Next delivers index.
+func (c *RefCPU) Overflow() *trace.Overflow { return &c.ovf }
+
+// Snapshot captures the reference's architectural state.
+func (c *RefCPU) Snapshot() *Snapshot {
+	return &Snapshot{Regs: c.regs, PC: c.pc, Seq: c.seq, Halted: c.halt, Mem: c.mem.Clone()}
+}
+
+// Next executes one instruction and fills rec with its dynamic record.
+func (c *RefCPU) Next(rec *trace.Rec) bool {
+	inst := c.fetch(c.MaxInstrs)
+	if inst == nil {
+		return false
+	}
+	c.step(inst, rec)
+	return true
+}
+
+// fetch returns the instruction at the PC, or nil once the program has
+// halted, limit instructions have executed (0: no limit) or the PC has
+// left the code segment, which halts the program.
+func (c *RefCPU) fetch(limit uint64) *isa.Inst {
+	if c.halt || (limit > 0 && c.seq >= limit) {
+		return nil
+	}
+	inst := c.prog.InstAt(c.pc)
+	if inst == nil {
+		c.halt = true
+	}
+	return inst
+}
+
+// step executes inst and fills rec with its dynamic record.
+func (c *RefCPU) step(inst *isa.Inst, rec *trace.Rec) {
+	pc := c.pc
+	c.seq++
+
+	var (
+		taken  bool
+		addr   uint64
+		bytes  uint8
+		v0, v1 uint64
+	)
+	r := func(reg isa.Reg) uint64 { return c.Reg(reg) }
+
+	switch inst.Op {
+	case isa.NOP:
+	case isa.HALT:
+		c.halt = true
+
+	case isa.ADD:
+		c.SetReg(inst.Rd, r(inst.Rn)+r(inst.Rm))
+	case isa.SUB:
+		c.SetReg(inst.Rd, r(inst.Rn)-r(inst.Rm))
+	case isa.AND:
+		c.SetReg(inst.Rd, r(inst.Rn)&r(inst.Rm))
+	case isa.ORR:
+		c.SetReg(inst.Rd, r(inst.Rn)|r(inst.Rm))
+	case isa.EOR:
+		c.SetReg(inst.Rd, r(inst.Rn)^r(inst.Rm))
+	case isa.LSL:
+		c.SetReg(inst.Rd, r(inst.Rn)<<(r(inst.Rm)&63))
+	case isa.LSR:
+		c.SetReg(inst.Rd, r(inst.Rn)>>(r(inst.Rm)&63))
+	case isa.ASR:
+		c.SetReg(inst.Rd, uint64(int64(r(inst.Rn))>>(r(inst.Rm)&63)))
+	case isa.ADDI:
+		c.SetReg(inst.Rd, r(inst.Rn)+uint64(inst.Imm))
+	case isa.SUBI:
+		c.SetReg(inst.Rd, r(inst.Rn)-uint64(inst.Imm))
+	case isa.ANDI:
+		c.SetReg(inst.Rd, r(inst.Rn)&uint64(inst.Imm))
+	case isa.ORRI:
+		c.SetReg(inst.Rd, r(inst.Rn)|uint64(inst.Imm))
+	case isa.EORI:
+		c.SetReg(inst.Rd, r(inst.Rn)^uint64(inst.Imm))
+	case isa.LSLI:
+		c.SetReg(inst.Rd, r(inst.Rn)<<(uint64(inst.Imm)&63))
+	case isa.LSRI:
+		c.SetReg(inst.Rd, r(inst.Rn)>>(uint64(inst.Imm)&63))
+	case isa.MOVZ:
+		c.SetReg(inst.Rd, uint64(inst.Imm))
+	case isa.CSEL:
+		if r(inst.Rm) != 0 {
+			c.SetReg(inst.Rd, r(inst.Rn))
+		} else {
+			c.SetReg(inst.Rd, uint64(inst.Imm))
+		}
+	case isa.MUL:
+		c.SetReg(inst.Rd, r(inst.Rn)*r(inst.Rm))
+	case isa.MADD:
+		c.SetReg(inst.Rd, r(inst.Rn)*r(inst.Rm)+r(inst.Rt))
+	case isa.UDIV:
+		if d := r(inst.Rm); d != 0 {
+			c.SetReg(inst.Rd, r(inst.Rn)/d)
+		} else {
+			c.SetReg(inst.Rd, 0)
+		}
+	case isa.UREM:
+		if d := r(inst.Rm); d != 0 {
+			c.SetReg(inst.Rd, r(inst.Rn)%d)
+		} else {
+			c.SetReg(inst.Rd, 0)
+		}
+
+	case isa.B:
+		taken, addr = true, inst.Target
+	case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU:
+		a, bv := r(inst.Rn), r(inst.Rm)
+		switch inst.Op {
+		case isa.BEQ:
+			taken = a == bv
+		case isa.BNE:
+			taken = a != bv
+		case isa.BLT:
+			taken = int64(a) < int64(bv)
+		case isa.BGE:
+			taken = int64(a) >= int64(bv)
+		case isa.BLTU:
+			taken = a < bv
+		case isa.BGEU:
+			taken = a >= bv
+		}
+		addr = inst.Target
+	case isa.CBZ:
+		taken, addr = r(inst.Rn) == 0, inst.Target
+	case isa.CBNZ:
+		taken, addr = r(inst.Rn) != 0, inst.Target
+	case isa.BL:
+		c.SetReg(inst.Rd, pc+4)
+		taken, addr = true, inst.Target
+	case isa.RET, isa.BR:
+		taken, addr = true, r(inst.Rn)
+
+	case isa.LDR, isa.LDRS, isa.LDAR:
+		ea := c.effAddr(inst)
+		size := 1 << inst.Size
+		v := c.mem.Read(ea, size)
+		if inst.Op == isa.LDRS && size < 8 {
+			shift := uint(64 - 8*size)
+			v = uint64(int64(v<<shift) >> shift)
+		}
+		c.SetReg(inst.Rd, v)
+		addr, bytes, v0 = ea, uint8(size), v
+	case isa.LDRPOST:
+		ea := r(inst.Rn)
+		v0, v1 = c.mem.Read(ea, 8), ea+uint64(inst.Imm)
+		c.SetReg(inst.Rd, v0)
+		c.SetReg(inst.Rn, v1)
+		addr, bytes = ea, 8
+	case isa.LDP, isa.VLD:
+		ea := c.effAddr(inst)
+		v0, v1 = c.mem.Read(ea, 8), c.mem.Read(ea+8, 8)
+		c.SetReg(inst.Rd, v0)
+		c.SetReg(inst.Rd2, v1)
+		addr, bytes = ea, 16
+	case isa.LDM:
+		ea := c.effAddr(inst)
+		for k := uint8(0); k < inst.NReg; k++ {
+			c.SetReg(inst.Rd+isa.Reg(k), c.mem.Read(ea+uint64(k)*8, 8))
+		}
+		addr, bytes = ea, inst.NReg*8
+
+	case isa.STR, isa.STLR:
+		ea := c.effAddr(inst)
+		size := 1 << inst.Size
+		v0 = r(inst.Rt)
+		c.mem.Write(ea, v0, size)
+		addr, bytes = ea, uint8(size)
+	case isa.STRPOST:
+		ea := r(inst.Rn)
+		v0 = r(inst.Rt)
+		c.mem.Write(ea, v0, 8)
+		c.SetReg(inst.Rn, ea+uint64(inst.Imm))
+		addr, bytes, v1 = ea, 8, c.Reg(inst.Rn)
+	case isa.STP:
+		ea := c.effAddr(inst)
+		v0, v1 = r(inst.Rt), r(inst.Rt2)
+		c.mem.Write(ea, v0, 8)
+		c.mem.Write(ea+8, v1, 8)
+		addr, bytes = ea, 16
+
+	default:
+		panic(fmt.Sprintf("emu: unimplemented opcode %v at pc=%#x", inst.Op, pc))
+	}
+
+	// A halted program stays put: its HALT record's successor is itself.
+	nextPC := pc
+	if !c.halt {
+		nextPC = pc + 4
+		if taken {
+			nextPC = addr
+		}
+		c.pc = nextPC
+	}
+
+	*rec = trace.Rec{PC: pc, Next: nextPC, Addr: addr, Op: inst.Op, Flags: inst.Op.Flags(), Bytes: bytes, Taken: taken}
+	var dbuf [trace.MaxDests]isa.Reg
+	var sbuf [trace.MaxSrcs]isa.Reg
+	dsts := inst.Dests(dbuf[:0])
+	srcs := inst.Srcs(sbuf[:0])
+	rec.NDst = uint8(len(dsts))
+	rec.NSrc = uint8(len(srcs))
+	copy(rec.Dst[:], dsts)
+	copy(rec.Src[:], srcs)
+
+	switch {
+	case inst.Op == isa.LDM:
+		var vals [trace.MaxDests]uint64
+		for i, d := range dsts {
+			vals[i] = c.Reg(d)
+		}
+		copy(rec.Vals[:], vals[:])
+		if len(dsts) > trace.InlineDests {
+			c.ovf.Add(rec, dsts, vals[:len(dsts)])
+		}
+	case rec.IsLoad() || rec.IsStore():
+		rec.Vals = [trace.InlineDests]uint64{v0, v1}
+	default:
+		for i, d := range dsts {
+			rec.Vals[i] = c.Reg(d)
+		}
+	}
+}
+
+func (c *RefCPU) effAddr(inst *isa.Inst) uint64 {
+	ea := c.Reg(inst.Rn) + uint64(inst.Imm)
+	if inst.Rm != isa.XZR {
+		ea += c.Reg(inst.Rm) << inst.Scale
+	}
+	return ea
+}
+
+// MatchReference drives cpu and ref, which must start from the same
+// state, through Next to the end of their streams, and returns the first
+// difference it finds: in a record, in an overflow entry, in the length
+// of the stream or in the final state.
+func MatchReference(cpu *CPU, ref *RefCPU) error {
+	var got, want trace.Rec
+	for i := 0; ; i++ {
+		ok, refOK := cpu.Next(&got), ref.Next(&want)
+		if ok != refOK {
+			return fmt.Errorf("record %d: Next = %v, reference %v", i, ok, refOK)
+		}
+		if !ok {
+			break
+		}
+		if got != want {
+			return fmt.Errorf("record %d:\n got %+v\nwant %+v", i, got, want)
+		}
+		for j := trace.InlineDests; j < int(got.NDst); j++ {
+			gr, gv := got.DestReg(j, cpu.Overflow()), got.DestValue(j, cpu.Overflow())
+			wr, wv := want.DestReg(j, ref.Overflow()), want.DestValue(j, ref.Overflow())
+			if gr != wr || gv != wv {
+				return fmt.Errorf("record %d destination %d: %v = %#x, reference %v = %#x", i, j, gr, gv, wr, wv)
+			}
+		}
+	}
+	if got, want := cpu.Overflow().Bytes(), ref.Overflow().Bytes(); got != want {
+		return fmt.Errorf("overflow table holds %d bytes, reference %d", got, want)
+	}
+	return SameState(cpu.Snapshot(), ref.Snapshot())
+}
+
+// SameState returns nil when got and want are bit-identical states, and
+// otherwise an error naming the first field that differs.
+func SameState(got, want *Snapshot) error {
+	switch {
+	case got.Seq != want.Seq || got.PC != want.PC || got.Halted != want.Halted:
+		return fmt.Errorf("state at seq %d pc %#x halted %v, reference seq %d pc %#x halted %v",
+			got.Seq, got.PC, got.Halted, want.Seq, want.PC, want.Halted)
+	case got.Regs != want.Regs:
+		for r := range got.Regs {
+			if got.Regs[r] != want.Regs[r] {
+				return fmt.Errorf("%v = %#x, reference %#x", isa.Reg(r), got.Regs[r], want.Regs[r])
+			}
+		}
+	case !got.Mem.Equal(want.Mem):
+		return fmt.Errorf("memory differs (%d resident pages, reference %d)", got.Mem.Pages(), want.Mem.Pages())
+	}
+	return nil
+}
 
 // refALU mirrors the emulator's ALU semantics in plain Go; the property
 // test cross-checks the interpreter against it on random instruction

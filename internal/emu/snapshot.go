@@ -35,7 +35,7 @@ func (c *CPU) Detach() *Snapshot {
 
 func (c *CPU) capture(m *Memory) *Snapshot {
 	return &Snapshot{
-		Regs:   c.regs,
+		Regs:   [isa.NumRegs]uint64(c.regs[:isa.NumRegs]),
 		PC:     c.pc,
 		Seq:    c.seq,
 		Halted: c.halt,
@@ -68,12 +68,14 @@ func (s *Snapshot) Equal(other *Snapshot) bool {
 // afresh: its first record is position 0, as in a fresh run, and its
 // overflow table starts empty.
 func NewFromSnapshot(p *program.Program, s *Snapshot) *CPU {
-	return &CPU{
+	c := &CPU{
 		prog: p,
 		mem:  s.Mem,
-		regs: s.Regs,
 		pc:   s.PC,
 		seq:  s.Seq,
 		halt: s.Halted,
 	}
+	copy(c.regs[:], s.Regs[:])
+	c.regs[isa.XZR] = 0 // the slot XZR sources read
+	return c
 }

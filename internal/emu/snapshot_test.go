@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"dlvp/internal/emu"
+	"dlvp/internal/isa"
+	"dlvp/internal/program"
 	"dlvp/internal/trace"
 	"dlvp/internal/workloads"
 )
@@ -138,5 +140,23 @@ func TestSnapshotEqualDetectsDifferences(t *testing.T) {
 	}
 	if !base.Equal(base.Clone()) {
 		t.Error("clone compares unequal")
+	}
+}
+
+// TestRestoreKeepsXZRZero: XZR sources read a register-file slot that
+// nothing writes, so a restore must zero that slot even when the
+// snapshot's XZR entry is not zero.
+func TestRestoreKeepsXZRZero(t *testing.T) {
+	b := program.NewBuilder("xzr")
+	b.Add(1, isa.XZR, isa.XZR)
+	b.Halt()
+	prog := b.Build()
+	snap := emu.New(prog).Snapshot()
+	snap.Regs[isa.XZR] = 0xdead
+	cpu := emu.NewFromSnapshot(prog, snap)
+	var rec trace.Rec
+	cpu.Next(&rec)
+	if cpu.Reg(isa.XZR) != 0 || cpu.Reg(1) != 0 {
+		t.Errorf("after a restore xzr = %#x and xzr+xzr = %#x, want 0 and 0", cpu.Reg(isa.XZR), cpu.Reg(1))
 	}
 }

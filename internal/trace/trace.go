@@ -186,9 +186,21 @@ func (s *SliceReader) Next(rec *Rec) bool {
 // Overflow returns Ovf (see OverflowOf).
 func (s *SliceReader) Overflow() *Overflow { return s.Ovf }
 
-// Collect drains up to max records from r (all records if max <= 0). Wide
-// records among them index r's table: replay them as
-// SliceReader{Recs: recs, Ovf: OverflowOf(r)}.
+// Replay returns a new reader over the same records and table, positioned
+// at the first record: one captured stream can feed any number of runs.
+func (s *SliceReader) Replay() *SliceReader { return &SliceReader{Recs: s.Recs, Ovf: s.Ovf} }
+
+// Capture drains up to max records from r (all records if max <= 0) into
+// a SliceReader that carries r's overflow table, so its wide records
+// replay as r delivered them.
+func Capture(r Reader, max int) *SliceReader {
+	return &SliceReader{Recs: Collect(r, max), Ovf: OverflowOf(r)}
+}
+
+// Collect drains up to max records from r (all records if max <= 0). It
+// drops r's overflow table, which wide records among them index: a
+// SliceReader over them without that table panics at the first
+// destination past the inline ones. To replay a stream, use Capture.
 func Collect(r Reader, max int) []Rec {
 	var out []Rec
 	var rec Rec

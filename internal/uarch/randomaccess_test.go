@@ -24,7 +24,7 @@ func TestRandomAccessReplayMatchesStreaming(t *testing.T) {
 		t.Fatal("perlbmk not registered")
 	}
 	const instrs = 30_000
-	recs := trace.Collect(w.Reader(instrs), 0)
+	stream := trace.Capture(w.Reader(instrs), 0)
 	for _, tc := range []struct {
 		name string
 		cfg  config.Core
@@ -36,11 +36,35 @@ func TestRandomAccessReplayMatchesStreaming(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := w.Build()
-			streamed := New(tc.cfg, prog, streamOnly{&trace.SliceReader{Recs: recs}}).Run(0)
-			random := New(tc.cfg, prog, &trace.SliceReader{Recs: recs}).Run(0)
+			streamed := New(tc.cfg, prog, streamOnly{stream.Replay()}).Run(0)
+			random := New(tc.cfg, prog, stream.Replay()).Run(0)
 			if !reflect.DeepEqual(streamed, random) {
 				t.Errorf("random-access replay diverged from streaming replay:\nstream: %+v\nrandom: %+v", streamed, random)
 			}
 		})
+	}
+}
+
+// TestCapturedWideLoadsReplay holds trace.Capture to live emulation on a
+// stream with wide records: crafty's LDMs write more than two registers,
+// so its replay reads the captured overflow table, and it must simulate
+// exactly as the live stream does.
+func TestCapturedWideLoadsReplay(t *testing.T) {
+	w, ok := workloads.ByName("crafty")
+	if !ok {
+		t.Fatal("crafty not registered")
+	}
+	const instrs = 20_000
+	stream := trace.Capture(w.Reader(instrs), 0)
+	if stream.Ovf.Bytes() == 0 {
+		t.Fatal("crafty's stream has no overflow entries to replay")
+	}
+	for _, scheme := range []string{"baseline", "dlvp"} {
+		cfg, _ := config.ByScheme(scheme)
+		live := New(cfg, w.Build(), w.Reader(instrs)).Run(0)
+		replayed := New(cfg, w.Build(), stream.Replay()).Run(0)
+		if !reflect.DeepEqual(live, replayed) {
+			t.Errorf("%s: captured replay diverged from the live stream:\nlive:     %+v\nreplayed: %+v", scheme, live, replayed)
+		}
 	}
 }
