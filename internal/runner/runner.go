@@ -166,8 +166,7 @@ type Options struct {
 type instruments struct {
 	queueWait  *obs.Histogram  // seconds a job waited for a worker slot
 	simDur     *obs.Histogram  // wall seconds of one executed simulation
-	captureDur *obs.Histogram  // wall seconds of simulations that captured their trace
-	replayDur  *obs.Histogram  // wall seconds of simulations fed by a replayed trace
+	captureDur *obs.Histogram  // wall seconds of emulating a stream into the trace cache
 	lookups    *obs.CounterVec // cache lookups by outcome hit|miss|coalesced|cancelled|trace_cache
 }
 
@@ -182,9 +181,7 @@ func newInstruments(o *obs.Observer) *instruments {
 		simDur: reg.Histogram("dlvpd_runner_sim_duration_seconds",
 			"Wall time of executed simulations (cache hits excluded).", nil).With(),
 		captureDur: reg.Histogram("dlvpd_runner_trace_capture_seconds",
-			"Wall time of simulations that recorded their emulation stream into the trace cache.", nil).With(),
-		replayDur: reg.Histogram("dlvpd_runner_trace_replay_seconds",
-			"Wall time of simulations fed by a replayed (or followed) trace-cache stream.", nil).With(),
+			"Wall time of emulating a job's stream into the trace cache before it simulates.", nil).With(),
 		lookups: reg.Counter("dlvpd_runner_cache_lookups_total",
 			"Result-cache lookups by outcome.", "outcome"),
 	}
@@ -195,7 +192,7 @@ func newInstruments(o *obs.Observer) *instruments {
 // existing family).
 func registerTraceCacheMetrics(reg *obs.Registry, tc *tracecache.Cache) {
 	reg.GaugeFunc("dlvpd_tracecache_bytes_resident",
-		"Bytes of captured trace records resident in the trace cache (complete and in-flight).",
+		"Bytes of complete captures resident in the trace cache plus the bounds reserved by captures in flight.",
 		func() float64 { s := tc.Stats(); return float64(s.ResidentBytes + s.CapturingBytes) })
 	reg.GaugeFunc("dlvpd_tracecache_entries",
 		"Complete trace captures resident in the trace cache.",
@@ -210,7 +207,7 @@ func registerTraceCacheMetrics(reg *obs.Registry, tc *tracecache.Cache) {
 		"Complete captures evicted to respect the byte budget.",
 		func() float64 { return float64(tc.Stats().Evictions) })
 	reg.CounterFunc("dlvpd_tracecache_emulations_total",
-		"Live emulator streams constructed (captures, bypasses and fallbacks).",
+		"Live emulator streams constructed (captures and bypasses).",
 		func() float64 { return float64(tc.Stats().Emulations) })
 }
 
@@ -487,24 +484,8 @@ func (r *Runner) lead(ctx context.Context, key string, lv *liveJob, w workloads.
 	defer r.running.Add(-1) // also when the simulation panics
 	start := time.Now()
 
-	// The trace cache replaces the per-job functional emulation with a
-	// capture-once/replay-many stream: the first job over a (workload,
-	// instrs) records the emulator's output, every other job replays (or
-	// tails) it. A nil cache bypasses to live emulation. Outcomes are
-	// surfaced as runner.capture / runner.replay spans plus dedicated
-	// duration histograms.
-	reader, release, outcome := r.tcache.Reader(job.Workload, job.Instrs,
-		func() trace.Reader { return w.Reader(job.Instrs) })
+	reader, release, _ := r.openTrace(ctx, w, job)
 	defer release()
-	var tsp *obs.ActiveSpan
-	switch outcome {
-	case tracecache.OutcomeCapture:
-		tsp = obs.StartSpan(ctx, "runner.capture").Attr("workload", job.Workload)
-	case tracecache.OutcomeReplay, tracecache.OutcomeFollow:
-		tsp = obs.StartSpan(ctx, "runner.replay").Attr("workload", job.Workload)
-		r.countLookup("trace_cache")
-	}
-
 	arena := uarch.AcquireArena()
 	defer uarch.ReleaseArena(arena)
 	core := uarch.NewAtArena(job.Config, w.Build(), reader, nil, arena)
@@ -523,18 +504,32 @@ func (r *Runner) lead(ctx context.Context, key string, lv *liveJob, w workloads.
 	r.instrs.Add(st.Instructions)
 	if r.inst != nil {
 		r.inst.simDur.Observe(elapsed.Seconds())
-		switch outcome {
-		case tracecache.OutcomeCapture:
-			r.inst.captureDur.Observe(elapsed.Seconds())
-		case tracecache.OutcomeReplay, tracecache.OutcomeFollow:
-			r.inst.replayDur.Observe(elapsed.Seconds())
-		}
-	}
-	if tsp != nil {
-		tsp.End()
 	}
 	xsp.Attr("instructions", strconv.FormatUint(st.Instructions, 10)).End()
 	return res, nil
+}
+
+// openTrace returns a full run's instruction stream. The trace cache
+// replaces the per-job functional emulation with a capture-once/
+// replay-many stream: the first job over a (workload, instrs) emulates it
+// into the cache, timed by the runner.capture span and the capture
+// histogram, and every other job replays it in place, waiting first if
+// the capture is still in flight. A nil cache bypasses to live emulation.
+func (r *Runner) openTrace(ctx context.Context, w workloads.Workload, job Job) (trace.Reader, func(), tracecache.Outcome) {
+	sp := obs.StartSpan(ctx, "runner.capture").Attr("workload", job.Workload)
+	start := time.Now()
+	reader, release, outcome := r.tcache.Reader(job.Workload, job.Instrs,
+		func() trace.Reader { return w.Reader(job.Instrs) })
+	switch outcome {
+	case tracecache.OutcomeCapture:
+		sp.End() // a span is recorded only when it ends
+		if r.inst != nil {
+			r.inst.captureDur.Observe(time.Since(start).Seconds())
+		}
+	case tracecache.OutcomeReplay, tracecache.OutcomeFollow:
+		r.countLookup("trace_cache")
+	}
+	return reader, release, outcome
 }
 
 // publishLive makes a running job's recorders reachable through

@@ -163,8 +163,8 @@ func positionalViews(t *testing.T, r trace.Reader) []recView {
 }
 
 // losslessPaths returns every hand-off a stream can take from the emulator
-// to the core, each as a constructor for a fresh reader plus a wait that
-// returns once any helper goroutine the path started has finished.
+// to the core, each as a constructor for a fresh reader plus the function
+// to call once the reader is drained.
 func losslessPaths(t *testing.T, prog *program.Program) map[string]func() (trace.Reader, func()) {
 	const instrs = 50_000 // above the program's length: it halts first
 	src := func() trace.Reader {
@@ -173,6 +173,7 @@ func losslessPaths(t *testing.T, prog *program.Program) map[string]func() (trace
 		return cpu
 	}
 	nop := func() {}
+	newCache := func() *tracecache.Cache { return tracecache.New(64 << 20) }
 	cacheReader := func(tc *tracecache.Cache, want tracecache.Outcome) (trace.Reader, func()) {
 		r, release, got := tc.Reader(prog.Name, instrs, src)
 		if got != want {
@@ -186,41 +187,28 @@ func losslessPaths(t *testing.T, prog *program.Program) map[string]func() (trace
 			return &trace.SliceReader{Recs: trace.Collect(cpu, 0), Ovf: trace.OverflowOf(cpu)}, nop
 		},
 		"capture": func() (trace.Reader, func()) {
-			return cacheReader(tracecache.New(64<<20), tracecache.OutcomeCapture)
+			return cacheReader(newCache(), tracecache.OutcomeCapture)
 		},
 		"follow": func() (trace.Reader, func()) {
-			tc := tracecache.New(64 << 20)
-			lead, release := cacheReader(tc, tracecache.OutcomeCapture)
-			fol, _ := cacheReader(tc, tracecache.OutcomeFollow)
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				defer release()
-				drain(lead)
-			}()
-			return fol, func() { <-done }
+			var r trace.Reader
+			var release func()
+			_, out, _ := tracecache.OpenDuringCapture(newCache, prog.Name, instrs, src,
+				func(tc *tracecache.Cache) tracecache.Outcome {
+					var out tracecache.Outcome
+					r, release, out = tc.Reader(prog.Name, instrs, src)
+					return out
+				})
+			if out != tracecache.OutcomeFollow {
+				t.Fatalf("outcome %q, want %q", out, tracecache.OutcomeFollow)
+			}
+			return r, release
 		},
 		"replay": func() (trace.Reader, func()) {
-			tc := tracecache.New(64 << 20)
+			tc := newCache()
 			lead, release := cacheReader(tc, tracecache.OutcomeCapture)
 			drain(lead)
 			release()
 			return cacheReader(tc, tracecache.OutcomeReplay)
-		},
-		"fallback": func() (trace.Reader, func()) {
-			tc := tracecache.New(64 << 20)
-			lead, release := cacheReader(tc, tracecache.OutcomeCapture)
-			fol, _ := cacheReader(tc, tracecache.OutcomeFollow)
-			var rec trace.Rec
-			for i := 0; i < 5_000; i++ { // past the first published chunk
-				lead.Next(&rec)
-			}
-			release() // abandon: the follower falls back mid-stream
-			return fol, func() {
-				if s := tc.Stats(); s.Fallbacks != 1 || s.CapturesAborted != 1 {
-					t.Errorf("fallback path: %+v, want 1 fallback after 1 aborted capture", s)
-				}
-			}
 		},
 	}
 }
@@ -229,9 +217,10 @@ func losslessPaths(t *testing.T, prog *program.Program) map[string]func() (trace
 // every accessor the core reads (destination registers and values, source
 // registers, target, taken and the class flags) agrees between live
 // emulation and every other hand-off — trace.Collect + SliceReader and
-// the trace cache's capture, follow, replay and fallback-after-abort
-// paths — and the core's RunStats agree too. CI runs this under -race,
-// since a follower reads the overflow table another goroutine publishes.
+// the trace cache's capture, follow and replay — read as a stream and, for
+// each of them, by position, as the core reads a *trace.SliceReader; the
+// core's RunStats agree too. CI runs this under -race, since a follower
+// replays the records and overflow table another goroutine captured.
 func TestLosslessRecords(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		prog := mixProgram(seed)
@@ -241,24 +230,23 @@ func TestLosslessRecords(t *testing.T) {
 
 			paths := losslessPaths(t, prog)
 			for name, open := range paths {
-				r, wait := open()
+				r, done := open()
 				got := streamViews(r)
-				wait()
+				done()
 				sameViews(t, name, got, live)
-			}
-			for _, name := range []string{"collect", "replay"} {
-				r, wait := paths[name]()
-				got := positionalViews(t, r)
-				wait()
+
+				r, done = open()
+				got = positionalViews(t, r)
+				done()
 				sameViews(t, name+" (by position)", got, live)
 			}
 
 			for _, cfg := range []config.Core{config.DLVP(), config.VTAGE()} {
 				want := statsJSON(t, uarch.New(cfg, prog, emu.New(prog)).Run(0))
 				for name, open := range paths {
-					r, wait := open()
+					r, done := open()
 					got := statsJSON(t, uarch.New(cfg, prog, r).Run(0))
-					wait()
+					done()
 					if got != want {
 						t.Errorf("%s/%s: RunStats diverge from live emulation:\n live: %s\n %s: %s",
 							cfg.VP.Scheme, name, want, name, got)

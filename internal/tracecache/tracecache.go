@@ -9,35 +9,33 @@
 // records it once and replays the buffered records to every other
 // configuration:
 //
-//   - the first reader for a key becomes the capture *lead*: it streams
-//     from the live emulator while appending each trace.Rec (56 bytes, no
-//     pointers) into an in-memory buffer; the extra destinations of wide
-//     records stay in the emulator's overflow table, which every snapshot
-//     publishes alongside the records;
-//   - concurrent readers for the same key *follow* the capture
-//     (single-flight: one emulation no matter how many configurations ask
-//     at once), tailing the published prefix lock-free and parking only
-//     when they catch up to the lead;
-//   - once a capture completes, later readers get a pure replay of the
-//     buffered records with zero re-emulation, served as a
-//     *trace.SliceReader whose records the core indexes in place;
-//   - a capture that is abandoned (its simulation stopped early) or that
-//     runs out of budget fails open: followers transparently fall back to
-//     a fresh emulator, skipping the records they already consumed, so a
-//     reader always observes the exact stream the live emulator would have
-//     produced.
+//   - the first reader for a key *captures* the stream: it reserves the
+//     stream's upper bound (instrs × RecSize) against the budget, emulates
+//     the whole stream into one buffer of that many records, and hands the
+//     buffer to the LRU of complete captures;
+//   - readers that arrive while the capture is in flight *follow* it: they
+//     wait for it (single-flight through lru.Do, so one emulation no matter
+//     how many configurations ask at once);
+//   - later readers *replay* the resident capture with zero re-emulation.
+//
+// All three are served as a *trace.SliceReader whose records the core
+// indexes in place. A capture that cannot reserve its bound, because the
+// captures in flight hold the budget, or whose build panics, leaves its
+// readers streaming live from a fresh emulator, so a reader always
+// observes the exact stream the live emulator would have produced.
 //
 // The byte budget bounds resident memory: complete captures (records plus
-// overflow table) live in an lru.Cache charged their bytes, in-flight
-// captures count against the same budget, and a stream whose upper bound
-// (instrs × record size) cannot fit is bypassed to live emulation without
-// buffering. The 512 MiB default thus retains 31 complete 300k-instruction
-// captures.
+// overflow table) live in an lru.Cache charged their bytes, the bounds of
+// in-flight captures are reserved against the same budget, and a stream
+// whose bound cannot fit is bypassed to live emulation without buffering.
+// The 512 MiB default thus retains 31 complete 300k-instruction captures.
 package tracecache
 
 import (
+	"context"
+	"errors"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"dlvp/internal/lru"
@@ -48,81 +46,41 @@ import (
 // budget charges it per record, plus each stream's overflow-table bytes.
 const RecSize = int64(unsafe.Sizeof(trace.Rec{}))
 
-// publishChunk is how many records the capture lead appends between
-// visibility publications. Followers lag the lead by at most this many
-// records; the lead pays one atomic store and one channel close per chunk.
-const publishChunk = 4096
-
 // Outcome classifies how a Reader call was served.
 type Outcome string
 
 const (
-	// OutcomeCapture: this reader is the lead recording a live emulation.
+	// OutcomeCapture: this reader emulated the stream into the cache.
 	OutcomeCapture Outcome = "capture"
 	// OutcomeReplay: served entirely from a completed capture.
 	OutcomeReplay Outcome = "replay"
-	// OutcomeFollow: tailing a capture another reader is recording.
+	// OutcomeFollow: waited for a capture in flight, then replayed it.
 	OutcomeFollow Outcome = "follow"
 	// OutcomeBypass: served by live emulation without recording (cache
-	// disabled, zero budget, or the stream cannot fit the budget).
+	// disabled, zero budget, a stream that cannot fit the budget, or a
+	// capture that could not reserve its bound).
 	OutcomeBypass Outcome = "bypass"
 )
 
-// snapshot is the immutable published view of one capture. Records
-// [0, len(recs)) are final and safe to read concurrently; the lead appends
-// beyond len into the same backing array before publishing the next view.
-// ovf is the matching view of the stream's overflow table, which grows the
-// same way.
-type snapshot struct {
-	recs     []trace.Rec
-	ovf      trace.Overflow
-	complete bool // stream ended; recs is the whole trace
-	failed   bool // capture aborted; readers past recs must re-emulate
-}
-
-// bytes is what the snapshot's contents are charged against the budget.
-func (s *snapshot) bytes() int64 { return int64(len(s.recs))*RecSize + s.ovf.Bytes() }
-
-// entry is one (workload, instrs) stream while it is captured. Followers
-// keep it until their stream ends; a completed capture's snapshot moves
-// into the cache's LRU.
-type entry struct {
-	key    string
-	source func() trace.Reader
-
-	snap atomic.Pointer[snapshot]
-
-	// wake is closed and replaced after every publication so parked
-	// followers re-check the snapshot.
-	mu   sync.Mutex
-	wake chan struct{}
-}
-
-func (e *entry) publish(s *snapshot) {
-	e.snap.Store(s)
-	e.mu.Lock()
-	close(e.wake)
-	e.wake = make(chan struct{})
-	e.mu.Unlock()
-}
+// errNoRoom fails a capture whose bound the captures in flight leave no
+// room for; the lead and its followers then stream live.
+var errNoRoom = errors.New("tracecache: captures in flight hold the budget")
 
 // Stats is a snapshot of the cache counters.
 type Stats struct {
-	BudgetBytes     int64 `json:"budget_bytes"`
-	ResidentBytes   int64 `json:"resident_bytes"`  // complete captures held
-	CapturingBytes  int64 `json:"capturing_bytes"` // published bytes of live captures
-	Entries         int   `json:"entries"`         // complete captures resident
-	Capturing       int   `json:"capturing"`       // captures in flight now
-	Captures        int64 `json:"captures"`        // capture leads started
-	CapturesDone    int64 `json:"captures_done"`   // captures that completed and were retained
-	CapturesAborted int64 `json:"captures_aborted"`
-	Replays         int64 `json:"replays"` // readers served from a complete capture
-	Follows         int64 `json:"follows"` // readers that tailed a live capture
-	Bypasses        int64 `json:"bypasses"`
-	Fallbacks       int64 `json:"fallbacks"` // followers that resumed on a live emulator
-	Evictions       int64 `json:"evictions"`
-	TooLarge        int64 `json:"too_large"`  // streams whose bound exceeds the budget
-	Emulations      int64 `json:"emulations"` // live emulator streams constructed
+	BudgetBytes    int64 `json:"budget_bytes"`
+	ResidentBytes  int64 `json:"resident_bytes"`  // complete captures held
+	CapturingBytes int64 `json:"capturing_bytes"` // bounds reserved by captures in flight
+	Entries        int   `json:"entries"`         // complete captures resident
+	Capturing      int   `json:"capturing"`       // captures in flight now
+	Captures       int64 `json:"captures"`        // captures started (one emulation each)
+	CapturesDone   int64 `json:"captures_done"`   // captures that completed and went to the LRU
+	Replays        int64 `json:"replays"`         // readers served from a complete capture
+	Follows        int64 `json:"follows"`         // readers that waited for a capture in flight
+	Bypasses       int64 `json:"bypasses"`
+	Evictions      int64 `json:"evictions"`
+	TooLarge       int64 `json:"too_large"`  // streams whose bound exceeds the budget
+	Emulations     int64 `json:"emulations"` // live emulator streams constructed
 }
 
 // HitRatio returns the fraction of readers served without starting a new
@@ -140,33 +98,26 @@ func (s Stats) HitRatio() float64 {
 // bypasses to live emulation.
 type Cache struct {
 	budget int64
-	// complete holds the completed captures, charged their bytes. It is
-	// trimmed to what the captures in flight leave of the budget.
-	complete *lru.Cache[*snapshot]
+	// complete holds the completed captures, charged their bytes. Its
+	// resident bytes plus reserved never exceed budget.
+	complete *lru.Cache[*trace.SliceReader]
 
 	mu        sync.Mutex // taken before complete's own lock
-	capturing map[string]*entry
-	live      int64 // published bytes of in-flight captures
+	reserved  int64      // bounds of the captures in flight
+	capturing int
 
-	captures        int64
-	capturesDone    int64
-	capturesAborted int64
-	replays         int64
-	follows         int64
-	bypasses        int64
-	fallbacks       int64
-	tooLarge        int64
-	emulations      int64
+	captures     int64
+	capturesDone int64
+	bypasses     int64
+	tooLarge     int64
 }
 
 // New returns a cache retaining up to budget bytes of trace records.
 // A non-positive budget yields a cache that bypasses everything (every
 // reader is live emulation), which keeps callers free of nil checks.
 func New(budget int64) *Cache {
-	if budget < 0 {
-		budget = 0
-	}
-	return &Cache{budget: budget, complete: lru.New[*snapshot](budget), capturing: make(map[string]*entry)}
+	budget = max(budget, 0)
+	return &Cache{budget: budget, complete: lru.New[*trace.SliceReader](budget)}
 }
 
 // Budget reports the configured byte budget.
@@ -191,62 +142,107 @@ func Key(workload string, instrs uint64) string {
 // Reader returns a trace.Reader for the (workload, instrs) stream, a
 // release function the caller must invoke once it is done with the reader,
 // and the outcome describing how the stream is served. source constructs a
-// fresh live emulation stream; the cache calls it for capture leads,
-// bypasses, and fallbacks only.
+// fresh live emulation stream of at most instrs records; the cache calls
+// it for captures and bypasses only.
 //
 // The returned reader produces exactly the records source() would,
-// regardless of outcome. Reader never blocks; a follower parks inside Next
-// only while the lead is still producing, and wakes to a transparent live
-// fallback if the lead abandons its capture.
+// regardless of outcome. A capture emulates the whole stream before Reader
+// returns, and a follower blocks until that capture is done.
 func (c *Cache) Reader(workload string, instrs uint64, source func() trace.Reader) (trace.Reader, func(), Outcome) {
 	nop := func() {}
-	if c == nil || c.budget == 0 {
-		if c != nil {
-			c.mu.Lock()
-			c.bypasses++
-			c.emulations++
-			c.mu.Unlock()
-		}
-		return source(), nop, OutcomeBypass
-	}
 	// An unbounded stream (instrs == 0) or one whose upper bound cannot
 	// fit is never buffered. The bound is conservative: a program that
 	// halts early would have fit, but workload kernels run forever and
-	// always fill their budget.
-	if instrs == 0 || int64(instrs) > c.budget/RecSize {
-		c.mu.Lock()
-		c.bypasses++
-		c.emulations++
-		if instrs != 0 {
-			c.tooLarge++
-		}
-		c.mu.Unlock()
+	// always fill their budget. The comparison stays in uint64, where a
+	// budget of 2^63 instructions or more cannot wrap.
+	if c == nil || instrs == 0 || instrs > uint64(c.budget/RecSize) {
+		c.bypass(instrs != 0 && c.Budget() > 0)
 		return source(), nop, OutcomeBypass
 	}
+	s, how, err := c.complete.Do(context.TODO(), Key(workload, instrs),
+		func(context.Context) (*trace.SliceReader, int64, error) { return c.capture(instrs, source) })
+	if how == lru.Miss && err == nil {
+		// capture returned holding c.mu, and Do has stored the buffer: the
+		// reservation went in the same critical section. Trim to what the
+		// other captures in flight reserve, since the overflow table can
+		// make a capture outgrow its bound.
+		c.complete.Trim(c.budget - c.reserved)
+		c.mu.Unlock()
+	}
+	if err != nil {
+		c.bypass(false)
+		return source(), nop, OutcomeBypass
+	}
+	outcome := OutcomeReplay
+	switch how {
+	case lru.Miss:
+		outcome = OutcomeCapture
+	case lru.Coalesced:
+		outcome = OutcomeFollow
+	}
+	return s.Replay(), nop, outcome
+}
 
-	key := Key(workload, instrs)
+// bypass counts a reader served by live emulation.
+func (c *Cache) bypass(tooLarge bool) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
-	if snap, ok := c.complete.Get(key); ok {
-		c.replays++
-		c.mu.Unlock()
-		ovf := snap.ovf
-		return &trace.SliceReader{Recs: snap.recs, Ovf: &ovf}, nop, OutcomeReplay
+	c.bypasses++
+	if tooLarge {
+		c.tooLarge++
 	}
-	if e, ok := c.capturing[key]; ok {
-		c.follows++
-		c.mu.Unlock()
-		return &followReader{c: c, e: e}, nop, OutcomeFollow
-	}
-	e := &entry{key: key, source: source, wake: make(chan struct{})}
-	e.snap.Store(&snapshot{})
-	c.capturing[key] = e
-	c.captures++
-	c.emulations++
 	c.mu.Unlock()
+}
 
-	inner := source()
-	cap := &captureReader{c: c, e: e, inner: inner, ovf: trace.OverflowOf(inner), buf: make([]trace.Rec, 0, instrs)}
-	return cap, cap.release, OutcomeCapture
+// capture is the lead's build under lru.Do. It reserves the stream's bound,
+// trimming complete captures to make room, and emulates the stream into
+// one buffer. On success it returns with c.mu held, the reservation
+// already released, so that Reader can let Do store the buffer before any
+// other reservation or Stats call sees the budget.
+func (c *Cache) capture(instrs uint64, source func() trace.Reader) (s *trace.SliceReader, cost int64, err error) {
+	bound := int64(instrs) * RecSize // instrs <= budget/RecSize: no overflow
+	c.mu.Lock()
+	if c.reserved+bound > c.budget {
+		c.mu.Unlock()
+		return nil, 0, errNoRoom
+	}
+	c.reserved += bound
+	c.capturing++
+	c.captures++
+	c.complete.Trim(c.budget - c.reserved)
+	c.mu.Unlock()
+	defer func() {
+		if s == nil { // the build panicked: give the reservation back
+			c.mu.Lock()
+			c.reserved -= bound
+			c.capturing--
+			c.mu.Unlock()
+		}
+	}()
+
+	src := source()
+	recs := make([]trace.Rec, instrs)
+	n := 0
+	for n < len(recs) && src.Next(&recs[n]) {
+		n++
+	}
+	if n < len(recs) { // the program halted early: keep only its records
+		recs = slices.Clone(recs[:n])
+	}
+	// A copy of the table, so the capture does not keep the emulator alive.
+	ovf := new(trace.Overflow)
+	if o := trace.OverflowOf(src); o != nil {
+		*ovf = *o
+	}
+	s = &trace.SliceReader{Recs: recs, Ovf: ovf}
+
+	c.mu.Lock() // Reader unlocks it once Do has stored s
+	c.reserved -= bound
+	c.capturing--
+	c.capturesDone++
+	return s, int64(len(recs))*RecSize + ovf.Bytes(), nil
 }
 
 // Stats snapshots the cache counters.
@@ -258,229 +254,18 @@ func (c *Cache) Stats() Stats {
 	defer c.mu.Unlock()
 	cs := c.complete.Stats()
 	return Stats{
-		BudgetBytes:     c.budget,
-		ResidentBytes:   cs.Cost,
-		CapturingBytes:  c.live,
-		Entries:         cs.Len,
-		Capturing:       len(c.capturing),
-		Captures:        c.captures,
-		CapturesDone:    c.capturesDone,
-		CapturesAborted: c.capturesAborted,
-		Replays:         c.replays,
-		Follows:         c.follows,
-		Bypasses:        c.bypasses,
-		Fallbacks:       c.fallbacks,
-		Evictions:       cs.Evictions,
-		TooLarge:        c.tooLarge,
-		Emulations:      c.emulations,
+		BudgetBytes:    c.budget,
+		ResidentBytes:  cs.Cost,
+		CapturingBytes: c.reserved,
+		Entries:        cs.Len,
+		Capturing:      c.capturing,
+		Captures:       c.captures,
+		CapturesDone:   c.capturesDone,
+		Replays:        cs.Hits,
+		Follows:        cs.Coalesced,
+		Bypasses:       c.bypasses,
+		Evictions:      cs.Evictions,
+		TooLarge:       c.tooLarge,
+		Emulations:     c.captures + c.bypasses,
 	}
-}
-
-// --- capture (lead) ----------------------------------------------------------
-
-// captureReader streams from the live emulator, buffering every record and
-// periodically publishing the prefix to followers.
-type captureReader struct {
-	c        *Cache
-	e        *entry
-	inner    trace.Reader
-	ovf      *trace.Overflow // inner's table (nil: inner has no wide records)
-	buf      []trace.Rec
-	pub      int   // records already published
-	charged  int64 // bytes charged against the budget so far
-	done     bool  // completed or aborted
-	bypassed bool  // budget pressure: stop buffering, keep streaming
-}
-
-// Overflow passes the emulator's table through (see trace.OverflowOf).
-func (r *captureReader) Overflow() *trace.Overflow { return r.ovf }
-
-// view snapshots everything buffered so far: the records and the overflow
-// table entries they index.
-func (r *captureReader) view() *snapshot {
-	s := &snapshot{recs: r.buf}
-	if r.ovf != nil {
-		s.ovf = *r.ovf
-	}
-	return s
-}
-
-// fail publishes the last published prefix as failed, so followers past it
-// fall back to live emulation.
-func (r *captureReader) fail() {
-	prev := r.e.snap.Load()
-	r.e.publish(&snapshot{recs: prev.recs, ovf: prev.ovf, failed: true})
-}
-
-func (r *captureReader) Next(rec *trace.Rec) bool {
-	if !r.inner.Next(rec) {
-		if !r.done {
-			r.finish()
-		}
-		return false
-	}
-	if !r.bypassed {
-		r.buf = append(r.buf, *rec)
-		if len(r.buf)-r.pub >= publishChunk {
-			r.publishChunk(false)
-		}
-	}
-	return true
-}
-
-// publishChunk makes the buffered prefix visible and charges it against
-// the budget, evicting complete captures under pressure. If the in-flight
-// captures alone exceed the budget, this capture aborts (streaming
-// continues uncached; followers fall back).
-func (r *captureReader) publishChunk(final bool) {
-	s := r.view()
-	delta := s.bytes() - r.charged
-	c := r.c
-	c.mu.Lock()
-	c.live += delta
-	// Evicted streams stay valid for readers already holding their
-	// snapshot: the records are immutable and garbage-collected with the
-	// last reader.
-	c.complete.Trim(c.budget - c.live)
-	if c.live > c.budget {
-		// Another capture (or this one) outgrew the budget with nothing
-		// left to evict; fail this capture open rather than overshoot.
-		c.live -= r.charged + delta
-		c.capturesAborted++
-		delete(c.capturing, r.e.key)
-		c.mu.Unlock()
-		r.bypassed, r.done = true, true
-		r.buf = nil
-		r.fail()
-		return
-	}
-	c.mu.Unlock()
-	r.charged += delta
-	r.pub = len(r.buf)
-	if !final {
-		r.e.publish(s)
-	}
-}
-
-// finish publishes the complete stream and moves it into the LRU of
-// complete captures. Both happen under the cache mutex, so a new reader
-// finds the stream either capturing or complete.
-func (r *captureReader) finish() {
-	r.publishChunk(true)
-	if r.done { // aborted by the final budget check
-		return
-	}
-	r.done = true
-	s := r.view()
-	s.complete = true
-	c := r.c
-	c.mu.Lock()
-	r.e.publish(s)
-	delete(c.capturing, r.e.key)
-	c.live -= r.charged
-	c.capturesDone++
-	c.complete.Put(r.e.key, s, r.charged)
-	c.complete.Trim(c.budget - c.live)
-	c.mu.Unlock()
-}
-
-// release aborts the capture if the stream was not fully consumed (the
-// simulation stopped early or panicked); followers fall back to live
-// emulation. Safe to call after normal completion, where it is a no-op.
-func (r *captureReader) release() {
-	if r.done {
-		return
-	}
-	r.done, r.bypassed = true, true
-	c := r.c
-	c.mu.Lock()
-	c.live -= r.charged
-	c.capturesAborted++
-	delete(c.capturing, r.e.key)
-	c.mu.Unlock()
-	r.fail()
-	r.buf = nil
-}
-
-// --- follow ------------------------------------------------------------------
-
-// followReader streams a capture in flight: lock-free over the published
-// prefix, parking only when it catches up to the lead, and falling back to
-// a fresh emulator if the capture fails.
-type followReader struct {
-	c        *Cache
-	e        *entry
-	pos      int
-	ovf      trace.Overflow // covers every record delivered so far
-	fallback trace.Reader
-	fbOvf    *trace.Overflow // the fallback emulator's table
-}
-
-// Overflow implements trace.OverflowOf's contract: the table view is
-// refreshed whenever a wide record is delivered.
-func (r *followReader) Overflow() *trace.Overflow { return &r.ovf }
-
-func (r *followReader) Next(rec *trace.Rec) bool {
-	if r.fallback != nil {
-		return r.fallbackNext(rec)
-	}
-	for {
-		snap := r.e.snap.Load()
-		if r.pos < len(snap.recs) {
-			*rec = snap.recs[r.pos]
-			r.pos++
-			if rec.NDst > trace.InlineDests {
-				r.ovf = snap.ovf
-			}
-			return true
-		}
-		if snap.complete {
-			return false
-		}
-		if snap.failed {
-			r.startFallback()
-			return r.fallbackNext(rec)
-		}
-		// Caught up with the lead: grab the wake channel, then re-check
-		// the snapshot so a publication between load and grab is never
-		// missed (the publisher stores the snapshot before closing wake).
-		r.e.mu.Lock()
-		ch := r.e.wake
-		r.e.mu.Unlock()
-		if r.e.snap.Load() != snap {
-			continue
-		}
-		<-ch
-	}
-}
-
-// startFallback resumes the stream on a fresh live emulator, discarding
-// the records this reader already delivered. The emulator is
-// deterministic, so the resumed stream continues exactly where the
-// published prefix ended — and its overflow table, rebuilt while skipping,
-// matches the published one entry for entry.
-func (r *followReader) startFallback() {
-	c := r.c
-	c.mu.Lock()
-	c.fallbacks++
-	c.emulations++
-	c.mu.Unlock()
-	r.fallback = r.e.source()
-	r.fbOvf = trace.OverflowOf(r.fallback)
-	var skip trace.Rec
-	for i := 0; i < r.pos; i++ {
-		if !r.fallback.Next(&skip) {
-			break
-		}
-	}
-}
-
-func (r *followReader) fallbackNext(rec *trace.Rec) bool {
-	if !r.fallback.Next(rec) {
-		return false
-	}
-	if rec.NDst > trace.InlineDests && r.fbOvf != nil {
-		r.ovf = *r.fbOvf
-	}
-	return true
 }

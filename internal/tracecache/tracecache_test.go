@@ -2,9 +2,12 @@ package tracecache
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dlvp/internal/isa"
 	"dlvp/internal/trace"
@@ -85,13 +88,56 @@ func sameRecs(t *testing.T, got, want []trace.Rec) {
 	}
 }
 
+// OpenDuringCapture calls open on a fresh cache from newCache while
+// another reader is capturing (workload, instrs) there with leadSource, and
+// returns the cache, open's outcome and what the capturing Reader call
+// panicked with (nil if it returned). The capture's source is held until
+// open has had wait to reach the cache's flight. An open that arrived
+// after the flight had ended anyway, and so replayed the capture or
+// captured on its own, is retried with twice the wait: the outcome is a
+// follow or a bypass however the goroutines are scheduled. It is exported
+// for the external test package's lossless paths.
+func OpenDuringCapture(newCache func() *Cache, workload string, instrs uint64,
+	leadSource func() trace.Reader, open func(*Cache) Outcome) (c *Cache, out Outcome, leadPanic any) {
+	for wait := time.Millisecond; ; wait *= 2 {
+		c = newCache()
+		held, hold := make(chan struct{}), make(chan struct{})
+		led := make(chan any, 1)
+		go func() {
+			defer func() { led <- recover() }()
+			_, release, _ := c.Reader(workload, instrs, func() trace.Reader {
+				close(held)
+				<-hold
+				return leadSource()
+			})
+			release()
+		}()
+		<-held
+		opened := make(chan struct{})
+		go func() {
+			defer close(opened)
+			out = open(c)
+		}()
+		time.Sleep(wait)
+		close(hold)
+		<-opened
+		leadPanic = <-led
+		if (out != OutcomeReplay && out != OutcomeCapture) || wait > time.Second {
+			return c, out, leadPanic
+		}
+	}
+}
+
 func TestCaptureThenReplay(t *testing.T) {
-	src := &synthSource{seed: 7, n: 2*publishChunk + 123}
+	src := &synthSource{seed: 7, n: 8315}
 	c := New(64 << 20)
 
 	r1, rel1, out1 := c.Reader("w", src.n, src.reader)
 	if out1 != OutcomeCapture {
 		t.Fatalf("first reader outcome %q, want capture", out1)
+	}
+	if _, ok := r1.(*trace.SliceReader); !ok {
+		t.Errorf("capture reader %T, want a *trace.SliceReader", r1)
 	}
 	sameRecs(t, trace.Collect(r1, 0), src.expected())
 	rel1()
@@ -121,15 +167,16 @@ func TestCaptureThenReplay(t *testing.T) {
 	}
 }
 
-// A reader released before draining its stream must abort the capture and
-// leave nothing resident; the next reader re-captures from scratch.
-func TestAbandonedCaptureAborts(t *testing.T) {
-	src := &synthSource{seed: 11, n: publishChunk * 2}
+// A capture is complete before Reader returns, so a reader released before
+// it drains its stream leaves the whole capture resident, and the next
+// reader replays it without emulating again.
+func TestReleasedReaderKeepsCapture(t *testing.T) {
+	src := &synthSource{seed: 11, n: 8192}
 	c := New(64 << 20)
 
 	r, release, _ := c.Reader("w", src.n, src.reader)
 	var rec trace.Rec
-	for i := 0; i < publishChunk+5; i++ {
+	for i := 0; i < 4101; i++ {
 		if !r.Next(&rec) {
 			t.Fatal("stream ended early")
 		}
@@ -138,71 +185,65 @@ func TestAbandonedCaptureAborts(t *testing.T) {
 	release() // idempotent
 
 	s := c.Stats()
-	if s.CapturesAborted != 1 || s.CapturesDone != 0 || s.Entries != 0 {
-		t.Fatalf("after abort: %+v, want 1 aborted, 0 done, 0 entries", s)
+	if s.CapturesDone != 1 || s.Entries != 1 || s.ResidentBytes != int64(src.n)*RecSize {
+		t.Fatalf("after an early release: %+v, want the complete capture resident", s)
 	}
-	if s.ResidentBytes != 0 || s.CapturingBytes != 0 {
-		t.Fatalf("byte accounting leaked after abort: %+v", s)
+	if s.CapturingBytes != 0 || s.Capturing != 0 {
+		t.Fatalf("reservation leaked: %+v", s)
 	}
 
 	r2, rel2, out := c.Reader("w", src.n, src.reader)
-	if out != OutcomeCapture {
-		t.Fatalf("post-abort outcome %q, want a fresh capture", out)
+	if out != OutcomeReplay {
+		t.Fatalf("next reader outcome %q, want replay", out)
 	}
 	sameRecs(t, trace.Collect(r2, 0), src.expected())
 	rel2()
-	if got := c.Stats().CapturesDone; got != 1 {
-		t.Errorf("captures done = %d, want 1", got)
+	if got := c.Stats().Emulations; got != 1 {
+		t.Errorf("emulations = %d, want 1", got)
 	}
 }
 
-// A follower that outlives an abandoned capture falls back to a live
-// emulator and still observes the exact full stream.
-func TestFollowerFallsBackOpen(t *testing.T) {
-	src := &synthSource{seed: 13, n: publishChunk * 3}
-	c := New(64 << 20)
-
-	lead, releaseLead, _ := c.Reader("w", src.n, src.reader)
-	var rec trace.Rec
-	// Publish exactly two chunks, then stall the lead mid-third-chunk.
-	for i := 0; i < publishChunk*2+10; i++ {
-		lead.Next(&rec)
-	}
-
-	follower, relF, out := c.Reader("w", src.n, src.reader)
-	if out != OutcomeFollow {
-		t.Fatalf("follower outcome %q, want follow", out)
-	}
+// A capture whose build panics gives its reservation back and leaves a
+// reader waiting on it streaming live (fail-open): that reader still sees
+// the exact stream, and the next reader captures afresh.
+func TestPanickingCaptureFailsOpen(t *testing.T) {
+	src := &synthSource{seed: 43, n: 5000}
 	var got []trace.Rec
-	// The follower can consume the published prefix without parking.
-	for i := 0; i < publishChunk*2; i++ {
-		if !follower.Next(&rec) {
-			t.Fatal("published prefix ended early")
-		}
-		got = append(got, rec)
+	c, out, leadPanic := OpenDuringCapture(func() *Cache { return New(64 << 20) }, "w", src.n,
+		func() trace.Reader { panic("emulator fault") },
+		func(c *Cache) Outcome {
+			r, release, out := c.Reader("w", src.n, src.reader)
+			defer release()
+			got = trace.Collect(r, 0)
+			return out
+		})
+	if leadPanic != "emulator fault" {
+		t.Fatalf("capturing reader panicked with %v, want the build's panic", leadPanic)
 	}
-
-	releaseLead() // abandon: follower must fail open to live emulation
-	for follower.Next(&rec) {
-		got = append(got, rec)
+	if out != OutcomeBypass {
+		t.Fatalf("waiting reader outcome %q, want bypass", out)
 	}
-	relF()
 	sameRecs(t, got, src.expected())
-
 	s := c.Stats()
-	if s.Fallbacks != 1 || s.CapturesAborted != 1 {
-		t.Errorf("stats %+v: want 1 fallback, 1 aborted", s)
+	if s.Captures != 1 || s.CapturesDone != 0 || s.Bypasses != 1 || s.Entries != 0 {
+		t.Errorf("stats %+v: want 1 capture started, none done, 1 bypass, nothing resident", s)
 	}
-	if s.Emulations != 2 { // lead + the follower's fallback
-		t.Errorf("emulations = %d, want 2", s.Emulations)
+	if s.CapturingBytes != 0 || s.Capturing != 0 {
+		t.Errorf("the panicked capture kept its reservation: %+v", s)
 	}
+	r, release, out := c.Reader("w", src.n, src.reader)
+	defer release()
+	if out != OutcomeCapture {
+		t.Fatalf("next reader outcome %q, want a fresh capture", out)
+	}
+	sameRecs(t, trace.Collect(r, 0), src.expected())
 }
 
 // Concurrent readers over one key: single-flight (one emulation), every
-// stream identical, and parked followers are woken by chunk publication.
-// CI runs this under -race.
+// stream identical, and every reader a *trace.SliceReader. CI runs this
+// under -race.
 func TestConcurrentReadersSingleFlight(t *testing.T) {
-	src := &synthSource{seed: 17, n: publishChunk*4 + 99}
+	src := &synthSource{seed: 17, n: 16483}
 	c := New(64 << 20)
 	want := src.expected()
 
@@ -213,18 +254,14 @@ func TestConcurrentReadersSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, release, _ := c.Reader("w", src.n, src.reader)
+			r, release, out := c.Reader("w", src.n, src.reader)
 			defer release()
-			got := trace.Collect(r, 0)
-			if len(got) != len(want) {
-				errs <- "short stream"
+			if _, ok := r.(*trace.SliceReader); !ok {
+				errs <- fmt.Sprintf("%s reader is a %T", out, r)
 				return
 			}
-			for j := range got {
-				if got[j] != want[j] {
-					errs <- "stream diverged"
-					return
-				}
+			if !slices.Equal(trace.Collect(r, 0), want) {
+				errs <- "stream diverged"
 			}
 		}()
 	}
@@ -274,19 +311,29 @@ func TestBypassPaths(t *testing.T) {
 	} else {
 		rel()
 	}
+	// A budget of 2^63 instructions or more is over budget too, not a
+	// negative bound and a buffer size out of range.
+	for _, instrs := range []uint64{1 << 63, math.MaxUint64} {
+		r, rel, out := c.Reader("w", instrs, src.reader)
+		if out != OutcomeBypass {
+			t.Errorf("instrs=%d outcome %q, want bypass", instrs, out)
+		}
+		sameRecs(t, trace.Collect(r, 0), src.expected())
+		rel()
+	}
 	s := c.Stats()
-	if s.Bypasses != 2 || s.TooLarge != 1 {
-		t.Errorf("stats %+v: want 2 bypasses, 1 too-large (instrs=0 is not too-large)", s)
+	if s.Bypasses != 4 || s.TooLarge != 3 {
+		t.Errorf("stats %+v: want 4 bypasses, 3 too-large (instrs=0 is not too-large)", s)
 	}
 }
 
 // Completing a second capture under a budget that holds only one stream
 // evicts the least-recently-used entry; a reader for the victim re-captures.
 func TestEvictionUnderPressure(t *testing.T) {
-	const n = publishChunk + 500
+	const n = 4596
 	a := &synthSource{seed: 23, n: n}
 	b := &synthSource{seed: 29, n: n}
-	c := New(int64(n+publishChunk) * RecSize) // one stream + headroom, not two
+	c := New(int64(n+4096) * RecSize) // one stream + headroom, not two
 
 	ra, relA, _ := c.Reader("a", n, a.reader)
 	sameRecs(t, trace.Collect(ra, 0), a.expected())
@@ -316,51 +363,110 @@ func TestEvictionUnderPressure(t *testing.T) {
 	}
 }
 
-// When concurrent captures outgrow the budget with nothing left to evict,
-// the later capture fails open: it keeps streaming (uncached) and its
-// followers fall back, so correctness never depends on the budget.
+// Two captures that cannot both fit the budget never hold it at once:
+// while the first capture holds its bound, the second cannot reserve and
+// streams live, and both readers still see their exact streams.
 func TestCaptureAbortsWhenBudgetExhausted(t *testing.T) {
-	const n = publishChunk + 100
+	const n = 4196
 	a := &synthSource{seed: 31, n: n}
 	b := &synthSource{seed: 37, n: n}
-	// Holds one full stream, but not two concurrently published chunks —
-	// and with both captures in flight there is nothing resident to evict.
-	c := New(int64(publishChunk*3/2) * RecSize)
+	c := New(int64(n*3/2) * RecSize) // one stream's bound, not two
 
-	ra, relA, _ := c.Reader("a", n, a.reader)
-	rb, relB, _ := c.Reader("b", n, b.reader)
-	var rec trace.Rec
-	gotA := make([]trace.Rec, 0, n)
-	gotB := make([]trace.Rec, 0, n)
-	// Interleave so both leads publish their first chunk while the other is
-	// still in flight: the second publication exceeds the budget and that
-	// capture must fail open while its stream keeps flowing.
-	for i := 0; i < n; i++ {
-		if !ra.Next(&rec) {
-			t.Fatal("a ended early")
+	held, hold := make(chan struct{}), make(chan struct{})
+	gotA := make(chan []trace.Rec, 1)
+	go func() {
+		r, release, out := c.Reader("a", n, func() trace.Reader {
+			close(held)
+			<-hold // until the second Reader call has been made
+			return a.reader()
+		})
+		defer release()
+		if out != OutcomeCapture {
+			t.Errorf("first reader outcome %q, want capture", out)
 		}
-		gotA = append(gotA, rec)
-		if !rb.Next(&rec) {
-			t.Fatal("b ended early")
-		}
-		gotB = append(gotB, rec)
+		gotA <- trace.Collect(r, 0)
+	}()
+	<-held
+	if s := c.Stats(); s.Capturing != 1 || s.CapturingBytes != n*RecSize {
+		t.Fatalf("capture in flight: %+v, want one bound of %d bytes reserved", s, n*RecSize)
 	}
-	// Drain past the end so the surviving capture finishes.
-	if ra.Next(&rec) || rb.Next(&rec) {
-		t.Fatal("stream longer than requested")
+	rb, relB, out := c.Reader("b", n, b.reader)
+	close(hold)
+	if out != OutcomeBypass {
+		t.Errorf("second reader outcome %q, want bypass", out)
 	}
-	relA()
+	sameRecs(t, trace.Collect(rb, 0), b.expected())
 	relB()
-	sameRecs(t, gotA, a.expected())
-	sameRecs(t, gotB, b.expected())
+	sameRecs(t, <-gotA, a.expected())
 
 	s := c.Stats()
-	if s.CapturesDone != 1 || s.CapturesAborted != 1 {
-		t.Errorf("stats %+v: want exactly one capture retained, one aborted", s)
+	if s.CapturesDone != 1 || s.Bypasses != 1 || s.TooLarge != 0 || s.Emulations != 2 {
+		t.Errorf("stats %+v: want one capture retained and one bypass that is not too large", s)
 	}
 	if s.ResidentBytes+s.CapturingBytes > c.Budget() {
 		t.Errorf("budget overshoot: %d resident + %d capturing > %d",
 			s.ResidentBytes, s.CapturingBytes, c.Budget())
+	}
+}
+
+// Readers of more streams than the budget holds, all at once: resident
+// plus reserved bytes never exceed the budget at any Stats snapshot,
+// whichever captures win their reservations, and every reader sees its
+// exact stream. CI runs this under -race.
+func TestBudgetHoldsUnderConcurrentCaptures(t *testing.T) {
+	const n, streams, readers = 3000, 6, 4
+	srcs := make([]*synthSource, streams)
+	for i := range srcs {
+		srcs[i] = &synthSource{seed: uint64(53 + i), n: n}
+	}
+	c := New(n * 5 / 2 * RecSize) // two streams' bounds, not three
+
+	stop, polled := make(chan struct{}), make(chan string, 1)
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if s := c.Stats(); s.ResidentBytes+s.CapturingBytes > s.BudgetBytes {
+				polled <- fmt.Sprintf("%d resident + %d reserved > %d", s.ResidentBytes, s.CapturingBytes, s.BudgetBytes)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	errs := make(chan string, readers*2*streams)
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 2*streams; k++ {
+				src := srcs[(g+k)%streams]
+				r, release, out := c.Reader(fmt.Sprint(src.seed), n, src.reader)
+				if !slices.Equal(trace.Collect(r, 0), src.expected()) {
+					errs <- fmt.Sprintf("stream %d served as %s diverged", src.seed, out)
+				}
+				release()
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if msg, over := <-polled; over {
+		t.Errorf("budget overshoot: %s", msg)
+	}
+	s := c.Stats()
+	if total := s.Captures + s.Bypasses + s.Replays + s.Follows; total != readers*2*streams {
+		t.Errorf("stats %+v: outcomes sum to %d, want %d readers", s, total, readers*2*streams)
+	}
+	if s.Capturing != 0 || s.CapturingBytes != 0 || s.CapturesDone != s.Captures {
+		t.Errorf("in-flight accounting not drained: %+v", s)
 	}
 }
 
@@ -392,12 +498,20 @@ func TestNegativeBudgetIsDisabled(t *testing.T) {
 }
 
 // A stream's overflow table is charged against the budget with its
-// records, and a replay resolves wide records through the published table.
+// records, and a replay resolves wide records through the captured table,
+// a copy that does not keep the source reader alive.
 func TestOverflowChargedAndReplayed(t *testing.T) {
-	const n = publishChunk + 300
-	src := func() trace.Reader { return &wideReader{synthReader: synthReader{seed: 41, n: n}} }
+	const n = 4396
+	var live *wideReader
+	src := func() trace.Reader {
+		live = &wideReader{synthReader: synthReader{seed: 41, n: n}}
+		return live
+	}
 	c := New(64 << 20)
 	r, rel, _ := c.Reader("w", n, src)
+	if trace.OverflowOf(r) == &live.ovf {
+		t.Error("the capture shares its source reader's overflow table")
+	}
 	var rec trace.Rec
 	for r.Next(&rec) {
 	}
