@@ -33,21 +33,28 @@ import (
 	"dlvp/internal/runner"
 )
 
-// Defaults for Options fields left zero.
-const (
-	DefaultMaxInFlight    = 32
-	DefaultMaxQueue       = 64
-	DefaultRetryBudget    = 3
-	DefaultFailThreshold  = 2
-	DefaultHealthInterval = 3 * time.Second
-	DefaultBackoffBase    = 500 * time.Millisecond
-)
+// DefaultHealthInterval is the active probe cadence when
+// Options.HealthInterval is zero.
+const DefaultHealthInterval = 3 * time.Second
 
 const (
-	// probeTimeout bounds one health probe.
-	probeTimeout = 2 * time.Second
+	// maxInFlight bounds concurrent requests per peer.
+	maxInFlight = 32
+	// maxQueue bounds the waiters queued behind a peer's in-flight limit
+	// before further jobs re-route.
+	maxQueue = 64
+	// retryBudget is the maximum routed attempts per job, first try
+	// included, before the dispatcher falls back to the local guarantee.
+	retryBudget = 3
+	// failThreshold is the consecutive-failure streak that ejects a peer.
+	failThreshold = 2
+	// backoffBase is the first re-probe delay of a failing peer; each
+	// further failure doubles it up to backoffMax.
+	backoffBase = 500 * time.Millisecond
 	// backoffMax caps the doubling re-probe backoff of a failing peer.
 	backoffMax = 30 * time.Second
+	// probeTimeout bounds one health probe.
+	probeTimeout = 2 * time.Second
 )
 
 // Options parameterises a Dispatcher.
@@ -58,23 +65,8 @@ type Options struct {
 	Local Backend
 	// Peers are the remote backends forming the rest of the ring.
 	Peers []Backend
-	// MaxInFlight bounds concurrent requests per peer (0: DefaultMaxInFlight).
-	MaxInFlight int
-	// MaxQueue bounds waiters queued behind a peer's in-flight limit before
-	// further jobs re-route (0: DefaultMaxQueue).
-	MaxQueue int
-	// RetryBudget is the maximum routed attempts per job, first try
-	// included, before the dispatcher falls back to the local guarantee
-	// (0: DefaultRetryBudget).
-	RetryBudget int
-	// FailThreshold is the consecutive-failure streak that ejects a peer
-	// (0: DefaultFailThreshold).
-	FailThreshold int
 	// HealthInterval is the active probe cadence (0: DefaultHealthInterval).
 	HealthInterval time.Duration
-	// BackoffBase is the first re-probe delay of a failing peer; each
-	// further failure doubles it up to backoffMax (0: DefaultBackoffBase).
-	BackoffBase time.Duration
 	// Obs, when non-nil, registers the dispatcher's per-backend counters
 	// and histograms and enables dispatch.route/dispatch.attempt spans.
 	Obs *obs.Observer
@@ -104,23 +96,8 @@ func New(opts Options) (*Dispatcher, error) {
 	if opts.Local == nil {
 		return nil, errors.New("dispatch: Options.Local is required")
 	}
-	if opts.MaxInFlight <= 0 {
-		opts.MaxInFlight = DefaultMaxInFlight
-	}
-	if opts.MaxQueue <= 0 {
-		opts.MaxQueue = DefaultMaxQueue
-	}
-	if opts.RetryBudget <= 0 {
-		opts.RetryBudget = DefaultRetryBudget
-	}
-	if opts.FailThreshold <= 0 {
-		opts.FailThreshold = DefaultFailThreshold
-	}
 	if opts.HealthInterval <= 0 {
 		opts.HealthInterval = DefaultHealthInterval
-	}
-	if opts.BackoffBase <= 0 {
-		opts.BackoffBase = DefaultBackoffBase
 	}
 	d := &Dispatcher{opts: opts, stop: make(chan struct{})}
 	d.local = newBackendState(opts.Local, true, 0)
@@ -134,7 +111,7 @@ func New(opts Options) (*Dispatcher, error) {
 			return nil, errors.New("dispatch: duplicate backend name " + p.Name())
 		}
 		seen[p.Name()] = true
-		d.states = append(d.states, newBackendState(p, false, opts.MaxInFlight))
+		d.states = append(d.states, newBackendState(p, false, maxInFlight))
 	}
 	if opts.Obs != nil {
 		reg := opts.Obs.Metrics
@@ -193,7 +170,7 @@ func (d *Dispatcher) RunResult(ctx context.Context, job runner.Job) (runner.Resu
 	attempts := 0
 	localTried := false
 	for _, bs := range rank(d.states, key) {
-		if attempts >= d.opts.RetryBudget {
+		if attempts >= retryBudget {
 			break
 		}
 		if bs.isEjected() {
@@ -244,7 +221,7 @@ func (d *Dispatcher) RunResult(ctx context.Context, job runner.Job) (runner.Resu
 // attempt runs the job once on bs through its in-flight slot. A full slot
 // queue fails fast with ErrSaturated, accounted on bs.
 func (d *Dispatcher) attempt(ctx context.Context, bs *backendState, job runner.Job) (runner.Result, bool, error) {
-	release, err := bs.acquire(ctx, d.opts.MaxQueue)
+	release, err := bs.acquire(ctx, maxQueue)
 	if err != nil {
 		if errors.Is(err, ErrSaturated) {
 			bs.saturated.Add(1)
@@ -321,7 +298,7 @@ type Status struct {
 
 // Status snapshots every backend's health and accounting state.
 func (d *Dispatcher) Status() Status {
-	st := Status{RetryBudget: d.opts.RetryBudget}
+	st := Status{RetryBudget: retryBudget}
 	now := time.Now()
 	for _, bs := range d.states {
 		b := BackendStatus{

@@ -95,10 +95,20 @@ func jobRankedFirstOn(t *testing.T, d *Dispatcher, want string, requireLocalLast
 
 func newTestDispatcher(t *testing.T, opts Options) (*Dispatcher, *fakeBackend, []*fakeBackend) {
 	t.Helper()
+	return newTestRing(t, opts, 2)
+}
+
+// newTestRing builds a dispatcher over a local fake and n peer fakes.
+func newTestRing(t *testing.T, opts Options, n int) (*Dispatcher, *fakeBackend, []*fakeBackend) {
+	t.Helper()
 	local := &fakeBackend{name: "local"}
-	peers := []*fakeBackend{{name: "http://peer-a:8080"}, {name: "http://peer-b:8080"}}
+	var peers []*fakeBackend
+	for i := 0; i < n; i++ {
+		p := &fakeBackend{name: fmt.Sprintf("http://peer-%c:8080", 'a'+i)}
+		peers = append(peers, p)
+		opts.Peers = append(opts.Peers, p)
+	}
 	opts.Local = local
-	opts.Peers = []Backend{peers[0], peers[1]}
 	if opts.HealthInterval == 0 {
 		opts.HealthInterval = time.Hour // tests drive probes explicitly
 	}
@@ -228,14 +238,16 @@ func TestAffinityRouting(t *testing.T) {
 	}
 }
 
-// TestRetryBudgetThenLocalFallback: with both peers failing retryably and
-// a budget of 2, the dispatcher spends the budget on peers and still
-// completes on the guaranteed local fallback. One request is one passive
-// failure signal per peer: with FailThreshold 2 neither peer is ejected.
+// TestRetryBudgetThenLocalFallback: with three peers failing retryably
+// ahead of the local engine, the dispatcher spends its budget of three on
+// the peers and still completes on the guaranteed local fallback. One
+// request is one passive failure signal per peer: with a threshold of two
+// no peer is ejected.
 func TestRetryBudgetThenLocalFallback(t *testing.T) {
-	d, local, peers := newTestDispatcher(t, Options{RetryBudget: 2, FailThreshold: 2})
-	peers[0].setRun(failRetryable(peers[0].name))
-	peers[1].setRun(failRetryable(peers[1].name))
+	d, local, peers := newTestRing(t, Options{}, retryBudget)
+	for _, p := range peers {
+		p.setRun(failRetryable(p.name))
+	}
 	job := jobRankedFirstOn(t, d, peers[0].name, true)
 
 	st, _, err := d.Run(context.Background(), job)
@@ -258,12 +270,14 @@ func TestRetryBudgetThenLocalFallback(t *testing.T) {
 	}
 }
 
-// TestRetryBudgetExhaustion: when the local engine fails too, the last
-// error surfaces instead of hanging or retrying forever.
+// TestRetryBudgetExhaustion: when the local engine fails too, after the
+// budget went to three failing peers, the last error surfaces instead of
+// hanging or retrying forever.
 func TestRetryBudgetExhaustion(t *testing.T) {
-	d, local, peers := newTestDispatcher(t, Options{RetryBudget: 2})
-	peers[0].setRun(failRetryable(peers[0].name))
-	peers[1].setRun(failRetryable(peers[1].name))
+	d, local, peers := newTestRing(t, Options{}, retryBudget)
+	for _, p := range peers {
+		p.setRun(failRetryable(p.name))
+	}
 	localErr := errors.New("engine on fire")
 	local.setRun(func(context.Context, runner.Job) (metrics.RunStats, bool, error) {
 		return metrics.RunStats{}, false, localErr
@@ -302,15 +316,14 @@ func TestNonRetryableStopsRouting(t *testing.T) {
 // eject a failing peer after the threshold, routing skips it, and a
 // recovering probe reinstates it.
 func TestEjectionAndReinstatement(t *testing.T) {
-	d, _, peers := newTestDispatcher(t, Options{FailThreshold: 2, BackoffBase: time.Millisecond})
+	d, _, peers := newTestDispatcher(t, Options{})
 	peers[0].setHealth(errors.New("probe refused"))
 
 	d.ProbeAll(context.Background())
 	if st := d.Status(); st.HealthyPeers != 2 {
 		t.Fatalf("one failure below threshold already ejected: %+v", st)
 	}
-	time.Sleep(2 * time.Millisecond) // let the backoff window pass
-	d.ProbeAll(context.Background())
+	d.ProbeAll(context.Background()) // ProbeAll ignores the backoff window
 	st := d.Status()
 	if st.HealthyPeers != 1 {
 		t.Fatalf("healthy peers = %d after threshold, want 1", st.HealthyPeers)
@@ -354,7 +367,7 @@ func TestEjectionAndReinstatement(t *testing.T) {
 // TestPassiveEjection: failed forwards eject a peer without waiting for
 // the probe loop.
 func TestPassiveEjection(t *testing.T) {
-	d, _, peers := newTestDispatcher(t, Options{FailThreshold: 2, RetryBudget: 4})
+	d, _, peers := newTestDispatcher(t, Options{})
 	peers[0].setRun(failRetryable(peers[0].name))
 	job := jobRankedFirstOn(t, d, peers[0].name, false)
 	for i := 0; i < 2; i++ {
@@ -371,10 +384,12 @@ func TestPassiveEjection(t *testing.T) {
 // TestLocalFallbackAllEjected: with every peer out of the ring the
 // dispatcher still completes jobs in-process.
 func TestLocalFallbackAllEjected(t *testing.T) {
-	d, local, peers := newTestDispatcher(t, Options{FailThreshold: 1, BackoffBase: time.Hour})
+	d, local, peers := newTestDispatcher(t, Options{})
 	peers[0].setHealth(errors.New("down"))
 	peers[1].setHealth(errors.New("down"))
-	d.ProbeAll(context.Background())
+	for i := 0; i < failThreshold; i++ {
+		d.ProbeAll(context.Background())
+	}
 	if st := d.Status(); st.HealthyPeers != 0 {
 		t.Fatalf("expected 0 healthy peers: %+v", st)
 	}
@@ -444,10 +459,10 @@ func TestAcquireBoundedQueue(t *testing.T) {
 	release2()
 }
 
-// TestSaturationReroutes: a peer with a full slot and queue sheds load to
-// the rest of the ring without consuming retry budget.
+// TestSaturationReroutes: a peer with full slots and a full queue sheds
+// load to the rest of the ring without consuming retry budget.
 func TestSaturationReroutes(t *testing.T) {
-	d, local, peers := newTestDispatcher(t, Options{MaxInFlight: 1, MaxQueue: 1, RetryBudget: 1})
+	d, local, peers := newTestDispatcher(t, Options{})
 	block := make(chan struct{})
 	peers[0].setRun(func(ctx context.Context, job runner.Job) (metrics.RunStats, bool, error) {
 		<-block
@@ -456,29 +471,30 @@ func TestSaturationReroutes(t *testing.T) {
 	job := jobRankedFirstOn(t, d, peers[0].name, false)
 
 	var wg sync.WaitGroup
-	// Occupy the single slot.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, _, _ = d.Run(context.Background(), job)
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for peers[0].calls.Load() != 1 && time.Now().Before(deadline) {
+	occupy := func(n int) {
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, _, _ = d.Run(context.Background(), job)
+			}()
+		}
+	}
+	// Occupy every slot.
+	occupy(maxInFlight)
+	deadline := time.Now().Add(5 * time.Second)
+	for peers[0].calls.Load() != maxInFlight && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	// Occupy the single queue seat.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, _, _ = d.Run(context.Background(), job)
-	}()
+	// Occupy every queue seat.
+	occupy(maxQueue)
 	var sat *backendState
 	for _, bs := range d.states {
 		if bs.name == peers[0].name {
 			sat = bs
 		}
 	}
-	for sat.waiting.Load() != 1 && time.Now().Before(deadline) {
+	for sat.waiting.Load() != maxQueue && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -587,7 +603,7 @@ func TestRunOnPinsTarget(t *testing.T) {
 // TestTargetSurface covers the ring introspection the matrix
 // orchestrator schedules with.
 func TestTargetSurface(t *testing.T) {
-	d, _, peers := newTestDispatcher(t, Options{FailThreshold: 1})
+	d, _, peers := newTestDispatcher(t, Options{})
 	targets := d.Targets()
 	if len(targets) != 3 || targets[0] != "local" {
 		t.Fatalf("targets = %v, want local first of 3", targets)
@@ -619,8 +635,10 @@ func TestTargetSurface(t *testing.T) {
 	// orchestrator can use it as a failover position.
 	peers[0].setRun(failRetryable(peers[0].name))
 	job := jobRankedFirstOn(t, d, peers[0].name, false)
-	if _, _, err := d.Run(context.Background(), job); err != nil {
-		t.Fatal(err)
+	for i := 0; i < failThreshold; i++ {
+		if _, _, err := d.Run(context.Background(), job); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if d.TargetHealthy(peers[0].name) {
 		t.Fatal("peer healthy after ejection")

@@ -27,8 +27,7 @@ func (d *Dispatcher) noteSuccess(bs *backendState) {
 
 // noteFailure records a failed call or probe. Once the consecutive-failure
 // streak reaches the ejection threshold the backend leaves the ring; each
-// further failure doubles the re-probe backoff up to the configured
-// maximum, so a dead peer costs one cheap probe per backoff window instead
+// further failure doubles the re-probe backoff up to backoffMax, so a dead peer costs one cheap probe per backoff window instead
 // of a timed-out request per job.
 func (d *Dispatcher) noteFailure(bs *backendState, err error) {
 	if bs.local {
@@ -39,7 +38,7 @@ func (d *Dispatcher) noteFailure(bs *backendState, err error) {
 	bs.consecFails++
 	bs.lastErr = err.Error()
 	if bs.backoff == 0 {
-		bs.backoff = d.opts.BackoffBase
+		bs.backoff = backoffBase
 	} else {
 		bs.backoff *= 2
 		if bs.backoff > backoffMax {
@@ -47,7 +46,7 @@ func (d *Dispatcher) noteFailure(bs *backendState, err error) {
 		}
 	}
 	bs.nextProbe = now.Add(bs.backoff)
-	ejectedNow := !bs.ejected && bs.consecFails >= d.opts.FailThreshold
+	ejectedNow := !bs.ejected && bs.consecFails >= failThreshold
 	if ejectedNow {
 		bs.ejected = true
 	}

@@ -31,10 +31,6 @@ const DefaultHTTPTimeout = 2 * time.Minute
 type HTTPOptions struct {
 	// Timeout bounds each forwarded request (0: DefaultHTTPTimeout).
 	Timeout time.Duration
-	// Client overrides the HTTP client. Nil builds one with connection
-	// reuse (keep-alives, bounded idle pool) shared by all requests to
-	// this backend.
-	Client *http.Client
 }
 
 // HTTPBackend forwards jobs to a peer daemon over its /v1/runs endpoint.
@@ -68,22 +64,20 @@ func NewHTTPBackend(rawURL string, opts HTTPOptions) (*HTTPBackend, error) {
 	if timeout <= 0 {
 		timeout = DefaultHTTPTimeout
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{
+	return &HTTPBackend{
+		name:      base,
+		runsURL:   base + "/v1/runs",
+		healthURL: base + "/healthz",
+		// One client per backend: every request to the peer shares its
+		// keep-alive connections.
+		client: &http.Client{
 			Transport: &http.Transport{
 				MaxIdleConns:        32,
 				MaxIdleConnsPerHost: 16,
 				IdleConnTimeout:     90 * time.Second,
 			},
-		}
-	}
-	return &HTTPBackend{
-		name:      base,
-		runsURL:   base + "/v1/runs",
-		healthURL: base + "/healthz",
-		client:    client,
-		timeout:   timeout,
+		},
+		timeout: timeout,
 	}, nil
 }
 

@@ -35,7 +35,7 @@ func seedStates(tb testing.TB) []State {
 	fc := newFakeCluster("local")
 	gate := make(chan struct{})
 	fc.gate["soplex"] = gate
-	o := New(Options{Cluster: fc, Poll: time.Millisecond, WorkersPerTarget: 1})
+	o := New(Options{Cluster: fc, WorkersPerTarget: 1})
 	defer o.Close()
 	m, err := o.Submit(testSpec("linpack", "soplex"))
 	if err != nil {

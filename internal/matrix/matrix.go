@@ -9,12 +9,19 @@
 // aggregation). Shards scatter across the dispatch ring by content
 // address — the same rendezvous hash the per-job router uses — so a
 // shard lands on the peer whose trace/checkpoint/result caches already
-// hold its workload. As shards complete, partial tables stream back over
-// SSE with the same event discipline as the timeline stream; an idle
-// peer steals queued shards from a slow or dead one without
-// double-counting results; and the plan plus per-shard state persist to
-// disk, so a coordinator restart resumes the matrix by replaying
-// content-addressed cache hits instead of re-simulating finished work.
+// hold its workload.
+//
+// Every pending shard waits on one target: its rendezvous choice, or the
+// target a requeue after a failure moved it to. A healthy target's idle
+// worker claims the first shard waiting on it, or else steals the last
+// shard waiting on another target, so a slow or dead peer's backlog
+// drains through whoever has spare capacity without double-counting
+// results. Scheduling is driven by events, not polls: idle workers sleep
+// until a shard completes, fails, is requeued or is cancelled, and the
+// SSE stream delivers each event (with the refreshed partial tables) as
+// it is appended. The plan plus per-shard state persist to disk, so a
+// coordinator restart resumes the matrix by replaying content-addressed
+// cache hits instead of re-simulating finished work.
 package matrix
 
 import (

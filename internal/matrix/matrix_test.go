@@ -143,7 +143,7 @@ func (f *fakeCluster) callCount(workload string) int {
 
 func newTestOrchestrator(t *testing.T, c Cluster, store *Store) *Orchestrator {
 	t.Helper()
-	o := New(Options{Cluster: c, Store: store, Poll: time.Millisecond})
+	o := New(Options{Cluster: c, Store: store})
 	t.Cleanup(o.Close)
 	return o
 }
@@ -294,7 +294,7 @@ func TestOrchestratorRunsMatrixOnSingleEngine(t *testing.T) {
 	if len(v.Tables) == 0 {
 		t.Fatal("no tables")
 	}
-	evs, terminal := m.EventsSince(0)
+	evs, terminal, _ := m.EventsSince(0)
 	if !terminal || len(evs) == 0 || evs[len(evs)-1].Type != "done" {
 		t.Fatalf("events terminal=%v %+v", terminal, evs)
 	}
@@ -311,7 +311,7 @@ func TestWorkStealing(t *testing.T) {
 	fc := newFakeCluster("slow", "fast")
 	fc.rankFn = func(string) []string { return []string{"slow", "fast"} }
 	fc.delay["slow"] = 40 * time.Millisecond
-	o := New(Options{Cluster: fc, Poll: time.Millisecond, WorkersPerTarget: 1})
+	o := New(Options{Cluster: fc, WorkersPerTarget: 1})
 	defer o.Close()
 
 	m, err := o.Submit(testSpec("linpack", "soplex", "milc", "astar"))
@@ -357,7 +357,7 @@ func TestPeerFailureRequeues(t *testing.T) {
 	// The real ring passively ejects a peer after FailThreshold failures;
 	// mimic that so the dead target stops claiming work back.
 	fc.ejectAt = 2
-	o := New(Options{Cluster: fc, Poll: time.Millisecond, WorkersPerTarget: 1})
+	o := New(Options{Cluster: fc, WorkersPerTarget: 1})
 	defer o.Close()
 
 	m, err := o.Submit(testSpec("linpack", "soplex"))
@@ -381,12 +381,132 @@ func TestPeerFailureRequeues(t *testing.T) {
 	}
 }
 
+// waitView polls m's view until cond holds, failing after 10s.
+func waitView(t *testing.T, m *Matrix, what string, cond func(View) bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for v := m.View(); !cond(v); v = m.View() {
+		if time.Now().After(deadline) {
+			t.Fatalf("stalled waiting for %s: %+v", what, v.Counts)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestReinstatedTargetClaimsAgain: a target unhealthy when the matrix
+// starts claims nothing, and once healthy again it takes work at the next
+// shard event. Local's two workers hold linpack and soplex in flight while
+// the peer comes back; when linpack completes, the peer's workers wake and
+// steal from the shards still waiting on local, whose one free worker can
+// take only one of them before it blocks too.
+func TestReinstatedTargetClaimsAgain(t *testing.T) {
+	fc := newFakeCluster("local", "peer")
+	fc.unhealthy["peer"] = true
+	first, rest := make(chan struct{}), make(chan struct{})
+	fc.gate["linpack"] = first
+	for _, w := range []string{"soplex", "milc", "astar", "sjeng"} {
+		fc.gate[w] = rest
+	}
+	o := New(Options{Cluster: fc})
+	defer o.Close()
+
+	m, err := o.Submit(testSpec("linpack", "soplex", "milc", "astar", "sjeng"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitView(t, m, "local's workers to hold two shards", func(v View) bool { return v.Counts.Running == 2 })
+	fc.mu.Lock()
+	fc.unhealthy["peer"] = false
+	fc.mu.Unlock()
+	close(first)
+	waitView(t, m, "the peer to claim a shard", func(v View) bool {
+		for _, sv := range v.Shards {
+			if sv.Owner == "peer" {
+				return true
+			}
+		}
+		return false
+	})
+	close(rest)
+
+	v := waitDone(t, m)
+	if v.Status != StatusDone {
+		t.Fatalf("status = %s (%s)", v.Status, v.Error)
+	}
+	for _, sv := range v.Shards {
+		if sv.Assigned != "local" {
+			t.Errorf("shard %d assigned to %s while the peer was unhealthy", sv.ID, sv.Assigned)
+		}
+		if sv.Owner == "peer" && !sv.Stolen {
+			t.Errorf("shard %d ran on the peer without being marked stolen", sv.ID)
+		}
+	}
+}
+
+// TestUnhealthyPeerFromStart: a matrix whose only peer is unhealthy from
+// the start runs every shard on the local target, even the shards the
+// rendezvous order prefers the peer for, and its idle peer workers wake
+// and exit when the last shard completes.
+func TestUnhealthyPeerFromStart(t *testing.T) {
+	fc := newFakeCluster("local", "peer")
+	fc.rankFn = func(string) []string { return []string{"peer", "local"} }
+	fc.unhealthy["peer"] = true
+	o := New(Options{Cluster: fc})
+	defer o.Close()
+
+	m, err := o.Submit(testSpec("linpack", "soplex", "milc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := waitDone(t, m)
+	if v.Status != StatusDone || v.CellsDone != v.CellsTotal {
+		t.Fatalf("status = %s (%s), cells %d/%d", v.Status, v.Error, v.CellsDone, v.CellsTotal)
+	}
+	for _, sv := range v.Shards {
+		if sv.Assigned != "local" || sv.Owner != "local" || sv.Stolen {
+			t.Errorf("shard %d assigned=%s owner=%s stolen=%v, want local/local/false",
+				sv.ID, sv.Assigned, sv.Owner, sv.Stolen)
+		}
+	}
+}
+
+// TestCancelWakesIdleWorkers: cancelling a matrix wakes workers that sleep
+// with nothing to claim (the unhealthy peer's two, and local's second
+// while its first holds the only shard), and Done closes within 1s.
+func TestCancelWakesIdleWorkers(t *testing.T) {
+	fc := newFakeCluster("local", "peer")
+	fc.unhealthy["peer"] = true
+	gate := make(chan struct{})
+	defer close(gate)
+	fc.gate["linpack"] = gate
+	o := New(Options{Cluster: fc})
+	defer o.Close()
+
+	m, err := o.Submit(testSpec("linpack"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitView(t, m, "the shard to start", func(v View) bool { return v.Counts.Running == 1 })
+	if !o.Cancel(m.ID()) {
+		t.Fatal("cancel: matrix not found")
+	}
+	select {
+	case <-m.Done():
+	case <-time.After(time.Second):
+		t.Fatalf("Done not closed 1s after Cancel: %+v", m.View().Counts)
+	}
+	if v := m.View(); v.Status != StatusCancelled || v.Counts.Cancelled != 1 {
+		t.Fatalf("status = %s, counts %+v, want cancelled with 1 cancelled shard", v.Status, v.Counts)
+	}
+}
+
 // TestExhaustedAttemptsFailMatrix verifies a shard that can never run
-// eventually fails the matrix instead of looping forever.
+// eventually fails the matrix instead of looping forever: after
+// 2*targets+1 attempts.
 func TestExhaustedAttemptsFailMatrix(t *testing.T) {
 	fc := newFakeCluster("only")
 	fc.fail["only"] = errors.New("sim exploded")
-	o := New(Options{Cluster: fc, Poll: time.Millisecond, MaxShardAttempts: 2})
+	o := New(Options{Cluster: fc})
 	defer o.Close()
 
 	m, err := o.Submit(testSpec("linpack"))
@@ -400,6 +520,9 @@ func TestExhaustedAttemptsFailMatrix(t *testing.T) {
 	if v.Counts.Failed != 1 || v.Error == "" {
 		t.Fatalf("counts = %+v err=%q", v.Counts, v.Error)
 	}
+	if got := v.Shards[0].Attempts; got != 3 {
+		t.Fatalf("attempts = %d, want 3 (2*targets+1)", got)
+	}
 }
 
 // TestBackendCancelErrorRequeues: a backend error that merely wraps
@@ -412,7 +535,7 @@ func TestBackendCancelErrorRequeues(t *testing.T) {
 	fc.rankFn = func(string) []string { return []string{"flaky", "ok"} }
 	fc.fail["flaky"] = fmt.Errorf("job aborted: %w", context.Canceled)
 	fc.ejectAt = 2
-	o := New(Options{Cluster: fc, Poll: time.Millisecond, WorkersPerTarget: 1})
+	o := New(Options{Cluster: fc, WorkersPerTarget: 1})
 	defer o.Close()
 
 	m, err := o.Submit(testSpec("linpack", "soplex"))
@@ -439,7 +562,7 @@ func TestCancelMidMatrix(t *testing.T) {
 	gate := make(chan struct{})
 	fc.gate["soplex"] = gate
 	fc.gate["milc"] = gate
-	o := New(Options{Cluster: fc, Poll: time.Millisecond, WorkersPerTarget: 1})
+	o := New(Options{Cluster: fc, WorkersPerTarget: 1})
 	defer o.Close()
 
 	m, err := o.Submit(testSpec("linpack", "soplex", "milc"))
@@ -474,7 +597,7 @@ func TestCancelMidMatrix(t *testing.T) {
 	if v.CellsDone != len(testSchemes) {
 		t.Fatalf("cells done = %d, want %d", v.CellsDone, len(testSchemes))
 	}
-	evs, terminal := m.EventsSince(0)
+	evs, terminal, _ := m.EventsSince(0)
 	if !terminal || evs[len(evs)-1].Type != "cancelled" {
 		t.Fatalf("terminal event: %+v", evs[len(evs)-1])
 	}
@@ -524,7 +647,7 @@ func TestCompletionOrderBitIdentical(t *testing.T) {
 	run := func(slowTarget string) string {
 		fc := newFakeCluster("a", "b")
 		fc.delay[slowTarget] = 15 * time.Millisecond
-		o := New(Options{Cluster: fc, Poll: time.Millisecond})
+		o := New(Options{Cluster: fc})
 		defer o.Close()
 		m, err := o.Submit(spec)
 		if err != nil {
@@ -557,7 +680,7 @@ func TestStoreResume(t *testing.T) {
 	gate := make(chan struct{})
 	fc1.gate["milc"] = gate
 	fc1.gate["astar"] = gate
-	o1 := New(Options{Cluster: fc1, Store: store1, Poll: time.Millisecond, WorkersPerTarget: 1})
+	o1 := New(Options{Cluster: fc1, Store: store1, WorkersPerTarget: 1})
 
 	m1, err := o1.Submit(testSpec("linpack", "soplex", "milc", "astar"))
 	if err != nil {
@@ -622,7 +745,7 @@ func TestStoreResume(t *testing.T) {
 			t.Fatalf("workload %s ran %d cells after resume, want %d", w, n, len(testSchemes))
 		}
 	}
-	evs, _ := m2.EventsSince(0)
+	evs, _, _ := m2.EventsSince(0)
 	if evs[0].Type != "resumed" {
 		t.Fatalf("first event after resume = %s", evs[0].Type)
 	}
@@ -636,7 +759,7 @@ func TestResumeTerminalMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	fc := newFakeCluster("local")
-	o1 := New(Options{Cluster: fc, Store: store1, Poll: time.Millisecond})
+	o1 := New(Options{Cluster: fc, Store: store1})
 	m1, err := o1.Submit(testSpec("linpack"))
 	if err != nil {
 		t.Fatal(err)
@@ -669,7 +792,7 @@ func TestResumeTerminalMatrix(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatalf("tables changed across restart:\n%s\n%s", a, b)
 	}
-	if _, terminal := m2.EventsSince(0); !terminal {
+	if _, terminal, _ := m2.EventsSince(0); !terminal {
 		t.Fatal("restored terminal matrix must report terminal events")
 	}
 }
@@ -733,10 +856,10 @@ func TestLoadedCellCountSizesNothing(t *testing.T) {
 
 func TestOrchestratorEviction(t *testing.T) {
 	fc := newFakeCluster("local")
-	o := New(Options{Cluster: fc, Poll: time.Millisecond, MaxMatrices: 2})
+	o := New(Options{Cluster: fc})
 	defer o.Close()
 	var ids []string
-	for i := 0; i < 3; i++ {
+	for i := 0; i < maxMatrices+1; i++ {
 		m, err := o.Submit(testSpec("linpack"))
 		if err != nil {
 			t.Fatal(err)
@@ -747,11 +870,11 @@ func TestOrchestratorEviction(t *testing.T) {
 	if _, ok := o.Get(ids[0]); ok {
 		t.Fatal("oldest terminal matrix not evicted")
 	}
-	if _, ok := o.Get(ids[2]); !ok {
+	if _, ok := o.Get(ids[maxMatrices]); !ok {
 		t.Fatal("newest matrix missing")
 	}
-	if got := len(o.List()); got != 2 {
-		t.Fatalf("retained %d matrices, want 2", got)
+	if got := len(o.List()); got != maxMatrices {
+		t.Fatalf("retained %d matrices, want %d", got, maxMatrices)
 	}
 }
 
@@ -799,7 +922,7 @@ func TestMatrixShardSpansJoinSubmitterTrace(t *testing.T) {
 	fc.rankFn = func(string) []string { return []string{"slow", "fast"} }
 	fc.delay["slow"] = 40 * time.Millisecond
 	ob := obs.NewObserver(nil)
-	o := New(Options{Cluster: fc, Obs: ob, Poll: time.Millisecond, WorkersPerTarget: 1})
+	o := New(Options{Cluster: fc, Obs: ob, WorkersPerTarget: 1})
 	defer o.Close()
 
 	ob.Tracer.Begin("submit-req")
@@ -852,7 +975,7 @@ func TestMatrixRequeueRecordsRetrySpan(t *testing.T) {
 	fc.fail["dead"] = errors.New("connection refused")
 	fc.ejectAt = 1
 	ob := obs.NewObserver(nil)
-	o := New(Options{Cluster: fc, Obs: ob, Poll: time.Millisecond, WorkersPerTarget: 1})
+	o := New(Options{Cluster: fc, Obs: ob, WorkersPerTarget: 1})
 	defer o.Close()
 
 	ob.Tracer.Begin("requeue-req")

@@ -20,6 +20,10 @@ var ErrUnknownTarget = errors.New("matrix: unknown target")
 // full of still-running matrices.
 var ErrTooManyMatrices = errors.New("matrix: too many active matrices")
 
+// maxMatrices caps the retained matrices; past it the oldest terminal
+// ones are evicted.
+const maxMatrices = 64
+
 // Options configures an Orchestrator.
 type Options struct {
 	// Cluster executes shards (required).
@@ -30,18 +34,9 @@ type Options struct {
 	// Obs collects metrics and logs (nil = discard).
 	Obs *obs.Observer
 	// WorkersPerTarget is how many shards one target executes
-	// concurrently (default 2). Idle workers steal from other targets'
-	// queues.
+	// concurrently (default 2). Idle workers steal shards waiting on
+	// other targets.
 	WorkersPerTarget int
-	// MaxMatrices caps retained matrices; oldest terminal ones are
-	// evicted (default 64).
-	MaxMatrices int
-	// MaxShardAttempts caps how often one shard is retried on peer
-	// failure before it is marked failed (default 2*targets+1).
-	MaxShardAttempts int
-	// Poll is the idle worker's queue re-check interval (default 10ms;
-	// tests tighten it).
-	Poll time.Duration
 }
 
 // Orchestrator owns every matrix submitted to this daemon: it plans,
@@ -74,12 +69,6 @@ func New(opts Options) *Orchestrator {
 	}
 	if opts.WorkersPerTarget <= 0 {
 		opts.WorkersPerTarget = 2
-	}
-	if opts.MaxMatrices <= 0 {
-		opts.MaxMatrices = 64
-	}
-	if opts.Poll <= 0 {
-		opts.Poll = 10 * time.Millisecond
 	}
 	if opts.Obs == nil {
 		opts.Obs = obs.NewObserver(nil)
@@ -114,21 +103,23 @@ type Matrix struct {
 	traceID    string
 	parentSpan string
 
-	mu          sync.Mutex
-	shards      []*shardRun
-	queues      map[string][]int // target -> pending shard IDs
-	targets     []string
-	cells       map[string]CellResult
-	status      string
-	errMsg      string
-	events      []Event
-	tables      []*tabletext.Table // final tables, set at terminal transition
-	started     time.Time
-	finished    time.Time
-	maxAttempts int
-	resumed     bool
-	restored    int  // cells restored from persisted state
-	userCancel  bool // Cancel() was called (vs. daemon shutdown)
+	mu         sync.Mutex
+	shards     []*shardRun
+	targets    []string
+	cells      map[string]CellResult
+	status     string
+	errMsg     string
+	events     []Event
+	tables     []*tabletext.Table // final tables, set at terminal transition
+	started    time.Time
+	finished   time.Time
+	resumed    bool
+	restored   int  // cells restored from persisted state
+	userCancel bool // Cancel() was called (vs. daemon shutdown)
+	// changed is closed and replaced whenever a shard completes, fails,
+	// is requeued or is cancelled, and whenever an event is appended:
+	// idle workers and event streams wait on it instead of polling.
+	changed chan struct{}
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -141,8 +132,11 @@ type Matrix struct {
 
 // shardRun is one shard's mutable scheduling state (guarded by Matrix.mu).
 type shardRun struct {
-	state     string
-	assigned  string
+	state    string
+	assigned string // rendezvous choice at start, reported as Assigned
+	// waitsOn is the target a pending shard waits on: assigned, or the
+	// target a requeue moved it to.
+	waitsOn   string
 	owner     string
 	stolen    bool
 	attempts  int
@@ -169,11 +163,12 @@ func (m *Matrix) Done() <-chan struct{} { return m.done }
 // A resumed plan comes from disk, so nothing is sized by its Cells count.
 func newMatrix(plan Plan) *Matrix {
 	m := &Matrix{
-		plan:   plan,
-		status: StatusRunning,
-		cells:  make(map[string]CellResult),
-		done:   make(chan struct{}),
-		cancel: func() {},
+		plan:    plan,
+		status:  StatusRunning,
+		cells:   make(map[string]CellResult),
+		changed: make(chan struct{}),
+		done:    make(chan struct{}),
+		cancel:  func() {},
 	}
 	m.shards = make([]*shardRun, len(plan.Shards))
 	for i := range m.shards {
@@ -216,7 +211,7 @@ func (o *Orchestrator) register(m *Matrix) error {
 	if o.closed {
 		return fmt.Errorf("matrix: orchestrator closed")
 	}
-	for len(o.order) >= o.opts.MaxMatrices {
+	for len(o.order) >= maxMatrices {
 		evicted := false
 		for i, id := range o.order {
 			old := o.matrices[id]
@@ -241,8 +236,8 @@ func (o *Orchestrator) register(m *Matrix) error {
 	return nil
 }
 
-// start assigns pending shards to their rendezvous-preferred targets and
-// launches the per-target worker pool.
+// start assigns every pending shard to the first healthy target in its
+// rendezvous order and launches the per-target worker pool.
 func (o *Orchestrator) start(m *Matrix) {
 	ctx, cancel := context.WithCancel(o.ctx)
 	if m.traceID != "" {
@@ -258,27 +253,19 @@ func (o *Orchestrator) start(m *Matrix) {
 		m.started = time.Now()
 	}
 	m.targets = o.cluster.Targets()
-	if m.maxAttempts = o.opts.MaxShardAttempts; m.maxAttempts <= 0 {
-		m.maxAttempts = 2*len(m.targets) + 1
-	}
-	m.queues = make(map[string][]int, len(m.targets))
-	for _, t := range m.targets {
-		m.queues[t] = nil
-	}
 	for i, sr := range m.shards {
 		if sr.state != ShardPending {
 			continue
 		}
 		order := o.cluster.RankTargets(m.plan.Shards[i].Key)
-		assigned := order[0]
+		sr.assigned = order[0]
 		for _, t := range order {
 			if o.cluster.TargetHealthy(t) {
-				assigned = t
+				sr.assigned = t
 				break
 			}
 		}
-		sr.assigned = assigned
-		m.queues[assigned] = append(m.queues[assigned], i)
+		sr.waitsOn = sr.assigned
 	}
 	m.mu.Unlock()
 
@@ -315,24 +302,20 @@ func (o *Orchestrator) start(m *Matrix) {
 	}()
 }
 
-// worker executes shards on behalf of one target until every shard is
-// terminal: first its own queue, then — when idle — a steal from the
-// longest other queue, so a dead or slow peer's backlog drains through
-// whoever has spare capacity.
+// worker executes shards on behalf of one target until no shard is
+// pending or running. With nothing to claim it sleeps until the next
+// shard event or the end of the matrix context.
 func (o *Orchestrator) worker(ctx context.Context, m *Matrix, target string) {
-	for {
-		if ctx.Err() != nil {
-			return
-		}
-		id, claimed, keepWaiting, stole := m.claim(o.cluster, target)
-		if !claimed {
-			if !keepWaiting {
+	for ctx.Err() == nil {
+		id, stole, wait := m.claim(o.cluster.TargetHealthy(target), target)
+		if id < 0 {
+			if wait == nil {
 				return
 			}
 			select {
 			case <-ctx.Done():
 				return
-			case <-time.After(o.opts.Poll):
+			case <-wait:
 			}
 			continue
 		}
@@ -343,57 +326,43 @@ func (o *Orchestrator) worker(ctx context.Context, m *Matrix, target string) {
 	}
 }
 
-// claim pops a pending shard for target. Returns (id, claimed,
-// keepWaiting, stole): !claimed && !keepWaiting means every shard is
-// terminal and the worker should exit.
-func (m *Matrix) claim(c Cluster, target string) (int, bool, bool, bool) {
+// claim starts a pending shard on target: the first one waiting on it,
+// or else, as a steal, the last one waiting on another target, so a dead
+// or slow peer's backlog drains through whoever has spare capacity. An
+// unhealthy target claims nothing. Single ownership under m.mu is what
+// keeps steals from double-counting: a shard leaves pending exactly once
+// per attempt, and results commit only from its current owner. With
+// nothing claimed, id is -1 and wait is the channel closed at the next
+// shard event, or nil once no shard is pending or running.
+func (m *Matrix) claim(healthy bool, target string) (id int, stole bool, wait <-chan struct{}) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	live := false
-	for _, sr := range m.shards {
-		if sr.state == ShardPending || sr.state == ShardRunning {
+	own, other, live := -1, -1, false
+	for i, sr := range m.shards {
+		switch sr.state {
+		case ShardRunning:
 			live = true
-			break
+		case ShardPending:
+			live = true
+			if sr.waitsOn != target {
+				other = i
+			} else if own < 0 {
+				own = i
+			}
 		}
 	}
-	if !live {
-		return 0, false, false, false
+	switch {
+	case !live:
+		return -1, false, nil
+	case !healthy || (own < 0 && other < 0):
+		return -1, false, m.changed
+	case own >= 0:
+		m.startShardLocked(own, target)
+		return own, false, nil
 	}
-	// An unhealthy target must not pull work; its queue drains via steals
-	// and it may be reinstated later.
-	if !c.TargetHealthy(target) {
-		return 0, false, true, false
-	}
-	if q := m.queues[target]; len(q) > 0 {
-		id := q[0]
-		m.queues[target] = q[1:]
-		m.startShardLocked(id, target)
-		return id, true, true, false
-	}
-	// Steal from the tail of the longest other queue (name-ordered
-	// tie-break keeps victim selection deterministic). Single-ownership
-	// under this mutex is what makes stealing double-count-free: a shard
-	// leaves exactly one queue exactly once, and results commit only from
-	// its current owner.
-	victim := ""
-	for name, q := range m.queues {
-		if name == target || len(q) == 0 {
-			continue
-		}
-		if victim == "" || len(q) > len(m.queues[victim]) ||
-			(len(q) == len(m.queues[victim]) && name < victim) {
-			victim = name
-		}
-	}
-	if victim == "" {
-		return 0, false, true, false
-	}
-	q := m.queues[victim]
-	id := q[len(q)-1]
-	m.queues[victim] = q[:len(q)-1]
-	m.shards[id].stolen = true
-	m.startShardLocked(id, target)
-	return id, true, true, true
+	m.shards[other].stolen = true
+	m.startShardLocked(other, target)
+	return other, true, nil
 }
 
 func (m *Matrix) startShardLocked(id int, target string) {
@@ -496,13 +465,14 @@ func (o *Orchestrator) shardFailed(ctx context.Context, m *Matrix, id int, targe
 	if ctx.Err() != nil {
 		sr.state = ShardCancelled
 		sr.finishAt = time.Now()
+		m.signalLocked()
 		m.mu.Unlock()
 		o.shardRuns.With("cancelled").Inc()
 		return
 	}
 	sr.errMsg = err.Error()
 	attempts := sr.attempts
-	if attempts >= m.maxAttempts {
+	if attempts >= 2*len(m.targets)+1 {
 		sr.state = ShardFailed
 		sr.finishAt = time.Now()
 		sv := m.shardViewLocked(id)
@@ -536,7 +506,8 @@ func (o *Orchestrator) shardFailed(ctx context.Context, m *Matrix, id int, targe
 	}
 	sr.state = ShardPending
 	sr.owner = ""
-	m.queues[next] = append(m.queues[next], id)
+	sr.waitsOn = next
+	m.signalLocked()
 	m.mu.Unlock()
 	o.shardRuns.With("requeued").Inc()
 	obs.StartSpan(ctx, "matrix.requeue").Mark(obs.MarkerRetry).
@@ -611,11 +582,20 @@ func (m *Matrix) appendEventLocked(ev Event) {
 	ev.Seq = len(m.events)
 	ev.At = time.Now()
 	m.events = append(m.events, ev)
+	m.signalLocked()
 }
 
-// EventsSince returns the events after seq and whether the matrix has
-// reached a terminal state (so SSE handlers know when to stop polling).
-func (m *Matrix) EventsSince(seq int) ([]Event, bool) {
+// signalLocked wakes every worker and stream waiting on the matrix
+// (Matrix.mu held).
+func (m *Matrix) signalLocked() {
+	close(m.changed)
+	m.changed = make(chan struct{})
+}
+
+// EventsSince returns the events after seq, whether the matrix has
+// reached a terminal state (so SSE handlers know when to stop), and a
+// channel closed when the next event is appended.
+func (m *Matrix) EventsSince(seq int) ([]Event, bool, <-chan struct{}) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if seq < 0 {
@@ -625,7 +605,7 @@ func (m *Matrix) EventsSince(seq int) ([]Event, bool) {
 	if seq < len(m.events) {
 		evs = append(evs, m.events[seq:]...)
 	}
-	return evs, m.status != StatusRunning
+	return evs, m.status != StatusRunning, m.changed
 }
 
 func (m *Matrix) terminal() bool {

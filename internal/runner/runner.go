@@ -494,7 +494,14 @@ func (r *Runner) lead(ctx context.Context, key string, lv *liveJob, w workloads.
 	}
 	lv.col = core.EnableSiteProfile(r.maxSites)
 	r.publishLive(key, lv)
+	// A job whose context ends stops simulating; its cut-short result is
+	// never returned, so it is never cached.
+	stop := context.AfterFunc(ctx, core.Stop)
 	res.Stats = core.Run(0)
+	if !stop() {
+		xsp.Attr("outcome", "cancelled").End()
+		return Result{}, ctx.Err()
+	}
 	res.Timeline = core.Timeline()
 	res.Sites = core.SiteProfile()
 	st := res.Stats

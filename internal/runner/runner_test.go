@@ -391,6 +391,42 @@ func TestRunCancelledContext(t *testing.T) {
 	}
 }
 
+// TestCancelledJobStopsSimulating: a job whose context ends while its core
+// simulates stops the core and returns the context's error instead of
+// running out a budget of 2^40 instructions, and nothing is cached. The
+// sampled job's one interval spans the budget, so it has no checkpoint to
+// build and spends all of it in the detailed core.
+func TestCancelledJobStopsSimulating(t *testing.T) {
+	const huge = 1 << 40
+	sampled := testJob("gcc", huge)
+	sampled.Sampling = &SamplingSpec{Intervals: 1, MeasuredInstrs: huge}
+	for name, job := range map[string]Job{"full": testJob("gcc", huge), "sampled": sampled} {
+		t.Run(name, func(t *testing.T) {
+			r := New(Options{Workers: 1})
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			defer cancel()
+			start := time.Now()
+			_, _, err := r.Run(ctx, job)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("Run returned %v after it started, want within 1s", d)
+			}
+			key, err := job.Key()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := r.CachedResult(key); ok {
+				t.Error("a stopped run was cached")
+			}
+			if s := r.Stats(); s.JobsRunning != 0 || s.SimsExecuted != 0 {
+				t.Errorf("running=%d executed=%d after the stop, want 0/0", s.JobsRunning, s.SimsExecuted)
+			}
+		})
+	}
+}
+
 // TestEngineConstructionAllocs bounds what cmd/experiments pays to build an
 // engine before it simulates (perfbench's regen setup_s): a 512 MiB trace
 // cache plus a default runner. The caches allocate their maps on first

@@ -291,7 +291,12 @@ func (r *Runner) runSampled(ctx context.Context, key string, lv *liveJob, w work
 		core := uarch.NewAtArena(job.Config, prog, cpu, snap.Mem, arena)
 		core.SetSampleWindow(iv.warmup, spec.MeasuredInstrs)
 		core.EnableSiteProfile(r.maxSites)
+		stop := context.AfterFunc(ctx, core.Stop)
 		st := core.Run(0)
+		if !stop() {
+			setErr(ctx.Err())
+			return
+		}
 		meas, complete := core.MeasuredCounters()
 		if !complete {
 			setErr(fmt.Errorf("runner: sampled interval %d: workload %q ended inside the sample window (%d of %d instructions committed)",

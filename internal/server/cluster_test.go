@@ -134,7 +134,7 @@ func TestClusterAffinityAndCacheHits(t *testing.T) {
 // fails requests — they re-route to the local engine — and the peer is
 // ejected from the ring.
 func TestClusterPeerDeathFallsBackLocal(t *testing.T) {
-	tsA, engA, tsB, _, disp := newClusterPair(t, dispatch.Options{FailThreshold: 2})
+	tsA, engA, tsB, _, disp := newClusterPair(t, dispatch.Options{})
 
 	// Choose workloads by their rendezvous rank over the job the server
 	// builds, not by the peer's random port: four rank the peer first (two

@@ -118,17 +118,15 @@ func (s *Server) handleMatrixCancel(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, http.StatusOK, map[string]any{"id": id, "cancelling": true})
 }
 
-// matrixStreamPoll is how often the SSE stream re-checks the event log.
-// Package variable so the streaming test can tighten it.
-var matrixStreamPoll = 50 * time.Millisecond
-
 // handleMatrixStream serves GET /v1/matrices/{id}/stream: a Server-Sent
 // Events tail of the matrix with the same discipline as the timeline
 // stream. Each completed shard arrives as an "event: shard" whose data
 // carries the shard's provenance plus the refreshed partial tables; a
 // resumed matrix leads with "event: resumed"; the terminal "done" /
 // "cancelled" / "error" event carries the final tables and closes the
-// stream. Reconnecting clients replay the full event log from the start.
+// stream. Events go out as they are appended: the handler sleeps on the
+// matrix's change channel, not on a timer. Reconnecting clients replay
+// the full event log from the start.
 func (s *Server) handleMatrixStream(w http.ResponseWriter, r *http.Request) {
 	m, ok := s.matrices.Get(r.PathValue("id"))
 	if !ok {
@@ -146,10 +144,8 @@ func (s *Server) handleMatrixStream(w http.ResponseWriter, r *http.Request) {
 	flusher.Flush()
 
 	seq := 0
-	ticker := time.NewTicker(matrixStreamPoll)
-	defer ticker.Stop()
 	for {
-		events, terminal := m.EventsSince(seq)
+		events, terminal, changed := m.EventsSince(seq)
 		for _, ev := range events {
 			data, err := json.Marshal(ev)
 			if err != nil {
@@ -177,7 +173,7 @@ func (s *Server) handleMatrixStream(w http.ResponseWriter, r *http.Request) {
 			// end itself or it stalls http.Server.Shutdown for the whole
 			// grace period. Clients reconnect and replay after restart.
 			return
-		case <-ticker.C:
+		case <-changed:
 		}
 	}
 }

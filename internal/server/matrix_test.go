@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -100,10 +101,6 @@ func TestMatrixEndpointValidation(t *testing.T) {
 // The SSE endpoint must deliver one shard event per completed shard
 // (each carrying partial tables) and close with the terminal event.
 func TestMatrixStreamSSE(t *testing.T) {
-	oldPoll := matrixStreamPoll
-	matrixStreamPoll = 2 * time.Millisecond
-	t.Cleanup(func() { matrixStreamPoll = oldPoll })
-
 	_, ts := newTestServer(t)
 	acc := submitMatrix(t, ts.URL, map[string]any{
 		"workloads": []string{"linpack", "soplex", "milc"},
@@ -171,16 +168,49 @@ func TestMatrixStreamSSE(t *testing.T) {
 	}
 }
 
+// TestMatrixStreamEndsAtTerminalEvent: the stream's last frame is the
+// terminal event, and the server closes the stream right after it, both
+// for a subscriber that connected while the matrix ran and for one that
+// connects once it has finished.
+func TestMatrixStreamEndsAtTerminalEvent(t *testing.T) {
+	_, ts := newTestServer(t)
+	acc := submitMatrix(t, ts.URL, map[string]any{
+		"workloads": []string{"linpack", "soplex"},
+		"schemes":   []string{"baseline", "dlvp"},
+		"instrs":    testInstrs,
+	})
+	client := &http.Client{Timeout: 30 * time.Second}
+	for _, when := range []string{"while running", "after the end"} {
+		if when == "after the end" {
+			pollMatrixDone(t, ts.URL, acc.ID)
+		}
+		resp, err := client.Get(ts.URL + acc.Stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// ReadAll returns only once the server ends the stream.
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: stream did not end: %v", when, err)
+		}
+		frames := strings.Split(strings.TrimSpace(string(body)), "\n\n")
+		last := frames[len(frames)-1]
+		if !strings.HasPrefix(last, "event: done\n") {
+			t.Fatalf("%s: last frame %q, want the terminal done event", when, last)
+		}
+		if shards := strings.Count(string(body), "event: shard\n"); shards != 2 {
+			t.Errorf("%s: %d shard events, want 2", when, shards)
+		}
+	}
+}
+
 // An open stream on a still-running matrix must end when shutdown begins:
 // http.Server.Shutdown waits for in-flight requests without cancelling
 // their contexts, and an interrupted matrix deliberately never goes
 // terminal, so without this the connected client stalls shutdown for the
 // whole grace period.
 func TestMatrixStreamEndsOnShutdown(t *testing.T) {
-	oldPoll := matrixStreamPoll
-	matrixStreamPoll = 2 * time.Millisecond
-	t.Cleanup(func() { matrixStreamPoll = oldPoll })
-
 	s, ts := newTestServer(t)
 	// A wide sweep of full-size runs keeps the matrix in flight.
 	acc := submitMatrix(t, ts.URL, map[string]any{

@@ -537,7 +537,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := artifactKey(id, instrs, req.Workloads, req.Serial)
+	key := artifactKey(id, instrs, req.Workloads)
 	eng := s.engineFor(r)
 	if id == "sites" {
 		// Site profiles exist only on the local engine (see sitesFor): a
@@ -832,12 +832,12 @@ func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, err error
 }
 
 // artifactKey content-addresses one experiment request.
-func artifactKey(id string, instrs uint64, wls []string, serial bool) string {
+func artifactKey(id string, instrs uint64, wls []string) string {
 	// Workload order affects row order only through pool resolution, which
 	// preserves the given order; a reordered request is a different table,
 	// so the order stays part of the address. Serial vs parallel produces
-	// identical artifacts (deterministic aggregation), so it is excluded.
-	_ = serial
+	// identical artifacts (deterministic aggregation), so the request's
+	// serial flag is not part of it.
 	payload, _ := json.Marshal(struct {
 		ID        string   `json:"id"`
 		Instrs    uint64   `json:"instrs"`

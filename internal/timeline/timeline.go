@@ -31,8 +31,8 @@ import (
 const DefaultIntervalInstrs = 100_000
 
 // DefaultCapacity is the sample-ring bound when a caller passes 0. At 512
-// samples of ~450 bytes a recorder costs about 230 KB regardless of run
-// length.
+// samples of ~450 bytes a recorder holds at most about 230 KB regardless
+// of run length; a short run holds only the samples it took.
 const DefaultCapacity = 512
 
 // Sample is one interval of the timeline: the delta of every counter over
@@ -183,11 +183,7 @@ func NewRecorder(intervalInstrs uint64, capacity int) *Recorder {
 	if capacity < 2 {
 		capacity = 2
 	}
-	return &Recorder{
-		interval: intervalInstrs,
-		capacity: capacity,
-		samples:  make([]Sample, 0, capacity),
-	}
+	return &Recorder{interval: intervalInstrs, capacity: capacity}
 }
 
 // IntervalInstrs returns the base sampling interval.
@@ -195,8 +191,9 @@ func (r *Recorder) IntervalInstrs() uint64 { return r.interval }
 
 // Sample records the interval ending at the cumulative snapshot cum,
 // taken at the cycle in cum[metrics.Cycles]. paqPeak is the high-water PAQ
-// occupancy since the previous boundary. Appends never allocate once the
-// backing array is at capacity: downsampling reuses it.
+// occupancy since the previous boundary. The samples slice grows on
+// append; once it reaches capacity, downsampling reuses its backing array
+// and appends allocate no more.
 func (r *Recorder) Sample(cum metrics.Counters, paqPeak int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -1,6 +1,7 @@
 package timeline
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -57,6 +58,29 @@ func TestRecorderSampling(t *testing.T) {
 
 // Downsampling must preserve delta sums exactly — the property that lets
 // interval totals reconcile with the run's final RunStats.
+// recorderSink keeps the recorders TestShortRecordingAllocatesLittle builds
+// on the heap, as they are when a core records into them.
+var recorderSink *Recorder
+
+// TestShortRecordingAllocatesLittle: a recorder holds only the samples it
+// took. Three samples cost under 4 KiB, where reserving DefaultCapacity
+// samples up front cost 229 KB per recorder.
+func TestShortRecordingAllocatesLittle(t *testing.T) {
+	const recorders = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < recorders; i++ {
+		recorderSink = NewRecorder(100, 0)
+		for n := uint64(1); n <= 3; n++ {
+			recorderSink.Sample(cumAt(n), 0)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / recorders; per >= 4<<10 {
+		t.Fatalf("a recorder that took 3 samples allocated %d B, want < 4096", per)
+	}
+}
+
 func TestDownsamplingPreservesSums(t *testing.T) {
 	const capacity = 8
 	r := NewRecorder(100, capacity)

@@ -29,6 +29,7 @@ package uarch
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"dlvp/internal/branch"
 	"dlvp/internal/config"
@@ -190,7 +191,15 @@ type Core struct {
 	// eligible instruction.
 	sp          *siteprof.Collector
 	siteProfile *siteprof.Profile
+
+	// stopped is set by Stop, from any goroutine; Run checks it every
+	// stopCheckCycles cycles.
+	stopped atomic.Bool
 }
+
+// stopCheckCycles is how often Run looks at the stop flag: a power of two,
+// so the check is one mask and compare per cycle.
+const stopCheckCycles = 4096
 
 type paqEntry struct {
 	seq       uint64
@@ -316,10 +325,15 @@ func (c *Core) live(seq uint64) bool {
 }
 
 // Run simulates until the stream is exhausted and the pipeline drains, or
-// maxCycles elapses (0 = unlimited), and returns the run statistics.
+// maxCycles elapses (0 = unlimited), or Stop is called, and returns the
+// run statistics. A stopped run's statistics cover only the cycles it
+// simulated.
 func (c *Core) Run(maxCycles uint64) metrics.RunStats {
 	for {
 		if maxCycles > 0 && c.now >= maxCycles {
+			break
+		}
+		if c.now%stopCheckCycles == 0 && c.stopped.Load() {
 			break
 		}
 		c.commitStage()
@@ -342,6 +356,10 @@ func (c *Core) Run(maxCycles uint64) metrics.RunStats {
 	c.finalizeStats()
 	return c.stats
 }
+
+// Stop makes Run return within stopCheckCycles simulated cycles. It is
+// safe to call from any goroutine, before or during Run.
+func (c *Core) Stop() { c.stopped.Store(true) }
 
 func (c *Core) done() bool {
 	if c.headSeq != c.fetchSeq {
