@@ -4,7 +4,6 @@
 //
 //	dlvpd [-addr :8080] [-workers 8] [-cache 4096] [-timeout 2m]
 //	      [-trace-cache-bytes 536870912] [-checkpoint-bytes 268435456]
-//	      [-timeline-interval 100000] [-timeline-capacity 512]
 //	      [-matrix-dir /var/lib/dlvp/matrices] [-matrix-shard-workers 2]
 //	      [-peers http://h1:8080,http://h2:8080] [-self name]
 //	      [-health-interval 3s]
@@ -36,12 +35,13 @@
 // simulated instructions per second in the Prometheus text format.
 // Identical requests are served from content-addressed caches.
 //
-// With -timeline-interval > 0 (the default), every executed simulation
-// records an interval flight-recorder timeline; async run jobs serve it at
-// GET /v1/runs/{id}/timeline (?format=prom for Prometheus text) and stream
-// it live over Server-Sent Events at GET /v1/runs/{id}/timeline/stream.
-// Every executed simulation also records a per-load-site attribution
-// profile, bounded by -max-sites and served at GET /v1/runs/{id}/sites.
+// Every executed simulation records an interval flight-recorder timeline
+// (one sample per 100k committed instructions, at most 512 samples) and a
+// per-load-site attribution profile (at most 1024 sites). Async run jobs
+// serve the timeline at GET /v1/runs/{id}/timeline (?format=prom for
+// Prometheus text), stream it live over Server-Sent Events at GET
+// /v1/runs/{id}/timeline/stream, and serve the profile at GET
+// /v1/runs/{id}/sites.
 //
 // Every request gets a trace ID (X-Request-ID honoured and echoed) and
 // trace context is propagated across the cluster: forwarded jobs and
@@ -88,9 +88,6 @@ func main() {
 	cache := flag.Int("cache", 0, "result cache entries (0: default, negative: disabled)")
 	traceCacheBytes := flag.Int64("trace-cache-bytes", 512<<20, "byte budget for captured emulation traces replayed across configs; the default retains 31 complete 300k-instruction captures (0: disabled)")
 	checkpointBytes := flag.Int64("checkpoint-bytes", 0, "byte budget for the architectural checkpoint store backing sampled runs (0: default 256 MiB)")
-	timelineInterval := flag.Uint64("timeline-interval", 100_000, "flight-recorder sampling interval in committed instructions (0: disabled)")
-	timelineCapacity := flag.Int("timeline-capacity", 0, "flight-recorder sample ring bound per run (0: default)")
-	maxSites := flag.Int("max-sites", 0, "per-load-site profile site bound per run (0: default 1024)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-request timeout for synchronous calls")
 	grace := flag.Duration("grace", 30*time.Second, "shutdown grace period for draining work")
 	matrixDir := flag.String("matrix-dir", "", "directory persisting matrix sweep state for resume after restart (empty: in-memory only)")
@@ -131,12 +128,6 @@ func main() {
 		Obs:          ob,
 		TraceCache:   tracecache.New(*traceCacheBytes),
 		Checkpoints:  checkpoint.NewStore(*checkpointBytes),
-		Timeline: runner.TimelineOptions{
-			Enabled:        *timelineInterval > 0,
-			IntervalInstrs: *timelineInterval,
-			Capacity:       *timelineCapacity,
-		},
-		MaxSites: *maxSites,
 	})
 
 	var peerBackends []dispatch.Backend

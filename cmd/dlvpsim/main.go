@@ -9,8 +9,9 @@
 //	dlvpsim -workload perlbmk -scheme dlvp -timeline run.json
 //	dlvpsim -list
 //
-// -timeline records an interval flight-recorder series during the run and
-// writes it as JSON — the input format of the dlvpstat timeline CLI.
+// Every run records an interval flight-recorder series and a per-load-site
+// attribution profile; -timeline and -sites write them as JSON, the input
+// formats of dlvpstat show and dlvpstat sites.
 package main
 
 import (
@@ -26,8 +27,6 @@ import (
 	"dlvp/internal/config"
 	"dlvp/internal/metrics"
 	"dlvp/internal/runner"
-	"dlvp/internal/siteprof"
-	"dlvp/internal/timeline"
 	"dlvp/internal/tracecache"
 	"dlvp/internal/uarch"
 	"dlvp/internal/workloads"
@@ -43,11 +42,8 @@ func main() {
 	pipeview := flag.Int("pipeview", 0, "record and print the pipeline timeline of N instructions (after warmup)")
 	traceCacheBytes := flag.Int64("trace-cache-bytes", 512<<20, "byte budget for captured emulation traces replayed across configs (0: disabled; speeds up -compare)")
 	asJSON := flag.Bool("json", false, "emit the run statistics as JSON")
-	timelineOut := flag.String("timeline", "", "record a flight-recorder timeline and write it as JSON to this path (\"-\": stdout)")
-	timelineInterval := flag.Uint64("timeline-interval", 0, "timeline sampling interval in committed instructions (0: default 100000)")
-	timelineCapacity := flag.Int("timeline-capacity", 0, "timeline sample ring bound (0: default 512)")
+	timelineOut := flag.String("timeline", "", "write the run's flight-recorder timeline as JSON to this path (\"-\": stdout)")
 	sitesOut := flag.String("sites", "", "write the run's per-load-site misprediction attribution profile as JSON to this path (\"-\": stdout)")
-	maxSites := flag.Int("max-sites", 0, "per-load-site profile site bound (0: default 1024)")
 	sampleIntervals := flag.Int("sample-intervals", 0, "run as a checkpointed sampled simulation with this many intervals (0: full detailed run)")
 	sampleWarmup := flag.Uint64("sample-warmup", 0, "per-interval detailed warm-up instructions before measurement (0: stride/16)")
 	sampleBudget := flag.Uint64("sample-budget", 0, "per-interval measured instructions (0: stride/8)")
@@ -109,15 +105,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	eng := runner.New(runner.Options{
-		TraceCache: tracecache.New(*traceCacheBytes),
-		Timeline: runner.TimelineOptions{
-			Enabled:        *timelineOut != "",
-			IntervalInstrs: *timelineInterval,
-			Capacity:       *timelineCapacity,
-		},
-		MaxSites: *maxSites,
-	})
+	eng := runner.New(runner.Options{TraceCache: tracecache.New(*traceCacheBytes)})
 	var s metrics.RunStats
 	var sampled *runner.SampledInfo
 	if *pipeview > 0 {
@@ -136,13 +124,13 @@ func main() {
 		s = res.Stats
 		sampled = res.Sampled
 		if *timelineOut != "" {
-			if err := writeTimeline(*timelineOut, res.Timeline); err != nil {
+			if err := writeIndentedJSON(*timelineOut, res.Timeline); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
 		}
 		if *sitesOut != "" {
-			if err := writeSites(*sitesOut, res.Sites); err != nil {
+			if err := writeIndentedJSON(*sitesOut, res.Sites); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
@@ -204,24 +192,7 @@ func main() {
 	}
 }
 
-// writeTimeline writes the flight-recorder series as indented JSON to path
-// ("-" for stdout).
-func writeTimeline(path string, tl *timeline.Timeline) error {
-	if tl == nil {
-		return fmt.Errorf("no timeline recorded")
-	}
-	return writeIndentedJSON(path, tl)
-}
-
-// writeSites writes the per-load-site attribution profile as indented JSON
-// to path ("-" for stdout) — the input format of dlvpstat sites.
-func writeSites(path string, p *siteprof.Profile) error {
-	if p == nil {
-		return fmt.Errorf("no site profile recorded")
-	}
-	return writeIndentedJSON(path, p)
-}
-
+// writeIndentedJSON writes v as indented JSON to path ("-" for stdout).
 func writeIndentedJSON(path string, v any) error {
 	out := os.Stdout
 	if path != "-" {

@@ -1,7 +1,8 @@
 // Command dlvpstat inspects simulation flight-recorder timelines: the
 // interval time-series of predictor/pipeline state recorded by the runner
 // engine (see internal/timeline) and exported by dlvpsim -timeline or
-// GET /v1/runs/{id}/timeline.
+// GET /v1/runs/{id}/timeline. Every payload argument is a saved file,
+// stdin ("-"), or a daemon URL.
 //
 // Usage:
 //
@@ -31,9 +32,14 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
+	"strings"
 
+	"dlvp/internal/matrix"
 	"dlvp/internal/metrics"
+	"dlvp/internal/siteprof"
 	"dlvp/internal/tabletext"
 	"dlvp/internal/timeline"
 )
@@ -49,7 +55,7 @@ func main() {
 			usage()
 			os.Exit(2)
 		}
-		tl, err := loadTimeline(os.Args[2])
+		tl, err := load[timeline.Timeline](os.Args[2], "timeline")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -60,12 +66,12 @@ func main() {
 			usage()
 			os.Exit(2)
 		}
-		a, err := loadTimeline(os.Args[2])
+		a, err := load[timeline.Timeline](os.Args[2], "timeline")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		b, err := loadTimeline(os.Args[3])
+		b, err := load[timeline.Timeline](os.Args[3], "timeline")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -82,7 +88,7 @@ func main() {
 			usage()
 			os.Exit(2)
 		}
-		v, err := loadMatrixView(args[0])
+		v, err := load[matrix.View](args[0], "matrix view")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -117,19 +123,19 @@ func main() {
 	case "sites":
 		switch {
 		case len(os.Args) == 3:
-			p, err := loadSiteProfile(os.Args[2])
+			p, err := load[siteprof.Profile](os.Args[2], "site profile")
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
 			fmt.Print(renderSites(p))
 		case len(os.Args) == 5 && os.Args[2] == "diff":
-			a, err := loadSiteProfile(os.Args[3])
+			a, err := load[siteprof.Profile](os.Args[3], "site profile")
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			b, err := loadSiteProfile(os.Args[4])
+			b, err := load[siteprof.Profile](os.Args[4], "site profile")
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
@@ -146,30 +152,69 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: dlvpstat show <timeline.json>
-       dlvpstat diff <a.json> <b.json>
-       dlvpstat sites <profile.json>
-       dlvpstat sites diff <a.json> <b.json>
+	fmt.Fprintln(os.Stderr, `usage: dlvpstat show <timeline.json | timeline URL>
+       dlvpstat diff <a.json | URL> <b.json | URL>
+       dlvpstat sites <profile.json | sites URL>
+       dlvpstat sites diff <a.json | URL> <b.json | URL>
        dlvpstat matrix [-json] <view.json | matrix URL>
        dlvpstat trace [-server URL] <trace ID | trace.json | trace URL>`)
 }
 
-// loadTimeline reads a timeline JSON file ("-" for stdin).
-func loadTimeline(path string) (*timeline.Timeline, error) {
-	f := os.Stdin
-	if path != "-" {
-		var err error
-		f, err = os.Open(path)
+// maxPayloadBytes caps what dlvpstat reads from one source.
+const maxPayloadBytes = 64 << 20
+
+func isURL(src string) bool {
+	return strings.HasPrefix(src, "http://") || strings.HasPrefix(src, "https://")
+}
+
+// readSource reads a payload, at most maxPayloadBytes of it, from a file,
+// stdin ("-"), or a daemon when src is an http(s) URL. A daemon's answer
+// other than 200 is an error quoting up to 512 bytes of its body.
+func readSource(src string) ([]byte, error) {
+	var r io.Reader
+	switch {
+	case src == "-":
+		r = os.Stdin
+	case isURL(src):
+		resp, err := http.Get(src)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+			return nil, fmt.Errorf("%s: %s: %s", src, resp.Status, strings.TrimSpace(string(body)))
+		}
+		r = resp.Body
+	default:
+		f, err := os.Open(src)
 		if err != nil {
 			return nil, err
 		}
 		defer f.Close()
+		r = f
 	}
-	var tl timeline.Timeline
-	if err := json.NewDecoder(f).Decode(&tl); err != nil {
-		return nil, fmt.Errorf("%s: decode timeline: %w", path, err)
+	data, err := io.ReadAll(io.LimitReader(r, maxPayloadBytes))
+	if err != nil {
+		return nil, fmt.Errorf("%s: read: %w", src, err)
 	}
-	return &tl, nil
+	return data, nil
+}
+
+// load decodes the JSON payload readSource reads from src as a T: a
+// timeline (dlvpsim -timeline, GET /v1/runs/{id}/timeline), a site profile
+// (dlvpsim -sites, GET /v1/runs/{id}/sites) or a matrix view (GET
+// /v1/matrices/{id}). what names the payload in a decode error.
+func load[T any](src, what string) (*T, error) {
+	data, err := readSource(src)
+	if err != nil {
+		return nil, err
+	}
+	var v T
+	if err := json.Unmarshal(data, &v); err != nil {
+		return nil, fmt.Errorf("%s: decode %s: %w", src, what, err)
+	}
+	return &v, nil
 }
 
 // sparkMetrics are the headline series rendered as sparklines by show.

@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,7 +16,7 @@ import (
 // fixture builds a timeline whose per-interval accuracy follows accs (in
 // percent, with 100 predictions per interval).
 func fixture(workload, scheme string, accs []float64) *timeline.Timeline {
-	r := timeline.NewRecorder(10_000, 0)
+	r := timeline.NewRecorder(10_000, 0, workload, scheme)
 	var cum metrics.Counters
 	for _, acc := range accs {
 		cum[metrics.Instructions] += 10_000
@@ -31,7 +33,7 @@ func fixture(workload, scheme string, accs []float64) *timeline.Timeline {
 		cum[metrics.L1DMisses] += 150
 		r.Sample(cum, 12)
 	}
-	return r.Finish(cum, 0, workload, scheme)
+	return r.Finish(cum, 0)
 }
 
 func writeFixture(t *testing.T, tl *timeline.Timeline) string {
@@ -101,14 +103,40 @@ func TestRenderDiffNoRegression(t *testing.T) {
 func TestLoadTimeline(t *testing.T) {
 	tl := fixture("mcf", "dlvp", []float64{88, 91})
 	path := writeFixture(t, tl)
-	got, err := loadTimeline(path)
+	got, err := load[timeline.Timeline](path, "timeline")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Workload != "mcf" || len(got.Samples) != 2 {
 		t.Errorf("round trip = %+v", got)
 	}
-	if _, err := loadTimeline(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, err := load[timeline.Timeline](filepath.Join(t.TempDir(), "missing.json"), "timeline"); err == nil {
 		t.Error("missing file did not error")
+	}
+
+	// show and diff read a timeline straight from a daemon's GET
+	// /v1/runs/{id}/timeline, and an error answer quotes its body.
+	data, err := json.Marshal(tl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/runs/job-1/timeline" {
+			http.Error(w, `{"error":"unknown job id"}`, http.StatusNotFound)
+			return
+		}
+		w.Write(data)
+	}))
+	defer ts.Close()
+	got, err = load[timeline.Timeline](ts.URL+"/v1/runs/job-1/timeline", "timeline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := renderShow(got); !strings.Contains(out, "timeline  mcf (dlvp), 2 samples") {
+		t.Errorf("show of the served timeline:\n%s", out)
+	}
+	_, err = load[timeline.Timeline](ts.URL+"/v1/runs/nope/timeline", "timeline")
+	if err == nil || !strings.Contains(err.Error(), "404") || !strings.Contains(err.Error(), "unknown job id") {
+		t.Errorf("404 answer: err = %v, want the status and the body quoted", err)
 	}
 }

@@ -3,49 +3,12 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"os"
 	"sort"
 	"strings"
 
 	"dlvp/internal/matrix"
 	"dlvp/internal/tabletext"
 )
-
-// loadMatrixView reads a matrix status payload — the wire shape of GET
-// /v1/matrices/{id} — from a file, stdin ("-"), or directly from a
-// daemon when the argument is an http(s) URL.
-func loadMatrixView(src string) (*matrix.View, error) {
-	var r io.Reader
-	switch {
-	case src == "-":
-		r = os.Stdin
-	case strings.HasPrefix(src, "http://") || strings.HasPrefix(src, "https://"):
-		resp, err := http.Get(src)
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-			return nil, fmt.Errorf("%s: %s: %s", src, resp.Status, strings.TrimSpace(string(body)))
-		}
-		r = resp.Body
-	default:
-		f, err := os.Open(src)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	var v matrix.View
-	if err := json.NewDecoder(io.LimitReader(r, 64<<20)).Decode(&v); err != nil {
-		return nil, fmt.Errorf("%s: decode matrix view: %w", src, err)
-	}
-	return &v, nil
-}
 
 // shardProvenance is the -json output row: where a shard actually ran
 // and how much of it was served from content-addressed caches.

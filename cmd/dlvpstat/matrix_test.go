@@ -95,14 +95,14 @@ func TestLoadMatrixView(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := loadMatrixView(path)
+	got, err := load[matrix.View](path, "matrix view")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.ID != v.ID || len(got.Shards) != 3 {
 		t.Errorf("round trip = %+v", got)
 	}
-	if _, err := loadMatrixView(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, err := load[matrix.View](filepath.Join(t.TempDir(), "missing.json"), "matrix view"); err == nil {
 		t.Error("missing file did not error")
 	}
 }

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 
 	"dlvp/internal/siteprof"
@@ -13,25 +11,6 @@ import (
 // sitesShowLimit caps the ranked table; the profile is already ordered
 // worst-first, so the tail adds noise, not insight.
 const sitesShowLimit = 25
-
-// loadSiteProfile reads a site-attribution profile JSON file ("-" for
-// stdin): the wire shape of GET /v1/runs/{id}/sites or dlvpsim -sites.
-func loadSiteProfile(path string) (*siteprof.Profile, error) {
-	f := os.Stdin
-	if path != "-" {
-		var err error
-		f, err = os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-	}
-	var p siteprof.Profile
-	if err := json.NewDecoder(f).Decode(&p); err != nil {
-		return nil, fmt.Errorf("%s: decode site profile: %w", path, err)
-	}
-	return &p, nil
-}
 
 // causeGlyphs maps each cause to the character filling its share of a
 // site's breakdown bar, in taxonomy order: correct is solid, mispredict

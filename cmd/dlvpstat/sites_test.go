@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -109,19 +111,34 @@ func TestRenderSitesDiff(t *testing.T) {
 func TestLoadSiteProfile(t *testing.T) {
 	p := siteFixture("gcc", "dlvp", 10)
 	path := writeSiteFixture(t, p)
-	back, err := loadSiteProfile(path)
+	back, err := load[siteprof.Profile](path, "site profile")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Workload != "gcc" || len(back.Sites) != len(p.Sites) {
 		t.Errorf("loaded profile = %q/%d sites", back.Workload, len(back.Sites))
 	}
-	if _, err := loadSiteProfile(filepath.Join(t.TempDir(), "absent.json")); err == nil {
+	if _, err := load[siteprof.Profile](filepath.Join(t.TempDir(), "absent.json"), "site profile"); err == nil {
 		t.Error("missing file load succeeded")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.json")
 	os.WriteFile(bad, []byte("{nope"), 0o644)
-	if _, err := loadSiteProfile(bad); err == nil || !strings.Contains(err.Error(), "decode site profile") {
+	if _, err := load[siteprof.Profile](bad, "site profile"); err == nil || !strings.Contains(err.Error(), "decode site profile") {
 		t.Errorf("bad JSON err = %v", err)
+	}
+
+	// sites reads a profile straight from a daemon's GET /v1/runs/{id}/sites.
+	data, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { w.Write(data) }))
+	defer ts.Close()
+	served, err := load[siteprof.Profile](ts.URL+"/v1/runs/job-1/sites", "site profile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := renderSites(served); !strings.Contains(out, "sites  gcc (dlvp), 2 tracked of max 8") {
+		t.Errorf("sites of the served profile:\n%s", out)
 	}
 }

@@ -3,8 +3,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"net/url"
 	"os"
 	"sort"
@@ -34,47 +32,29 @@ type traceDoc struct {
 // so `dlvpstat trace <id>` always renders the assembled cluster view.
 func loadTraceDoc(src, server string) (*traceDoc, error) {
 	switch {
-	case src == "-":
-		return decodeTraceDoc(src, os.Stdin)
-	case strings.HasPrefix(src, "http://") || strings.HasPrefix(src, "https://"):
+	case isURL(src):
 		if !strings.Contains(src, "?") {
 			src += "?cluster=1"
 		}
-		return fetchTraceDoc(src)
-	default:
-		if f, err := os.Open(src); err == nil {
-			defer f.Close()
-			return decodeTraceDoc(src, f)
+	case src != "-":
+		if _, err := os.Stat(src); err != nil {
+			if server == "" {
+				return nil, fmt.Errorf("%s: not a file; pass -server to resolve it as a trace ID", src)
+			}
+			src = strings.TrimSuffix(server, "/") + "/v1/traces/" + url.PathEscape(src) + "?cluster=1"
 		}
-		if server == "" {
-			return nil, fmt.Errorf("%s: not a file; pass -server to resolve it as a trace ID", src)
-		}
-		u := strings.TrimSuffix(server, "/") + "/v1/traces/" + url.PathEscape(src) + "?cluster=1"
-		return fetchTraceDoc(u)
 	}
-}
-
-func fetchTraceDoc(rawURL string) (*traceDoc, error) {
-	resp, err := http.Get(rawURL)
+	data, err := readSource(src)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("%s: %s: %s", rawURL, resp.Status, strings.TrimSpace(string(body)))
-	}
-	return decodeTraceDoc(rawURL, resp.Body)
+	return decodeTraceDoc(src, data)
 }
 
 // decodeTraceDoc decodes an assembled cluster payload, falling back to a
 // plain single-node GET /v1/traces/{id} payload (whose flat span list is
 // assembled locally) so saved pre-federation traces still render.
-func decodeTraceDoc(src string, r io.Reader) (*traceDoc, error) {
-	data, err := io.ReadAll(io.LimitReader(r, 64<<20))
-	if err != nil {
-		return nil, err
-	}
+func decodeTraceDoc(src string, data []byte) (*traceDoc, error) {
 	var doc traceDoc
 	if err := json.Unmarshal(data, &doc); err == nil && len(doc.Roots) > 0 {
 		return &doc, nil

@@ -81,7 +81,7 @@ func TestDecodeTraceDocFallback(t *testing.T) {
 		{Name: "http.encode", SpanID: "bbbbbbbbbbbbbbbb", ParentID: "aaaaaaaaaaaaaaaa", Start: t0, DurationMS: 1},
 	}}
 	data, _ := json.Marshal(view)
-	doc, err := decodeTraceDoc("test", strings.NewReader(string(data)))
+	doc, err := decodeTraceDoc("test", data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestDecodeTraceDocFallback(t *testing.T) {
 		t.Fatal("parent link lost in fallback assembly")
 	}
 
-	if _, err := decodeTraceDoc("bad", strings.NewReader(`{"nope":1}`)); err == nil {
+	if _, err := decodeTraceDoc("bad", []byte(`{"nope":1}`)); err == nil {
 		t.Fatal("garbage accepted as a trace payload")
 	}
 }

@@ -1,10 +1,12 @@
 package checkpoint_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"dlvp/internal/checkpoint"
 	"dlvp/internal/emu"
@@ -221,7 +223,7 @@ func TestEnsureMatchesStateAt(t *testing.T) {
 	w, prog := testWorkload(t)
 	viaEnsure, viaStateAt := checkpoint.NewStore(0), checkpoint.NewStore(0)
 	for _, off := range []uint64{3_000, 7_000, 3_000, 5_000, 7_000} {
-		got, err := viaEnsure.Ensure(w.Name, prog, off)
+		got, err := viaEnsure.Ensure(context.Background(), w.Name, prog, off)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,8 +246,40 @@ func TestEnsureMatchesStateAt(t *testing.T) {
 		t.Errorf("state at 5000 after Ensure: outcome %q, equal to live emulation %v", outcome, snap.Equal(liveSnapshot(t, prog, 5_000)))
 	}
 	var none *checkpoint.Store
-	if outcome, err := none.Ensure(w.Name, prog, 1_500); err != nil || outcome != checkpoint.OutcomeCold {
+	if outcome, err := none.Ensure(context.Background(), w.Name, prog, 1_500); err != nil || outcome != checkpoint.OutcomeCold {
 		t.Errorf("nil store Ensure: outcome %q, err %v; want cold", outcome, err)
+	}
+}
+
+// TestEnsureStopsWhenCancelled: a build that emulates in chunks ends
+// within one chunk of its context's deadline, returns the context's error
+// and stores nothing; a later build over more than one chunk still lands
+// on the live emulation's state.
+func TestEnsureStopsWhenCancelled(t *testing.T) {
+	w, prog := testWorkload(t)
+	s := checkpoint.NewStore(0)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := s.Ensure(ctx, w.Name, prog, 1<<40); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Ensure returned %v after it started, want within 1s", d)
+	}
+	if st := s.Stats(); st.Entries != 0 || st.Cold != 0 {
+		t.Errorf("a cancelled build left %d entries, %d cold builds", st.Entries, st.Cold)
+	}
+	const off = 2_500_000 // two full chunks and part of a third
+	if _, err := s.Ensure(context.Background(), w.Name, prog, off); err != nil {
+		t.Fatal(err)
+	}
+	snap, outcome, err := s.StateAt(w.Name, prog, off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outcome != checkpoint.OutcomeHit || !snap.Equal(liveSnapshot(t, prog, off)) {
+		t.Errorf("state at %d: outcome %q, equal to live emulation %v", off, outcome, snap.Equal(liveSnapshot(t, prog, off)))
 	}
 }
 

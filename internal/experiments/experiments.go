@@ -56,9 +56,6 @@ type Params struct {
 	// engine with the default result cache). Any Engine works: the HTTP
 	// daemon passes its dispatcher here so matrices scatter across peers.
 	Runner Engine `json:"-"`
-	// Progress, when non-nil, is called after each simulation job of a
-	// matrix completes.
-	Progress func(done, total int) `json:"-"`
 }
 
 // DefaultParams returns the standard experiment sizing.
@@ -151,13 +148,13 @@ func (p Params) PlanMatrix(cfgs map[string]config.Core) ([]JobSpec, error) {
 
 // fanOut runs the planned jobs through run and returns their results in
 // plan order. runner.FanOut runs them concurrently unless p.Parallel is
-// off, reporting each completion to p.Progress.
+// off.
 func fanOut[R any](p Params, specs []JobSpec, run func(context.Context, runner.Job) (R, bool, error)) ([]R, error) {
 	jobs := make([]runner.Job, len(specs))
 	for i, s := range specs {
 		jobs[i] = s.Job
 	}
-	opt := runner.Matrix{Progress: p.Progress}
+	var opt runner.Matrix
 	if !p.Parallel {
 		opt.MaxParallel = 1
 	}
@@ -195,18 +192,24 @@ type observer interface{ Observe(*trace.Rec) }
 // results into the measurement once the stream ends.
 type probe func(w workloads.Workload) (obs []observer, done func())
 
+// streamCheckRecords is how many records streamPool feeds between two
+// looks at its context.
+const streamCheckRecords = 4096
+
 // streamPool emulates each workload of the pool once, in pool order, and
 // feeds every record to the observers each probe opens for it. p's context
-// is checked before each workload. A workload's observers are released once
-// its stream ends and its done funcs have run, so memory stays bounded by
-// one workload's observers however large the pool.
+// is checked before each workload and every streamCheckRecords records. A
+// workload's observers are released once its stream ends and its done
+// funcs have run, so memory stays bounded by one workload's observers
+// however large the pool.
 func streamPool(p Params, probes ...probe) error {
 	pool, err := p.pool()
 	if err != nil {
 		return err
 	}
+	ctx := p.ctx()
 	for _, w := range pool {
-		if err := p.ctx().Err(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
 		var obs []observer
@@ -220,9 +223,14 @@ func streamPool(p Params, probes ...probe) error {
 		}
 		r := w.Reader(p.Instrs)
 		var rec trace.Rec
-		for r.Next(&rec) {
+		for n := 1; r.Next(&rec); n++ {
 			for _, o := range obs {
 				o.Observe(&rec)
+			}
+			if n%streamCheckRecords == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
 			}
 		}
 		for _, done := range dones {

@@ -8,6 +8,7 @@ import (
 	"flag"
 	"os"
 	"testing"
+	"time"
 
 	"dlvp/internal/tabletext"
 )
@@ -67,5 +68,31 @@ func TestTraceFiguresCancellation(t *testing.T) {
 		if _, err := e.Run(p); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", id, err)
 		}
+	}
+}
+
+// TestTraceFigureStopsMidStream: a trace-level figure whose context ends
+// while it streams a workload stops within a few thousand records instead
+// of running out a budget of 2^40 instructions. The watchdog fails the test
+// instead of letting a figure that ignores its context hang it.
+func TestTraceFigureStopsMidStream(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := Fig1(Params{Instrs: 1 << 40, Workloads: []string{"gcc"}, Ctx: ctx})
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("Fig1 returned %v after it started, want within 1s", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Fig1 still streaming 5s after it started, 4.9s past its deadline")
 	}
 }

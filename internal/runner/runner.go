@@ -88,14 +88,14 @@ func (e *UnknownWorkloadError) Error() string {
 }
 
 // Result is the full product of one job: the aggregate statistics, its
-// per-load-site attribution profile and, when the engine records
-// timelines, the interval flight-recorder series. Results are what the
-// content-addressed cache stores, so a cached job replays with its profile
-// and timeline intact.
+// interval flight-recorder series and its per-load-site attribution
+// profile. Results are what the content-addressed cache stores, so a
+// cached job replays with its timeline and profile intact.
 type Result struct {
 	Stats metrics.RunStats `json:"stats"`
-	// Timeline is nil when the engine ran without timeline recording.
-	// Sampled jobs always carry one (one sample per interval).
+	// Timeline is the interval flight-recorder series: one sample per
+	// timeline.DefaultIntervalInstrs committed instructions for a full
+	// run, one per interval for a sampled one.
 	Timeline *timeline.Timeline `json:"timeline,omitempty"`
 	// Sampled is set on results produced by checkpointed sampled
 	// execution; nil means a monolithic detailed run.
@@ -108,27 +108,17 @@ type Result struct {
 // DefaultCacheEntries is the result-cache capacity when Options.CacheEntries
 // is zero. A RunStats is a few hundred bytes. Over the 43 workloads x 4
 // schemes at 300k instructions a site profile held 4 KB on average in
-// memory (1.5 KB median, 41 KB for the largest, 256 sites), so a full
-// default cache costs ~20 MB (timeline-recording engines add up to
-// ~230 KB per entry: a full ring of ~450-byte samples).
+// memory (1.5 KB median, 41 KB for the largest, 256 sites) and a timeline
+// 3-4 samples of ~450 bytes, so a full default cache costs ~26 MB. A
+// timeline reaches its cap of a full ring (~230 KB) only past 51.2M
+// instructions.
 const DefaultCacheEntries = 4096
 
-// TimelineOptions configures flight-recorder sampling for every job the
-// engine executes.
-type TimelineOptions struct {
-	// Enabled turns interval sampling on.
-	Enabled bool
-	// IntervalInstrs is the committed-instruction sampling interval
-	// (0: timeline.DefaultIntervalInstrs).
-	IntervalInstrs uint64
-	// Capacity bounds the per-run sample ring (0: timeline.DefaultCapacity).
-	Capacity int
-}
-
 // Options parameterises a Runner. Every executed job records its
-// per-load-site attribution profile; finished profiles ride on Result and
-// the cache, live collectors are reachable through LiveSites while a job
-// simulates.
+// interval timeline (timeline.DefaultIntervalInstrs, DefaultCapacity) and
+// its per-load-site attribution profile (siteprof.DefaultMaxSites);
+// finished recordings ride on Result and the cache, live ones are
+// reachable through LiveTimeline and LiveSites while a job simulates.
 type Options struct {
 	// Workers bounds concurrent simulations (<= 0: runtime.NumCPU()).
 	Workers int
@@ -147,18 +137,10 @@ type Options struct {
 	// emulation cost once per workload instead of once per job. Nil keeps
 	// the emulate-per-job behaviour.
 	TraceCache *tracecache.Cache
-	// Timeline enables flight-recorder sampling on executed jobs; finished
-	// timelines ride on Result and the cache, live recorders are reachable
-	// through LiveTimeline while a job simulates (SSE streaming).
-	Timeline TimelineOptions
 	// Checkpoints is the architectural checkpoint store backing sampled
 	// jobs; full runs never touch it. Nil constructs a store with the
 	// default byte budget — every runner can serve sampled jobs.
 	Checkpoints *checkpoint.Store
-	// MaxSites bounds the static load PCs each job's site profile tracks
-	// (0: siteprof.DefaultMaxSites). Excess sites fold into the profile's
-	// overflow bucket, so totals stay exact.
-	MaxSites int
 }
 
 // instruments holds the engine's telemetry handles (nil when the runner
@@ -238,13 +220,11 @@ type Runner struct {
 	sem     chan struct{}
 	// cache holds results at cost 1 each, so its budget is an entry
 	// count; a disabled cache has budget 0 and still coalesces.
-	cache    *lru.Cache[Result]
-	caching  bool // the cache retains results: count its misses
-	tcache   *tracecache.Cache
-	ckpt     *checkpoint.Store
-	inst     *instruments
-	tlOpts   TimelineOptions
-	maxSites int
+	cache   *lru.Cache[Result]
+	caching bool // the cache retains results: count its misses
+	tcache  *tracecache.Cache
+	ckpt    *checkpoint.Store
+	inst    *instruments
 
 	mu   sync.Mutex
 	live map[string]*liveJob
@@ -265,8 +245,7 @@ type Runner struct {
 }
 
 // liveJob is what a job publishes while it simulates: its timeline
-// recorder and site collector. A full run's recorder is nil when the
-// engine records no timelines, and a sampled run publishes no collector.
+// recorder and site collector. A sampled run publishes no collector.
 // RunResult withdraws it only after the result is cached, so the
 // timeline and sites endpoints always find one or the other.
 type liveJob struct {
@@ -295,16 +274,14 @@ func New(opts Options) *Runner {
 		registerCheckpointMetrics(opts.Obs.Metrics, ckpt)
 	}
 	return &Runner{
-		workers:  workers,
-		sem:      make(chan struct{}, workers),
-		cache:    lru.New[Result](int64(entries)),
-		caching:  entries > 0,
-		tcache:   opts.TraceCache,
-		ckpt:     ckpt,
-		inst:     newInstruments(opts.Obs),
-		tlOpts:   opts.Timeline,
-		maxSites: opts.MaxSites,
-		live:     make(map[string]*liveJob),
+		workers: workers,
+		sem:     make(chan struct{}, workers),
+		cache:   lru.New[Result](int64(entries)),
+		caching: entries > 0,
+		tcache:  opts.TraceCache,
+		ckpt:    ckpt,
+		inst:    newInstruments(opts.Obs),
+		live:    make(map[string]*liveJob),
 	}
 }
 
@@ -327,8 +304,8 @@ func (r *Runner) Run(ctx context.Context, job Job) (metrics.RunStats, bool, erro
 	return res.Stats, cached, err
 }
 
-// RunResult is Run returning the full Result (stats, site profile, and
-// timeline when the engine records them).
+// RunResult is Run returning the full Result (stats, timeline and site
+// profile).
 func (r *Runner) RunResult(ctx context.Context, job Job) (Result, bool, error) {
 	var zero Result
 	if err := ctx.Err(); err != nil {
@@ -489,10 +466,8 @@ func (r *Runner) lead(ctx context.Context, key string, lv *liveJob, w workloads.
 	arena := uarch.AcquireArena()
 	defer uarch.ReleaseArena(arena)
 	core := uarch.NewAtArena(job.Config, w.Build(), reader, nil, arena)
-	if r.tlOpts.Enabled {
-		lv.rec = core.EnableTimeline(r.tlOpts.IntervalInstrs, r.tlOpts.Capacity)
-	}
-	lv.col = core.EnableSiteProfile(r.maxSites)
+	lv.rec = core.EnableTimeline(0, 0)
+	lv.col = core.EnableSiteProfile(0)
 	r.publishLive(key, lv)
 	// A job whose context ends stops simulating; its cut-short result is
 	// never returned, so it is never cached.

@@ -395,12 +395,16 @@ func TestRunCancelledContext(t *testing.T) {
 // simulates stops the core and returns the context's error instead of
 // running out a budget of 2^40 instructions, and nothing is cached. The
 // sampled job's one interval spans the budget, so it has no checkpoint to
-// build and spends all of it in the detailed core.
+// build and spends all of it in the detailed core. The chained job's 8
+// intervals first build a checkpoint chain whose first link sits about
+// 2^36 instructions in, so it is cancelled while it emulates to it.
 func TestCancelledJobStopsSimulating(t *testing.T) {
 	const huge = 1 << 40
 	sampled := testJob("gcc", huge)
 	sampled.Sampling = &SamplingSpec{Intervals: 1, MeasuredInstrs: huge}
-	for name, job := range map[string]Job{"full": testJob("gcc", huge), "sampled": sampled} {
+	chained := testJob("gcc", huge)
+	chained.Sampling = &SamplingSpec{Intervals: 8}
+	for name, job := range map[string]Job{"full": testJob("gcc", huge), "sampled": sampled, "chained": chained} {
 		t.Run(name, func(t *testing.T) {
 			r := New(Options{Workers: 1})
 			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
@@ -441,12 +445,12 @@ func TestEngineConstructionAllocs(t *testing.T) {
 	}
 }
 
-// A timeline-recording engine attaches the flight-recorder series to its
-// results, caches it content-addressed alongside the stats, and exposes
-// nothing live once the job is done.
+// A default engine attaches the flight-recorder series and the site
+// profile to its results, caches them content-addressed alongside the
+// stats, and exposes nothing live once the job is done.
 func TestRunResultRecordsTimeline(t *testing.T) {
-	r := New(Options{Workers: 2, Timeline: TimelineOptions{Enabled: true, IntervalInstrs: 500}})
-	job := Job{Workload: "perlbmk", Config: config.DLVP(), Instrs: testInstrs}
+	r := New(Options{})
+	job := Job{Workload: "perlbmk", Config: config.DLVP(), Instrs: 300_000}
 	res, cached, err := r.RunResult(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
@@ -455,13 +459,16 @@ func TestRunResultRecordsTimeline(t *testing.T) {
 		t.Error("first run reported cached")
 	}
 	if res.Timeline == nil {
-		t.Fatal("no timeline on a timeline-enabled engine's result")
+		t.Fatal("no timeline on a default engine's result")
+	}
+	if res.Sites == nil {
+		t.Fatal("no site profile on a default engine's result")
 	}
 	if got := res.Timeline.Totals()[metrics.Instructions]; got != res.Stats.Instructions {
 		t.Errorf("timeline totals %d != stats %d", got, res.Stats.Instructions)
 	}
 	if len(res.Timeline.Samples) < 2 {
-		t.Errorf("samples = %d, want >= 2 at interval 500", len(res.Timeline.Samples))
+		t.Errorf("samples = %d, want >= 2 over %d instructions", len(res.Timeline.Samples), job.Instrs)
 	}
 
 	again, cached, err := r.RunResult(context.Background(), job)
@@ -484,27 +491,6 @@ func TestRunResultRecordsTimeline(t *testing.T) {
 	}
 	if got, ok := r.CachedResult(key); !ok || got.Timeline == nil {
 		t.Errorf("CachedResult = %v/%v, want timeline-bearing hit", got.Timeline, ok)
-	}
-}
-
-// A result cached by a non-recording engine must not satisfy the same
-// engine once timelines are demanded — it would silently miss the series.
-func TestTimelineBypassesTimelineLessCacheEntries(t *testing.T) {
-	plain := New(Options{Workers: 1})
-	job := testJob("perlbmk", testInstrs)
-	if _, _, err := plain.Run(context.Background(), job); err != nil {
-		t.Fatal(err)
-	}
-	// Same cache semantics inside one engine: flip recording on via a new
-	// engine sharing nothing — the observable contract is that a
-	// timeline-enabled engine never returns a timeline-less result.
-	rec := New(Options{Workers: 1, Timeline: TimelineOptions{Enabled: true, IntervalInstrs: 500}})
-	res, _, err := rec.RunResult(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Timeline == nil {
-		t.Fatal("timeline-enabled engine returned a timeline-less result")
 	}
 }
 

@@ -215,7 +215,7 @@ func (r *Runner) runSampled(ctx context.Context, key string, lv *liveJob, w work
 		if plan[i].restore == 0 {
 			continue
 		}
-		outcome, err := store.Ensure(job.Workload, prog, plan[i].restore)
+		outcome, err := store.Ensure(ctx, job.Workload, prog, plan[i].restore)
 		if err != nil {
 			psp.Attr("error", err.Error()).End()
 			return res, fmt.Errorf("runner: sampled interval %d: %w", i, err)
@@ -227,7 +227,7 @@ func (r *Runner) runSampled(ctx context.Context, key string, lv *liveJob, w work
 	// Per-interval progress rides the regular timeline machinery: one
 	// recorder sample per completed interval (published in interval
 	// order), live-streamable over SSE while the job runs.
-	rec := timeline.NewRecorder(spec.MeasuredInstrs, spec.Intervals+2)
+	rec := timeline.NewRecorder(spec.MeasuredInstrs, spec.Intervals+2, job.Workload, scheme)
 	lv.rec = rec
 	r.publishLive(key, lv)
 
@@ -290,7 +290,7 @@ func (r *Runner) runSampled(ctx context.Context, key string, lv *liveJob, w work
 		defer uarch.ReleaseArena(arena)
 		core := uarch.NewAtArena(job.Config, prog, cpu, snap.Mem, arena)
 		core.SetSampleWindow(iv.warmup, spec.MeasuredInstrs)
-		core.EnableSiteProfile(r.maxSites)
+		core.EnableSiteProfile(0)
 		stop := context.AfterFunc(ctx, core.Stop)
 		st := core.Run(0)
 		if !stop() {
@@ -376,11 +376,11 @@ func (r *Runner) runSampled(ctx context.Context, key string, lv *liveJob, w work
 	// energy each interval core priced from its own measured vector.
 	res.Stats = sum.RunStats(job.Workload, scheme)
 	res.Stats.CoreEnergy = energy
-	res.Timeline = rec.Finish(cum, 0, job.Workload, scheme)
+	res.Timeline = rec.Finish(cum, 0)
 	// Per-interval profiles cover only measured regions (warm-up is
 	// excluded per interval), so the merged profile reconciles with the
 	// summed measured counters.
-	res.Sites = siteprof.Merge(profiles, r.maxSites)
+	res.Sites = siteprof.Merge(profiles, 0)
 	res.Sites.Workload, res.Sites.Scheme = job.Workload, scheme
 	res.Sampled = &info
 	return res, nil

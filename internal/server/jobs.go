@@ -41,27 +41,25 @@ type asyncJob struct {
 	errMsg   string
 	inst     *jobInstruments
 
-	// Run-job linkage for the timeline endpoints: the runner's
-	// content-address for the simulation plus the request's labels (empty
-	// for experiment jobs, which have no single timeline).
-	runKey   string
-	workload string
-	scheme   string
+	// runKey links a run job to the runner's content-address for its
+	// simulation, for the timeline and sites endpoints (empty for
+	// experiment jobs, which have no single timeline).
+	runKey string
 }
 
 // setRun links a run job to its runner content-address so the timeline
-// endpoints can find the live recorder or the cached result.
-func (j *asyncJob) setRun(key, workload, scheme string) {
+// and sites endpoints can find the live recorders or the cached result.
+func (j *asyncJob) setRun(key string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.runKey, j.workload, j.scheme = key, workload, scheme
+	j.runKey = key
 }
 
-// runInfo returns the run linkage recorded by setRun.
-func (j *asyncJob) runInfo() (key, workload, scheme string) {
+// runInfo returns the runner key recorded by setRun.
+func (j *asyncJob) runInfo() string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.runKey, j.workload, j.scheme
+	return j.runKey
 }
 
 func (j *asyncJob) setRunning() {
@@ -163,9 +161,6 @@ func (j *asyncJob) currentStatus() string {
 	return j.status
 }
 
-// errTooManyJobs reports that the job registry is full of unfinished jobs.
-var errTooManyJobs = errors.New("too many unfinished async jobs")
-
 // jobStore tracks async jobs, evicting the oldest finished records to stay
 // within its capacity and refusing new jobs when every tracked one is
 // still in flight, so the daemon's memory and goroutines stay bounded.
@@ -194,8 +189,8 @@ func newJobID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// add registers a queued job, or returns errTooManyJobs when the registry
-// is at capacity and none of its jobs has finished.
+// add registers a queued job, or returns an error when the registry is at
+// capacity and none of its jobs has finished.
 func (s *jobStore) add(kind, traceID string) (*asyncJob, error) {
 	j := &asyncJob{
 		id:      newJobID(),
@@ -209,7 +204,7 @@ func (s *jobStore) add(kind, traceID string) (*asyncJob, error) {
 	defer s.mu.Unlock()
 	s.evictLocked()
 	if len(s.jobs) >= s.max {
-		return nil, errTooManyJobs
+		return nil, errors.New("too many unfinished async jobs")
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)

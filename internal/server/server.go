@@ -481,7 +481,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if key, err := job.Key(); err == nil {
-			rec.setRun(key, req.Workload, req.Scheme)
+			rec.setRun(key)
 		}
 		s.spawn(rec, rec.trace, obs.SpanID(r.Context()), func(ctx context.Context) (any, error) {
 			resp, err := run(ctx)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 
 	"dlvp/internal/siteprof"
@@ -27,7 +26,7 @@ func (s *Server) sitesFor(key string) (*siteprof.Profile, bool) {
 // the run executes the response is a point-in-time snapshot with
 // "partial": true; poll until it clears to get the finished profile.
 func (s *Server) handleRunSites(w http.ResponseWriter, r *http.Request) {
-	key, _, _, ok := s.resolveRunJob(w, r)
+	key, ok := s.resolveRunJob(w, r)
 	if !ok {
 		return
 	}
@@ -37,14 +36,5 @@ func (s *Server) handleRunSites(w http.ResponseWriter, r *http.Request) {
 			Error: "no site profile for this run: job not started, or result evicted"})
 		return
 	}
-	switch format := r.URL.Query().Get("format"); format {
-	case "", "json":
-		s.writeJSON(w, r, http.StatusOK, prof)
-	case "prom":
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		siteprof.WritePrometheus(w, prof)
-	default:
-		s.writeJSON(w, r, http.StatusBadRequest, errorBody{
-			Error: fmt.Sprintf("unknown format %q", format), Known: []string{"json", "prom"}})
-	}
+	writeRecording(s, w, r, prof, siteprof.WritePrometheus)
 }

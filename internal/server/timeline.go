@@ -3,9 +3,11 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
+	"dlvp/internal/obs"
 	"dlvp/internal/timeline"
 )
 
@@ -13,9 +15,9 @@ import (
 // recorder's partial view while the simulation executes, the cached result's
 // finished timeline afterwards. Timelines come from the local engine only —
 // dispatcher-forwarded jobs that executed on a peer have none here.
-func (s *Server) timelineFor(key, workload, scheme string) (*timeline.Timeline, bool) {
+func (s *Server) timelineFor(key string) (*timeline.Timeline, bool) {
 	if rec := s.runner.LiveTimeline(key); rec != nil {
-		return rec.Partial(workload, scheme), true
+		return rec.Partial(), true
 	}
 	if res, ok := s.runner.CachedResult(key); ok && res.Timeline != nil {
 		return res.Timeline, true
@@ -24,51 +26,57 @@ func (s *Server) timelineFor(key, workload, scheme string) (*timeline.Timeline, 
 }
 
 // resolveRunJob maps a /v1/runs/{id}/... path to the async run job's
-// linkage, writing the error response itself when the job is unusable.
-func (s *Server) resolveRunJob(w http.ResponseWriter, r *http.Request) (key, workload, scheme string, ok bool) {
+// runner key, writing the error response itself when the job is unusable.
+func (s *Server) resolveRunJob(w http.ResponseWriter, r *http.Request) (key string, ok bool) {
 	j, found := s.jobs.get(r.PathValue("id"))
 	if !found {
 		s.writeJSON(w, r, http.StatusNotFound, errorBody{Error: "unknown job id"})
-		return "", "", "", false
+		return "", false
 	}
-	key, workload, scheme = j.runInfo()
+	key = j.runInfo()
 	if key == "" {
 		s.writeJSON(w, r, http.StatusNotFound, errorBody{
 			Error: fmt.Sprintf("job %q is a %s job, not a run; only runs record timelines", j.id, j.kind)})
-		return "", "", "", false
+		return "", false
 	}
-	return key, workload, scheme, true
+	return key, true
 }
 
-// handleRunTimeline serves GET /v1/runs/{id}/timeline: the interval
-// flight-recorder series for an async run job, as JSON or — with
-// ?format=prom — in the Prometheus text exposition format.
-func (s *Server) handleRunTimeline(w http.ResponseWriter, r *http.Request) {
-	key, workload, scheme, ok := s.resolveRunJob(w, r)
-	if !ok {
-		return
-	}
-	tl, ok := s.timelineFor(key, workload, scheme)
-	if !ok {
-		s.writeJSON(w, r, http.StatusNotFound, errorBody{
-			Error: "no timeline for this run: recording disabled, job not started, or result evicted"})
-		return
-	}
+// writeRecording serves one of a run's recordings as JSON or, with
+// ?format=prom, as the Prometheus text exposition prom renders.
+func writeRecording[T any](s *Server, w http.ResponseWriter, r *http.Request, v *T, prom func(io.Writer, *T)) {
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
-		s.writeJSON(w, r, http.StatusOK, tl)
+		s.writeJSON(w, r, http.StatusOK, v)
 	case "prom":
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		timeline.WritePrometheus(w, tl)
+		w.Header().Set("Content-Type", obs.ContentType)
+		prom(w, v)
 	default:
 		s.writeJSON(w, r, http.StatusBadRequest, errorBody{
 			Error: fmt.Sprintf("unknown format %q", format), Known: []string{"json", "prom"}})
 	}
 }
 
+// handleRunTimeline serves GET /v1/runs/{id}/timeline: the interval
+// flight-recorder series for an async run job, as JSON or — with
+// ?format=prom — in the Prometheus text exposition format.
+func (s *Server) handleRunTimeline(w http.ResponseWriter, r *http.Request) {
+	key, ok := s.resolveRunJob(w, r)
+	if !ok {
+		return
+	}
+	tl, ok := s.timelineFor(key)
+	if !ok {
+		s.writeJSON(w, r, http.StatusNotFound, errorBody{
+			Error: "no timeline for this run: job not started, or result evicted"})
+		return
+	}
+	writeRecording(s, w, r, tl, timeline.WritePrometheus)
+}
+
 // timelineStreamPoll is how often the SSE stream re-snapshots the live
-// recorder. Package variable so the streaming test can tighten it.
-var timelineStreamPoll = 50 * time.Millisecond
+// recorder.
+const timelineStreamPoll = 50 * time.Millisecond
 
 // handleRunTimelineStream serves GET /v1/runs/{id}/timeline/stream: a
 // Server-Sent Events tail of a run's flight recorder. Each interval sample
@@ -77,7 +85,7 @@ var timelineStreamPoll = 50 * time.Millisecond
 // full resend; "event: done" closes a completed run's stream. A stream
 // opened before the job starts waits for the recorder to appear.
 func (s *Server) handleRunTimelineStream(w http.ResponseWriter, r *http.Request) {
-	key, _, _, ok := s.resolveRunJob(w, r)
+	key, ok := s.resolveRunJob(w, r)
 	if !ok {
 		return
 	}

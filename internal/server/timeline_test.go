@@ -10,25 +10,14 @@ import (
 	"testing"
 	"time"
 
+	"dlvp/internal/config"
 	"dlvp/internal/metrics"
-	"dlvp/internal/runner"
 	"dlvp/internal/timeline"
 )
 
-// newTimelineTestServer builds a server whose engine records flight-recorder
-// timelines at a small interval, so short test runs produce many samples.
-func newTimelineTestServer(t *testing.T, intervalInstrs uint64) (*Server, *httptest.Server) {
-	t.Helper()
-	s := New(Options{Runner: runner.New(runner.Options{
-		Timeline: runner.TimelineOptions{Enabled: true, IntervalInstrs: intervalInstrs},
-	})})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
-	return s, ts
-}
+// timelineInstrs is the budget of the timeline tests' runs: three samples
+// at the default interval of 100k instructions.
+const timelineInstrs = 300_000
 
 // submitAsyncRun posts an async run and returns its job ID.
 func submitAsyncRun(t *testing.T, ts *httptest.Server, workload string, instrs uint64) string {
@@ -64,8 +53,8 @@ func waitForJob(t *testing.T, ts *httptest.Server, id string) {
 }
 
 func TestRunTimelineEndpoint(t *testing.T) {
-	_, ts := newTimelineTestServer(t, 500)
-	id := submitAsyncRun(t, ts, "perlbmk", testInstrs)
+	_, ts := newTestServer(t)
+	id := submitAsyncRun(t, ts, "perlbmk", timelineInstrs)
 	waitForJob(t, ts, id)
 
 	resp := mustGet(t, ts.URL+"/v1/runs/"+id+"/timeline")
@@ -77,10 +66,10 @@ func TestRunTimelineEndpoint(t *testing.T) {
 		t.Errorf("timeline header = %q partial=%v", tl.Workload, tl.Partial)
 	}
 	if len(tl.Samples) < 2 {
-		t.Fatalf("samples = %d, want >= 2 at interval 500 over %d instrs", len(tl.Samples), testInstrs)
+		t.Fatalf("samples = %d, want >= 2 over %d instrs", len(tl.Samples), timelineInstrs)
 	}
-	if got := tl.Totals()[metrics.Instructions]; got != testInstrs {
-		t.Errorf("timeline instructions total = %d, want %d", got, testInstrs)
+	if got := tl.Totals()[metrics.Instructions]; got != timelineInstrs {
+		t.Errorf("timeline instructions total = %d, want %d", got, timelineInstrs)
 	}
 
 	prom := mustGet(t, ts.URL+"/v1/runs/"+id+"/timeline?format=prom")
@@ -110,7 +99,7 @@ func TestRunTimelineEndpoint(t *testing.T) {
 
 // Experiment jobs have no single simulation, hence no timeline.
 func TestRunTimelineRejectsNonRunJobs(t *testing.T) {
-	_, ts := newTimelineTestServer(t, 500)
+	_, ts := newTestServer(t)
 	resp := postJSON(t, ts.URL+"/v1/experiments/fig4",
 		map[string]any{"instrs": testInstrs, "workloads": []string{"perlbmk"}, "async": true})
 	if resp.StatusCode != http.StatusAccepted {
@@ -127,14 +116,10 @@ func TestRunTimelineRejectsNonRunJobs(t *testing.T) {
 // The SSE endpoint must stream at least two interval samples from a live
 // job and terminate with a done event.
 func TestRunTimelineStreamSSE(t *testing.T) {
-	oldPoll := timelineStreamPoll
-	timelineStreamPoll = 2 * time.Millisecond
-	t.Cleanup(func() { timelineStreamPoll = oldPoll })
-
-	_, ts := newTimelineTestServer(t, 1_000)
-	// A long-enough run that the stream attaches while intervals are still
-	// being produced; the handler also waits for a queued job to start.
-	id := submitAsyncRun(t, ts, "mcf", 200_000)
+	_, ts := newTestServer(t)
+	// The stream may attach while intervals are still being produced; the
+	// handler also waits for a queued job to start.
+	id := submitAsyncRun(t, ts, "mcf", timelineInstrs)
 
 	resp := mustGet(t, ts.URL+"/v1/runs/"+id+"/timeline/stream")
 	defer resp.Body.Close()
@@ -168,6 +153,45 @@ func TestRunTimelineStreamSSE(t *testing.T) {
 	}
 	if samples < 2 {
 		t.Fatalf("streamed %d interval samples, want >= 2", samples)
+	}
+}
+
+// TestPartialTimelineCarriesCoreLabels: a run posted with an explicit
+// config and a free-form scheme label is labelled by its core, in its
+// partial timeline while it runs as in its finished one.
+func TestPartialTimelineCarriesCoreLabels(t *testing.T) {
+	_, ts := newTestServer(t)
+	resp := postJSON(t, ts.URL+"/v1/runs", map[string]any{
+		"workload": "mcf", "scheme": "my\tscheme", "config": config.DLVP(),
+		"instrs": 1_000_000, "async": true})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("status = %d, want 202", resp.StatusCode)
+	}
+	id := decode[acceptedResponse](t, resp).JobID
+
+	var partial timeline.Timeline
+	for deadline := time.Now().Add(30 * time.Second); !partial.Partial; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no partial timeline within 30s")
+		}
+		resp := mustGet(t, ts.URL+"/v1/runs/"+id+"/timeline")
+		if resp.StatusCode != http.StatusOK {
+			resp.Body.Close() // not started yet
+			continue
+		}
+		if partial = decode[timeline.Timeline](t, resp); !partial.Partial {
+			t.Fatal("the run finished before its partial timeline was read")
+		}
+	}
+	waitForJob(t, ts, id)
+	final := decode[timeline.Timeline](t, mustGet(t, ts.URL+"/v1/runs/"+id+"/timeline"))
+	if final.Partial {
+		t.Error("finished timeline marked partial")
+	}
+	for _, tl := range []timeline.Timeline{partial, final} {
+		if tl.Workload != "mcf" || tl.Scheme != "dlvp" {
+			t.Errorf("partial=%v timeline labelled %q/%q, want mcf/dlvp", tl.Partial, tl.Workload, tl.Scheme)
+		}
 	}
 }
 

@@ -24,9 +24,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync/atomic"
+
+	"dlvp/internal/obs"
 )
 
 // Cause is the commit-time outcome classification of one eligible load.
@@ -620,7 +621,8 @@ var promCounters = []struct {
 // format: per-site counter families labelled by hex PC, a per-cause
 // breakdown family, and a per-site accuracy gauge. The overflow bucket is
 // exported under pc="overflow" when non-empty so exposition sums match
-// the run aggregates.
+// the run aggregates. The families are built on an obs.Registry, which
+// escapes the labels and formats the values.
 func WritePrometheus(w io.Writer, p *Profile) {
 	type row struct {
 		label string
@@ -633,33 +635,25 @@ func WritePrometheus(w io.Writer, p *Profile) {
 	if p.Overflow.Eligible > 0 {
 		rows = append(rows, row{"overflow", p.Overflow})
 	}
+	reg := obs.NewRegistry()
 	for _, fam := range promCounters {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", fam.name, fam.help, fam.name)
+		c := reg.Counter(fam.name, fam.help, "workload", "scheme", "pc")
 		for _, r := range rows {
-			fmt.Fprintf(w, "%s{workload=%q,scheme=%q,pc=%q} %d\n",
-				fam.name, p.Workload, p.Scheme, r.label, fam.value(r.c))
+			c.With(p.Workload, p.Scheme, r.label).Add(int64(fam.value(r.c)))
 		}
 	}
-	fmt.Fprintf(w, "# HELP dlvp_site_cause_total Committed loads at the site by attributed cause.\n# TYPE dlvp_site_cause_total counter\n")
+	causes := reg.Counter("dlvp_site_cause_total", "Committed loads at the site by attributed cause.",
+		"workload", "scheme", "pc", "cause")
 	for _, r := range rows {
 		for i, n := range r.c.Causes {
-			if n == 0 {
-				continue
+			if n > 0 {
+				causes.With(p.Workload, p.Scheme, r.label, causeNames[i]).Add(int64(n))
 			}
-			fmt.Fprintf(w, "dlvp_site_cause_total{workload=%q,scheme=%q,pc=%q,cause=%q} %d\n",
-				p.Workload, p.Scheme, r.label, causeNames[i], n)
 		}
 	}
-	fmt.Fprintf(w, "# HELP dlvp_site_accuracy_pct Prediction accuracy at the site (percent).\n# TYPE dlvp_site_accuracy_pct gauge\n")
+	acc := reg.Gauge("dlvp_site_accuracy_pct", "Prediction accuracy at the site (percent).", "workload", "scheme", "pc")
 	for _, r := range rows {
-		fmt.Fprintf(w, "dlvp_site_accuracy_pct{workload=%q,scheme=%q,pc=%q} %s\n",
-			p.Workload, p.Scheme, r.label, formatFloat(r.c.Accuracy()))
+		acc.With(p.Workload, p.Scheme, r.label).Set(r.c.Accuracy())
 	}
-}
-
-func formatFloat(v float64) string {
-	if math.IsNaN(v) {
-		return "NaN"
-	}
-	return fmt.Sprintf("%g", v)
+	reg.WritePrometheus(w)
 }

@@ -322,6 +322,21 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
+// TestWritePrometheusEscapesLabelsAsObs: label values are escaped as the
+// obs exposition escapes them. The text format escapes only backslash,
+// double quote and newline, so a tab is written raw; Go's %q wrote it as
+// \t, which the format does not define.
+func TestWritePrometheusEscapesLabelsAsObs(t *testing.T) {
+	c := NewCollector(4, "a\tb", `c"d\e`+"\nf")
+	c.Record(0x400, Event{Cause: CauseCorrect})
+	var sb strings.Builder
+	WritePrometheus(&sb, c.Finish(100))
+	want := "dlvp_site_eligible_total{workload=\"a\tb\",scheme=\"c\\\"d\\\\e\\nf\",pc=\"0x400\"} 1\n"
+	if !strings.Contains(sb.String(), want) {
+		t.Errorf("exposition missing %q:\n%s", want, sb.String())
+	}
+}
+
 // Profile JSON must round-trip through the wire shape the server serves
 // and the CLI loads.
 func TestProfileJSONRoundTrip(t *testing.T) {

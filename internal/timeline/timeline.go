@@ -18,12 +18,12 @@
 package timeline
 
 import (
-	"fmt"
 	"io"
-	"math"
+	"strconv"
 	"sync"
 
 	"dlvp/internal/metrics"
+	"dlvp/internal/obs"
 )
 
 // DefaultIntervalInstrs is the sampling interval when a caller passes 0:
@@ -159,6 +159,8 @@ func (t *Timeline) Totals() metrics.Counters {
 // compare of its instruction count against the next boundary.
 type Recorder struct {
 	mu       sync.Mutex
+	workload string
+	scheme   string
 	interval uint64
 	capacity int
 	samples  []Sample
@@ -169,11 +171,11 @@ type Recorder struct {
 	final    *Timeline
 }
 
-// NewRecorder returns a recorder sampling every intervalInstrs committed
-// instructions into a ring of at most capacity samples (0 selects
-// DefaultIntervalInstrs / DefaultCapacity; capacity is clamped to >= 2 so
-// downsampling always has a pair to merge).
-func NewRecorder(intervalInstrs uint64, capacity int) *Recorder {
+// NewRecorder returns a recorder for one run's labels, sampling every
+// intervalInstrs committed instructions into a ring of at most capacity
+// samples (0 selects DefaultIntervalInstrs / DefaultCapacity; capacity is
+// clamped to >= 2 so downsampling always has a pair to merge).
+func NewRecorder(intervalInstrs uint64, capacity int, workload, scheme string) *Recorder {
 	if intervalInstrs == 0 {
 		intervalInstrs = DefaultIntervalInstrs
 	}
@@ -183,7 +185,7 @@ func NewRecorder(intervalInstrs uint64, capacity int) *Recorder {
 	if capacity < 2 {
 		capacity = 2
 	}
-	return &Recorder{interval: intervalInstrs, capacity: capacity}
+	return &Recorder{workload: workload, scheme: scheme, interval: intervalInstrs, capacity: capacity}
 }
 
 // IntervalInstrs returns the base sampling interval.
@@ -240,7 +242,7 @@ func (r *Recorder) downsampleLocked() {
 // Finish records the tail interval (the committed instructions since the
 // last boundary, if any) and freezes the recorder into a Timeline.
 // Calling Finish more than once returns the same Timeline.
-func (r *Recorder) Finish(cum metrics.Counters, paqPeak int, workload, scheme string) *Timeline {
+func (r *Recorder) Finish(cum metrics.Counters, paqPeak int) *Timeline {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.done {
@@ -250,15 +252,21 @@ func (r *Recorder) Finish(cum metrics.Counters, paqPeak int, workload, scheme st
 		r.appendLocked(cum, paqPeak)
 	}
 	r.done = true
-	r.final = &Timeline{
-		Workload:       workload,
-		Scheme:         scheme,
+	r.final = r.timelineLocked(false)
+	return r.final
+}
+
+// timelineLocked copies the samples so far into a Timeline.
+func (r *Recorder) timelineLocked(partial bool) *Timeline {
+	return &Timeline{
+		Workload:       r.workload,
+		Scheme:         r.scheme,
 		IntervalInstrs: r.interval,
 		Capacity:       r.capacity,
 		Merges:         r.merges,
+		Partial:        partial,
 		Samples:        append([]Sample(nil), r.samples...),
 	}
-	return r.final
 }
 
 // Snapshot returns a copy of the samples recorded so far and the merge
@@ -271,22 +279,15 @@ func (r *Recorder) Snapshot() (samples []Sample, merges int) {
 }
 
 // Partial returns a Timeline view of a still-recording run (Partial set;
-// the tail interval in progress is not included).
-func (r *Recorder) Partial(workload, scheme string) *Timeline {
+// the tail interval in progress is not included), labelled as Finish
+// labels the finished one.
+func (r *Recorder) Partial() *Timeline {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.done {
 		return r.final
 	}
-	return &Timeline{
-		Workload:       workload,
-		Scheme:         scheme,
-		IntervalInstrs: r.interval,
-		Capacity:       r.capacity,
-		Merges:         r.merges,
-		Partial:        true,
-		Samples:        append([]Sample(nil), r.samples...),
-	}
+	return r.timelineLocked(true)
 }
 
 // --- diffing -----------------------------------------------------------------
@@ -393,20 +394,15 @@ var promSeries = []struct {
 // format, one gauge family per series with an interval label (the
 // ?format=prom view of GET /v1/runs/{id}/timeline). Interval labels carry
 // the sample's starting instruction count so panels align on simulated
-// progress rather than array position.
+// progress rather than array position. The families are built on an
+// obs.Registry, which escapes the labels and formats the values.
 func WritePrometheus(w io.Writer, t *Timeline) {
+	reg := obs.NewRegistry()
 	for _, series := range promSeries {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", series.name, series.help, series.name)
+		g := reg.Gauge(series.name, series.help, "workload", "scheme", "interval", "start_instr")
 		for _, s := range t.Samples {
-			fmt.Fprintf(w, "%s{workload=%q,scheme=%q,interval=\"%d\",start_instr=\"%d\"} %s\n",
-				series.name, t.Workload, t.Scheme, s.Index, s.StartInstr, formatFloat(series.value(s)))
+			g.With(t.Workload, t.Scheme, strconv.Itoa(s.Index), strconv.FormatUint(s.StartInstr, 10)).Set(series.value(s))
 		}
 	}
-}
-
-func formatFloat(v float64) string {
-	if math.IsNaN(v) {
-		return "NaN"
-	}
-	return fmt.Sprintf("%g", v)
+	reg.WritePrometheus(w)
 }

@@ -28,11 +28,11 @@ func cumAt(n uint64) metrics.Counters {
 }
 
 func TestRecorderSampling(t *testing.T) {
-	r := NewRecorder(100, 0)
+	r := NewRecorder(100, 0, "wl", "dlvp")
 	for i := uint64(1); i <= 5; i++ {
 		r.Sample(cumAt(i), int(i))
 	}
-	tl := r.Finish(cumAt(5), 0, "wl", "dlvp")
+	tl := r.Finish(cumAt(5), 0)
 	if len(tl.Samples) != 5 {
 		t.Fatalf("samples = %d, want 5", len(tl.Samples))
 	}
@@ -51,7 +51,7 @@ func TestRecorderSampling(t *testing.T) {
 		t.Errorf("totals = %+v, want %+v", got, cumAt(5))
 	}
 	// Finish is idempotent.
-	if again := r.Finish(cumAt(9), 0, "x", "y"); again != tl {
+	if again := r.Finish(cumAt(9), 0); again != tl {
 		t.Error("second Finish returned a different timeline")
 	}
 }
@@ -70,7 +70,7 @@ func TestShortRecordingAllocatesLittle(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < recorders; i++ {
-		recorderSink = NewRecorder(100, 0)
+		recorderSink = NewRecorder(100, 0, "wl", "dlvp")
 		for n := uint64(1); n <= 3; n++ {
 			recorderSink.Sample(cumAt(n), 0)
 		}
@@ -83,12 +83,12 @@ func TestShortRecordingAllocatesLittle(t *testing.T) {
 
 func TestDownsamplingPreservesSums(t *testing.T) {
 	const capacity = 8
-	r := NewRecorder(100, capacity)
+	r := NewRecorder(100, capacity, "wl", "dlvp")
 	const n = 100 // forces several merge generations
 	for i := uint64(1); i <= n; i++ {
 		r.Sample(cumAt(i), int(i%7))
 	}
-	tl := r.Finish(cumAt(n), 0, "wl", "dlvp")
+	tl := r.Finish(cumAt(n), 0)
 	if len(tl.Samples) >= capacity {
 		t.Fatalf("samples = %d, want < capacity %d", len(tl.Samples), capacity)
 	}
@@ -114,12 +114,12 @@ func TestDownsamplingPreservesSums(t *testing.T) {
 }
 
 func TestDownsamplingTracksPeaks(t *testing.T) {
-	r := NewRecorder(100, 4)
+	r := NewRecorder(100, 4, "wl", "dlvp")
 	peaks := []int{1, 9, 2, 3, 5, 4}
 	for i, p := range peaks {
 		r.Sample(cumAt(uint64(i+1)), p)
 	}
-	tl := r.Finish(cumAt(uint64(len(peaks))), 0, "wl", "dlvp")
+	tl := r.Finish(cumAt(uint64(len(peaks))), 0)
 	maxPeak := 0
 	for _, s := range tl.Samples {
 		if s.PAQPeak > maxPeak {
@@ -132,12 +132,12 @@ func TestDownsamplingTracksPeaks(t *testing.T) {
 }
 
 func TestFinishRecordsTail(t *testing.T) {
-	r := NewRecorder(100, 0)
+	r := NewRecorder(100, 0, "wl", "dlvp")
 	r.Sample(cumAt(1), 0)
 	tail := cumAt(1)
 	tail[metrics.Instructions] += 42
 	tail[metrics.Cycles] += 77
-	tl := r.Finish(tail, 3, "wl", "dlvp")
+	tl := r.Finish(tail, 3)
 	if len(tl.Samples) != 2 {
 		t.Fatalf("samples = %d, want 2 (boundary + tail)", len(tl.Samples))
 	}
@@ -173,7 +173,7 @@ func TestSampleRateGuards(t *testing.T) {
 }
 
 func TestSnapshotGeneration(t *testing.T) {
-	r := NewRecorder(100, 4)
+	r := NewRecorder(100, 4, "wl", "dlvp")
 	r.Sample(cumAt(1), 0)
 	r.Sample(cumAt(2), 0)
 	s1, gen1 := r.Snapshot()
@@ -192,14 +192,17 @@ func TestSnapshotGeneration(t *testing.T) {
 }
 
 func TestPartial(t *testing.T) {
-	r := NewRecorder(100, 0)
+	r := NewRecorder(100, 0, "wl", "dlvp")
 	r.Sample(cumAt(1), 0)
-	p := r.Partial("wl", "dlvp")
+	p := r.Partial()
 	if !p.Partial || len(p.Samples) != 1 {
 		t.Fatalf("partial = %+v", p)
 	}
-	tl := r.Finish(cumAt(2), 0, "wl", "dlvp")
-	if got := r.Partial("wl", "dlvp"); got != tl {
+	if p.Workload != "wl" || p.Scheme != "dlvp" {
+		t.Errorf("partial labels = %q/%q, want the recorder's wl/dlvp", p.Workload, p.Scheme)
+	}
+	tl := r.Finish(cumAt(2), 0)
+	if got := r.Partial(); got != tl {
 		t.Error("Partial after Finish must return the final timeline")
 	}
 	if tl.Partial {
@@ -209,7 +212,7 @@ func TestPartial(t *testing.T) {
 
 func TestDiffAndRegression(t *testing.T) {
 	mk := func(accuracies []uint64) *Timeline {
-		r := NewRecorder(100, 0)
+		r := NewRecorder(100, 0, "wl", "dlvp")
 		var cum metrics.Counters
 		for _, correct := range accuracies {
 			cum[metrics.Instructions] += 100
@@ -219,7 +222,7 @@ func TestDiffAndRegression(t *testing.T) {
 			cum[metrics.VPCorrect] += correct
 			r.Sample(cum, 0)
 		}
-		return r.Finish(cum, 0, "wl", "dlvp")
+		return r.Finish(cum, 0)
 	}
 	a := mk([]uint64{90, 90, 90, 90})
 	b := mk([]uint64{90, 60, 75, 90})
@@ -248,9 +251,9 @@ func TestDiffAndRegression(t *testing.T) {
 }
 
 func TestWritePrometheus(t *testing.T) {
-	r := NewRecorder(100, 0)
+	r := NewRecorder(100, 0, "gcc", "dlvp")
 	r.Sample(cumAt(1), 5)
-	tl := r.Finish(cumAt(2), 0, "gcc", "dlvp")
+	tl := r.Finish(cumAt(2), 0)
 	var sb strings.Builder
 	WritePrometheus(&sb, tl)
 	out := sb.String()
@@ -264,5 +267,20 @@ func TestWritePrometheus(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q\n%s", want, out)
 		}
+	}
+}
+
+// TestWritePrometheusEscapesLabelsAsObs: label values are escaped as the
+// obs exposition escapes them. The text format escapes only backslash,
+// double quote and newline, so a tab is written raw; Go's %q wrote it as
+// \t, which the format does not define.
+func TestWritePrometheusEscapesLabelsAsObs(t *testing.T) {
+	r := NewRecorder(100, 0, "a\tb", `c"d\e`+"\nf")
+	tl := r.Finish(cumAt(1), 0)
+	var sb strings.Builder
+	WritePrometheus(&sb, tl)
+	want := "dlvp_timeline_instructions{workload=\"a\tb\",scheme=\"c\\\"d\\\\e\\nf\",interval=\"0\",start_instr=\"0\"} 100\n"
+	if !strings.Contains(sb.String(), want) {
+		t.Errorf("exposition missing %q:\n%s", want, sb.String())
 	}
 }

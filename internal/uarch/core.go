@@ -463,7 +463,7 @@ func (c *Core) finalizeStats() {
 	c.stats = cum.RunStats(c.stats.Workload, c.stats.Scheme)
 	c.stats.CoreEnergy = c.Energy(cum)
 	if c.tl != nil {
-		c.timeline = c.tl.Finish(cum, c.tlPAQPeak, c.stats.Workload, c.stats.Scheme)
+		c.timeline = c.tl.Finish(cum, c.tlPAQPeak)
 	}
 	if c.sp != nil {
 		c.spFinish()

@@ -17,7 +17,7 @@ import (
 // snapshot is taken only at interval boundaries
 // (BenchmarkTimelineOverhead holds the slowdown under 1%).
 func (c *Core) EnableTimeline(intervalInstrs uint64, capacity int) *timeline.Recorder {
-	c.tl = timeline.NewRecorder(intervalInstrs, capacity)
+	c.tl = timeline.NewRecorder(intervalInstrs, capacity, c.stats.Workload, c.stats.Scheme)
 	c.tlNext = c.ctr[metrics.Instructions] + c.tl.IntervalInstrs()
 	c.armBoundary()
 	return c.tl
