@@ -86,7 +86,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "concurrent simulations (0: NumCPU)")
 	cache := flag.Int("cache", 0, "result cache entries (0: default, negative: disabled)")
-	traceCacheBytes := flag.Int64("trace-cache-bytes", 512<<20, "byte budget for captured emulation traces replayed across configs; the default retains 31 complete 300k-instruction captures (0: disabled)")
+	traceCacheBytes := flag.Int64("trace-cache-bytes", 512<<20, "byte budget for captured emulation traces replayed across configs; the default holds the 43 workloads' 300k-instruction captures (0: disabled)")
 	checkpointBytes := flag.Int64("checkpoint-bytes", 0, "byte budget for the architectural checkpoint store backing sampled runs (0: default 256 MiB)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-request timeout for synchronous calls")
 	grace := flag.Duration("grace", 30*time.Second, "shutdown grace period for draining work")

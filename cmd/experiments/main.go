@@ -38,7 +38,7 @@ func main() {
 	instrs := flag.Uint64("instrs", 300_000, "dynamic instructions per workload")
 	wl := flag.String("workloads", "", "comma-separated workload subset (default: all)")
 	serial := flag.Bool("serial", false, "disable parallel simulation")
-	traceCacheBytes := flag.Int64("trace-cache-bytes", 512<<20, "byte budget for captured emulation traces replayed across configs; the default retains 31 complete 300k-instruction captures (0: disabled)")
+	traceCacheBytes := flag.Int64("trace-cache-bytes", 512<<20, "byte budget for captured emulation traces replayed across configs; the default holds the 43 workloads' 300k-instruction captures (0: disabled)")
 	charts := flag.Bool("charts", false, "also render per-workload tables as ASCII bar charts")
 	asJSON := flag.Bool("json", false, "emit machine-readable artifacts (the dlvpd wire shape)")
 	sampleIntervals := flag.Int("sample-intervals", 0, "run every matrix job as a checkpointed sampled simulation with this many intervals (0: full detailed runs)")

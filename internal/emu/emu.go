@@ -203,8 +203,7 @@ func (c *CPU) exec(limit uint64, rec *trace.Rec) {
 		switch in.op {
 		case isa.NOP:
 		case isa.HALT:
-			// A halted program stays put: its HALT record's successor
-			// is itself.
+			// A halted program stays put.
 			c.halt, next, limit = true, pc, seq
 
 		case isa.ADD:
@@ -337,7 +336,7 @@ func (c *CPU) exec(limit uint64, rec *trace.Rec) {
 			next = addr
 		}
 		if rec != nil {
-			c.stamp(rec, idx, next, taken, addr, v0, v1)
+			c.stamp(rec, idx, taken, addr, v0, v1)
 			limit = seq
 		}
 		pc = next
@@ -347,10 +346,10 @@ func (c *CPU) exec(limit uint64, rec *trace.Rec) {
 
 // stamp fills rec with the record of instruction idx, just executed: its
 // template plus what the execution decided.
-func (c *CPU) stamp(rec *trace.Rec, idx, next uint64, taken bool, addr, v0, v1 uint64) {
+func (c *CPU) stamp(rec *trace.Rec, idx uint64, taken bool, addr, v0, v1 uint64) {
 	t := &c.dec.tmpl[idx]
 	*rec = *t
-	rec.Next, rec.Addr, rec.Taken = next, addr, taken
+	rec.Addr, rec.Taken = addr, taken
 	switch {
 	case t.Op == isa.LDM:
 		// One value per destination, in Dests order: the word loaded for

@@ -386,9 +386,15 @@ func TestRecNextChains(t *testing.T) {
 		b.Cbnz(0, "loop")
 		b.Halt()
 	})
+	// A record's successor is its target when it is a taken branch and
+	// the next instruction in memory otherwise.
 	for i := 0; i+1 < len(recs); i++ {
-		if recs[i].Next != recs[i+1].PC {
-			t.Fatalf("rec %d Next=%#x but next PC=%#x", i, recs[i].Next, recs[i+1].PC)
+		next := recs[i].PC + 4
+		if recs[i].Taken {
+			next = recs[i].Target()
+		}
+		if next != recs[i+1].PC {
+			t.Fatalf("rec %d (%v, taken %v) leads to %#x but next PC=%#x", i, recs[i].Op, recs[i].Taken, next, recs[i+1].PC)
 		}
 	}
 }

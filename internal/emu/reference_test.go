@@ -236,17 +236,15 @@ func (c *RefCPU) step(inst *isa.Inst, rec *trace.Rec) {
 		panic(fmt.Sprintf("emu: unimplemented opcode %v at pc=%#x", inst.Op, pc))
 	}
 
-	// A halted program stays put: its HALT record's successor is itself.
-	nextPC := pc
+	// A halted program stays put.
 	if !c.halt {
-		nextPC = pc + 4
+		c.pc = pc + 4
 		if taken {
-			nextPC = addr
+			c.pc = addr
 		}
-		c.pc = nextPC
 	}
 
-	*rec = trace.Rec{PC: pc, Next: nextPC, Addr: addr, Op: inst.Op, Flags: inst.Op.Flags(), Bytes: bytes, Taken: taken}
+	*rec = trace.Rec{PC: pc, Addr: addr, Op: inst.Op, Flags: inst.Op.Flags(), Bytes: bytes, Taken: taken}
 	var dbuf [trace.MaxDests]isa.Reg
 	var sbuf [trace.MaxSrcs]isa.Reg
 	dsts := inst.Dests(dbuf[:0])

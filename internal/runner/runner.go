@@ -461,8 +461,11 @@ func (r *Runner) lead(ctx context.Context, key string, lv *liveJob, w workloads.
 	defer r.running.Add(-1) // also when the simulation panics
 	start := time.Now()
 
-	reader, release, _ := r.openTrace(ctx, w, job)
-	defer release()
+	reader, _, err := r.openTrace(ctx, w, job)
+	if err != nil {
+		xsp.Attr("outcome", "cancelled").End()
+		return Result{}, err
+	}
 	arena := uarch.AcquireArena()
 	defer uarch.ReleaseArena(arena)
 	core := uarch.NewAtArena(job.Config, w.Build(), reader, nil, arena)
@@ -495,13 +498,19 @@ func (r *Runner) lead(ctx context.Context, key string, lv *liveJob, w workloads.
 // replaces the per-job functional emulation with a capture-once/
 // replay-many stream: the first job over a (workload, instrs) emulates it
 // into the cache, timed by the runner.capture span and the capture
-// histogram, and every other job replays it in place, waiting first if
-// the capture is still in flight. A nil cache bypasses to live emulation.
-func (r *Runner) openTrace(ctx context.Context, w workloads.Workload, job Job) (trace.Reader, func(), tracecache.Outcome) {
+// histogram, and every other job decodes the captured stream, waiting
+// first if the capture is still in flight. A nil cache bypasses to live
+// emulation. Once ctx ends, a capture or a wait for one stops within 4096
+// records and openTrace returns ctx's error.
+func (r *Runner) openTrace(ctx context.Context, w workloads.Workload, job Job) (trace.Reader, tracecache.Outcome, error) {
 	sp := obs.StartSpan(ctx, "runner.capture").Attr("workload", job.Workload)
 	start := time.Now()
-	reader, release, outcome := r.tcache.Reader(job.Workload, job.Instrs,
+	reader, outcome, err := r.tcache.ReaderContext(ctx, job.Workload, job.Instrs,
 		func() trace.Reader { return w.Reader(job.Instrs) })
+	if err != nil {
+		sp.Attr("outcome", "cancelled").End()
+		return nil, outcome, err
+	}
 	switch outcome {
 	case tracecache.OutcomeCapture:
 		sp.End() // a span is recorded only when it ends
@@ -511,7 +520,7 @@ func (r *Runner) openTrace(ctx context.Context, w workloads.Workload, job Job) (
 	case tracecache.OutcomeReplay, tracecache.OutcomeFollow:
 		r.countLookup("trace_cache")
 	}
-	return reader, release, outcome
+	return reader, outcome, nil
 }
 
 // publishLive makes a running job's recorders reachable through

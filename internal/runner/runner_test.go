@@ -397,16 +397,23 @@ func TestRunCancelledContext(t *testing.T) {
 // sampled job's one interval spans the budget, so it has no checkpoint to
 // build and spends all of it in the detailed core. The chained job's 8
 // intervals first build a checkpoint chain whose first link sits about
-// 2^36 instructions in, so it is cancelled while it emulates to it.
+// 2^36 instructions in, so it is cancelled while it emulates to it. The
+// captured job's 9M instructions fit a 512 MiB trace cache, so it is
+// cancelled while it captures its stream, and the cache keeps nothing.
 func TestCancelledJobStopsSimulating(t *testing.T) {
 	const huge = 1 << 40
 	sampled := testJob("gcc", huge)
 	sampled.Sampling = &SamplingSpec{Intervals: 1, MeasuredInstrs: huge}
 	chained := testJob("gcc", huge)
 	chained.Sampling = &SamplingSpec{Intervals: 8}
-	for name, job := range map[string]Job{"full": testJob("gcc", huge), "sampled": sampled, "chained": chained} {
+	for name, job := range map[string]Job{"full": testJob("gcc", huge), "sampled": sampled, "chained": chained,
+		"captured": testJob("gcc", 9_000_000)} {
 		t.Run(name, func(t *testing.T) {
-			r := New(Options{Workers: 1})
+			var tc *tracecache.Cache
+			if name == "captured" {
+				tc = tracecache.New(512 << 20)
+			}
+			r := New(Options{Workers: 1, TraceCache: tc})
 			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 			defer cancel()
 			start := time.Now()
@@ -426,6 +433,9 @@ func TestCancelledJobStopsSimulating(t *testing.T) {
 			}
 			if s := r.Stats(); s.JobsRunning != 0 || s.SimsExecuted != 0 {
 				t.Errorf("running=%d executed=%d after the stop, want 0/0", s.JobsRunning, s.SimsExecuted)
+			}
+			if s := tc.Stats(); s.Entries != 0 || s.ResidentBytes != 0 || s.CapturingBytes != 0 {
+				t.Errorf("trace cache %+v after the stop, want no capture resident or reserved", s)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,36 +13,37 @@ import (
 	"dlvp/internal/workloads"
 )
 
-// TestCachedStreamsReachTheCoreInPlace: every trace-cache outcome but a
-// bypass hands the core a *trace.SliceReader, which it indexes in place —
-// the job that captures the stream, a job that arrives while another
-// reader's capture of it is in flight, and a later job that replays it. Only
-// the capture records a runner.capture span.
-func TestCachedStreamsReachTheCoreInPlace(t *testing.T) {
+// TestOpenTraceOutcomes: every way openTrace can serve a job's stream
+// hands the core the records live emulation produces — the job that
+// captures the stream, a job that arrives while another reader's capture
+// of it is in flight, a later job that replays it, and a job without a
+// trace cache, which streams live. Only the capture records a
+// runner.capture span.
+func TestOpenTraceOutcomes(t *testing.T) {
 	const instrs = 20_000
 	w, ok := workloads.ByName("perlbmk")
 	if !ok {
 		t.Fatal("perlbmk not registered")
 	}
 	job := Job{Workload: w.Name, Config: config.DLVP(), Instrs: instrs}
-	inPlace := func(rd trace.Reader, release func(), out, want tracecache.Outcome) {
+	want := trace.Collect(w.Reader(instrs), 0)
+	check := func(rd trace.Reader, out, wantOut tracecache.Outcome, err error) {
 		t.Helper()
-		defer release()
-		if out != want {
-			t.Fatalf("outcome %q, want %q", out, want)
+		if err != nil || out != wantOut {
+			t.Fatalf("outcome %q, error %v; want %q", out, err, wantOut)
 		}
-		if _, ok := rd.(*trace.SliceReader); !ok {
-			t.Errorf("%s: the core receives a %T, want a *trace.SliceReader", out, rd)
+		if got := trace.Collect(rd, 0); !slices.Equal(got, want) {
+			t.Errorf("%s: the core receives %d records that differ from live emulation's %d", out, len(got), len(want))
 		}
 	}
 
 	o := obs.NewObserver(nil)
 	r := New(Options{Obs: o, TraceCache: tracecache.New(64 << 20)})
-	for i, want := range []tracecache.Outcome{tracecache.OutcomeCapture, tracecache.OutcomeReplay} {
-		id := string(want)
+	for i, wantOut := range []tracecache.Outcome{tracecache.OutcomeCapture, tracecache.OutcomeReplay} {
+		id := string(wantOut)
 		o.Tracer.Begin(id)
-		rd, release, out := r.openTrace(obs.ContextWithTrace(context.Background(), o.Tracer, id), w, job)
-		inPlace(rd, release, out, want)
+		rd, out, err := r.openTrace(obs.ContextWithTrace(context.Background(), o.Tracer, id), w, job)
+		check(rd, out, wantOut, err)
 		tv, _ := o.Tracer.Get(id)
 		if captured := len(tv.Spans) == 1 && tv.Spans[0].Name == "runner.capture"; captured != (i == 0) {
 			t.Errorf("%s: spans %+v, want one runner.capture span for the capture only", out, tv.Spans)
@@ -66,27 +68,23 @@ func TestCachedStreamsReachTheCoreInPlace(t *testing.T) {
 		}()
 		<-held
 		var rd trace.Reader
-		var release func()
 		var out tracecache.Outcome
+		var err error
 		opened := make(chan struct{})
 		go func() {
 			defer close(opened)
-			rd, release, out = r.openTrace(context.Background(), w, job)
+			rd, out, err = r.openTrace(context.Background(), w, job)
 		}()
 		time.Sleep(wait)
 		close(hold)
 		<-opened
 		<-captured
 		if out != tracecache.OutcomeReplay || wait > time.Second {
-			inPlace(rd, release, out, tracecache.OutcomeFollow)
+			check(rd, out, tracecache.OutcomeFollow, err)
 			break
 		}
 	}
 
-	// Only a bypass streams live.
-	rd, release, out := New(Options{}).openTrace(context.Background(), w, job)
-	defer release()
-	if _, ok := rd.(*trace.SliceReader); out != tracecache.OutcomeBypass || ok {
-		t.Errorf("without a trace cache: outcome %q, reader %T, want a live bypass", out, rd)
-	}
+	rd, out, err := New(Options{}).openTrace(context.Background(), w, job)
+	check(rd, out, tracecache.OutcomeBypass, err)
 }

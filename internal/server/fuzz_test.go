@@ -56,3 +56,61 @@ func FuzzRunRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMatrixRequest: a POST /v1/matrices body through Handler() never
+// panics and never answers 500 or above. A matrix it starts is cancelled
+// through POST /v1/matrices/{id}/cancel and awaited until it is terminal,
+// so no input outlives its call.
+func FuzzMatrixRequest(f *testing.F) {
+	seeds := []string{
+		`{"workloads":["perlbmk","mcf","soplex"],"schemes":["baseline","dlvp"],"instrs":300000}`,
+		`{"workloads":["perlbmk"],"schemes":["dlvp"],"instrs":100000,"sampling":{"intervals":4,"warmup":1000,"budget":2000}}`,
+		`{"workloads":["mcf"],"schemes":[],"instrs":2000}`,
+	}
+	var configs []config.Core
+	for _, name := range config.SchemeNames() {
+		cfg, _ := config.ByScheme(name)
+		configs = append(configs, cfg)
+	}
+	body, err := json.Marshal(map[string]any{"workloads": []string{"perlbmk"}, "configs": configs, "instrs": 2000})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, string(body))
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	srv := New(Options{})
+	f.Cleanup(srv.Close)
+	h := srv.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/matrices", bytes.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body.String())
+		}
+		if rec.Code != http.StatusAccepted {
+			return
+		}
+		var started struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &started); err != nil {
+			t.Fatalf("202 body %q: %v", rec.Body.String(), err)
+		}
+		m, ok := srv.matrices.Get(started.ID)
+		if !ok {
+			t.Fatalf("matrix %q accepted but not retained", started.ID)
+		}
+		cancel := httptest.NewRecorder()
+		h.ServeHTTP(cancel, httptest.NewRequest(http.MethodPost, "/v1/matrices/"+started.ID+"/cancel", nil))
+		if cancel.Code >= 500 {
+			t.Fatalf("cancel: status %d: %s", cancel.Code, cancel.Body.String())
+		}
+		select {
+		case <-m.Done():
+		case <-time.After(time.Minute):
+			t.Fatalf("matrix %q still running a minute after its cancel", started.ID)
+		}
+	})
+}

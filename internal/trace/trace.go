@@ -30,11 +30,11 @@ const MaxSrcs = 4
 // It carries everything the timing model and the predictors need: register
 // dataflow, the effective address and loaded/stored values for memory
 // operations, and the actual control-flow outcome for branches. A record
-// holds no pointers and fits in 56 bytes; its position in its stream is its
-// dynamic instruction number.
+// holds no pointers and fits in 48 bytes; its position in its stream is its
+// dynamic instruction number. The instruction executed after it, if any,
+// is at Addr when it is a taken branch and at PC+4 otherwise.
 type Rec struct {
-	PC   uint64
-	Next uint64 // address of the next instruction actually executed
+	PC uint64
 	// Addr is a memory operation's effective (virtual) address and a
 	// branch's actual target, taken or not: a branch never touches memory.
 	Addr uint64
@@ -164,9 +164,8 @@ func OverflowOf(r Reader) *Overflow {
 }
 
 // SliceReader serves a recorded stream: Recs plus Ovf, the table its wide
-// records index (nil when it has none). Because every record stays
-// addressable, a simulator replaying one can index Recs in place instead
-// of staging the stream, refetches after a squash included.
+// records index (nil when it has none). A core reads it record by record,
+// like any other Reader.
 type SliceReader struct {
 	Recs []Rec
 	Ovf  *Overflow

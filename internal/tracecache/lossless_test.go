@@ -110,7 +110,7 @@ func mixProgram(seed uint64) *program.Program {
 // recView is every record accessor the core reads, resolved through the
 // reader's overflow table.
 type recView struct {
-	PC, Next, Addr, Target, Value             uint64
+	PC, Addr, Target, Value                   uint64
 	Op                                        isa.Op
 	Flags                                     isa.Flags
 	Load, Store, Branch, Cond, Ordered, Taken bool
@@ -122,7 +122,7 @@ type recView struct {
 
 func viewOf(r *trace.Rec, ovf *trace.Overflow) recView {
 	v := recView{
-		PC: r.PC, Next: r.Next, Addr: r.Addr, Target: r.Target(), Value: r.Value(),
+		PC: r.PC, Addr: r.Addr, Target: r.Target(), Value: r.Value(),
 		Op: r.Op, Flags: r.Flags,
 		Load: r.IsLoad(), Store: r.IsStore(), Branch: r.IsBranch(), Cond: r.IsCondBranch(),
 		Ordered: r.IsOrdered(), Taken: r.Taken,
@@ -142,22 +142,6 @@ func streamViews(r trace.Reader) []recView {
 	var rec trace.Rec
 	for r.Next(&rec) {
 		out = append(out, viewOf(&rec, ovf))
-	}
-	return out
-}
-
-// positionalViews reads a *trace.SliceReader by position, as the core's
-// zero-copy path does.
-func positionalViews(t *testing.T, r trace.Reader) []recView {
-	t.Helper()
-	sr, ok := r.(*trace.SliceReader)
-	if !ok {
-		t.Fatalf("%T is not a *trace.SliceReader", r)
-	}
-	ovf := trace.OverflowOf(r)
-	out := make([]recView, len(sr.Recs))
-	for i := range out {
-		out[i] = viewOf(&sr.Recs[i], ovf)
 	}
 	return out
 }
@@ -217,10 +201,9 @@ func losslessPaths(t *testing.T, prog *program.Program) map[string]func() (trace
 // every accessor the core reads (destination registers and values, source
 // registers, target, taken and the class flags) agrees between live
 // emulation and every other hand-off — trace.Collect + SliceReader and
-// the trace cache's capture, follow and replay — read as a stream and, for
-// each of them, by position, as the core reads a *trace.SliceReader; the
-// core's RunStats agree too. CI runs this under -race, since a follower
-// replays the records and overflow table another goroutine captured.
+// the trace cache's capture, follow and replay — and the core's RunStats
+// agree too. CI runs this under -race, since a follower decodes the
+// stream and overflow table another goroutine captured.
 func TestLosslessRecords(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		prog := mixProgram(seed)
@@ -234,11 +217,6 @@ func TestLosslessRecords(t *testing.T) {
 				got := streamViews(r)
 				done()
 				sameViews(t, name, got, live)
-
-				r, done = open()
-				got = positionalViews(t, r)
-				done()
-				sameViews(t, name+" (by position)", got, live)
 			}
 
 			for _, cfg := range []config.Core{config.DLVP(), config.VTAGE()} {

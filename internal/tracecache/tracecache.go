@@ -6,35 +6,45 @@
 // workloads, yet each timing simulation re-runs the functional emulator
 // over an identical instruction stream. The stream is fully determined by
 // (workload, instrs) — the emulator takes no configuration — so the cache
-// records it once and replays the buffered records to every other
-// configuration:
+// records it once and replays it to every other configuration:
 //
 //   - the first reader for a key *captures* the stream: it reserves the
-//     stream's upper bound (instrs × RecSize) against the budget, emulates
-//     the whole stream into one buffer of that many records, and hands the
-//     buffer to the LRU of complete captures;
+//     stream's raw size (instrs × RecSize) against the budget, emulates
+//     the whole stream into a compact encoding, and hands it to the LRU of
+//     complete captures;
 //   - readers that arrive while the capture is in flight *follow* it: they
 //     wait for it (single-flight through lru.Do, so one emulation no matter
 //     how many configurations ask at once);
 //   - later readers *replay* the resident capture with zero re-emulation.
 //
-// All three are served as a *trace.SliceReader whose records the core
-// indexes in place. A capture that cannot reserve its bound, because the
-// captures in flight hold the budget, or whose build panics, leaves its
-// readers streaming live from a fresh emulator, so a reader always
-// observes the exact stream the live emulator would have produced.
+// A capture stores what the program fixes per instruction once: each
+// distinct static part (PC, opcode, flags, registers, access size) is a
+// template, and each record is a 4-byte header, its template's index and
+// one flag per dynamic field, followed by only its non-zero dynamic words
+// (the address, the two inline values, the overflow offset; a branch's
+// direction is a flag). The 43 workloads' 300k-instruction streams take
+// about 14 bytes per record this way, against a trace.Rec's 48. Every
+// reader decodes the shared capture from its own cursor into the records
+// its caller passes to Next.
 //
-// The byte budget bounds resident memory: complete captures (records plus
-// overflow table) live in an lru.Cache charged their bytes, the bounds of
-// in-flight captures are reserved against the same budget, and a stream
-// whose bound cannot fit is bypassed to live emulation without buffering.
-// The 512 MiB default thus retains 31 complete 300k-instruction captures.
+// A capture that cannot reserve its raw size, because the captures in
+// flight hold the budget, whose encoding outgrows that size, or whose
+// build panics, leaves its readers streaming live from a fresh emulator,
+// so a reader always observes the exact stream the live emulator would
+// have produced. A capture whose context ends stops within 4096 records
+// and stores nothing.
+//
+// The byte budget bounds resident memory: complete captures live in an
+// lru.Cache charged their encoded bytes (headers, words, templates and
+// overflow table), the raw sizes of captures in flight are reserved
+// against the same budget, and a stream whose raw size cannot fit is
+// bypassed to live emulation without buffering. The 512 MiB default holds
+// all 43 workloads' 300k-instruction captures, about 185 MB.
 package tracecache
 
 import (
 	"context"
 	"errors"
-	"slices"
 	"sync"
 	"unsafe"
 
@@ -42,9 +52,13 @@ import (
 	"dlvp/internal/trace"
 )
 
-// RecSize is the in-memory size of one buffered trace record; the byte
-// budget charges it per record, plus each stream's overflow-table bytes.
+// RecSize is the in-memory size of one trace record: a capture reserves it
+// per record of its stream, and is charged it per template.
 const RecSize = int64(unsafe.Sizeof(trace.Rec{}))
+
+// checkEvery is how many records a capture encodes between looks at its
+// context and its size.
+const checkEvery = 4096
 
 // Outcome classifies how a Reader call was served.
 type Outcome string
@@ -62,15 +76,19 @@ const (
 	OutcomeBypass Outcome = "bypass"
 )
 
-// errNoRoom fails a capture whose bound the captures in flight leave no
-// room for; the lead and its followers then stream live.
-var errNoRoom = errors.New("tracecache: captures in flight hold the budget")
+// errNoRoom fails a capture whose raw size the captures in flight leave
+// no room for, and errOutgrown one whose encoding outgrows its raw size;
+// the lead and its followers then stream live.
+var (
+	errNoRoom   = errors.New("tracecache: captures in flight hold the budget")
+	errOutgrown = errors.New("tracecache: the encoded stream outgrew its reservation")
+)
 
 // Stats is a snapshot of the cache counters.
 type Stats struct {
 	BudgetBytes    int64 `json:"budget_bytes"`
 	ResidentBytes  int64 `json:"resident_bytes"`  // complete captures held
-	CapturingBytes int64 `json:"capturing_bytes"` // bounds reserved by captures in flight
+	CapturingBytes int64 `json:"capturing_bytes"` // raw sizes reserved by captures in flight
 	Entries        int   `json:"entries"`         // complete captures resident
 	Capturing      int   `json:"capturing"`       // captures in flight now
 	Captures       int64 `json:"captures"`        // captures started (one emulation each)
@@ -98,12 +116,12 @@ func (s Stats) HitRatio() float64 {
 // bypasses to live emulation.
 type Cache struct {
 	budget int64
-	// complete holds the completed captures, charged their bytes. Its
-	// resident bytes plus reserved never exceed budget.
-	complete *lru.Cache[*trace.SliceReader]
+	// complete holds the completed captures, charged their encoded
+	// bytes. Its resident bytes plus reserved never exceed budget.
+	complete *lru.Cache[*stream]
 
 	mu        sync.Mutex // taken before complete's own lock
-	reserved  int64      // bounds of the captures in flight
+	reserved  int64      // raw sizes of the captures in flight
 	capturing int
 
 	captures     int64
@@ -117,7 +135,7 @@ type Cache struct {
 // reader is live emulation), which keeps callers free of nil checks.
 func New(budget int64) *Cache {
 	budget = max(budget, 0)
-	return &Cache{budget: budget, complete: lru.New[*trace.SliceReader](budget)}
+	return &Cache{budget: budget, complete: lru.New[*stream](budget)}
 }
 
 // Budget reports the configured byte budget.
@@ -140,38 +158,48 @@ func Key(workload string, instrs uint64) string {
 }
 
 // Reader returns a trace.Reader for the (workload, instrs) stream, a
-// release function the caller must invoke once it is done with the reader,
-// and the outcome describing how the stream is served. source constructs a
-// fresh live emulation stream of at most instrs records; the cache calls
-// it for captures and bypasses only.
+// release function, and the outcome describing how the stream is served.
+// source constructs a fresh live emulation stream of at most instrs
+// records; the cache calls it for captures and bypasses only.
 //
 // The returned reader produces exactly the records source() would,
 // regardless of outcome. A capture emulates the whole stream before Reader
-// returns, and a follower blocks until that capture is done.
+// returns, and a follower blocks until that capture is done. Reader is
+// ReaderContext without a context to end it; the release function does
+// nothing, since every reader is its own cursor over an immutable capture.
 func (c *Cache) Reader(workload string, instrs uint64, source func() trace.Reader) (trace.Reader, func(), Outcome) {
-	nop := func() {}
-	// An unbounded stream (instrs == 0) or one whose upper bound cannot
-	// fit is never buffered. The bound is conservative: a program that
-	// halts early would have fit, but workload kernels run forever and
-	// always fill their budget. The comparison stays in uint64, where a
-	// budget of 2^63 instructions or more cannot wrap.
+	r, outcome, _ := c.ReaderContext(context.TODO(), workload, instrs, source)
+	return r, func() {}, outcome
+}
+
+// ReaderContext is Reader for a caller that may give up: once ctx ends, a
+// capture it leads stops within checkEvery records, gives its reservation
+// back and stores nothing, a wait for another caller's capture ends, and
+// ReaderContext returns ctx's error. A follower whose own context is still
+// live then captures the stream itself.
+func (c *Cache) ReaderContext(ctx context.Context, workload string, instrs uint64, source func() trace.Reader) (trace.Reader, Outcome, error) {
+	// An unbounded stream (instrs == 0) or one whose raw size cannot fit
+	// is never buffered. The bound is conservative: a program that halts
+	// early would have fit, but workload kernels run forever and always
+	// fill their budget. The comparison stays in uint64, where a budget of
+	// 2^63 instructions or more cannot wrap.
 	if c == nil || instrs == 0 || instrs > uint64(c.budget/RecSize) {
 		c.bypass(instrs != 0 && c.Budget() > 0)
-		return source(), nop, OutcomeBypass
+		return source(), OutcomeBypass, nil
 	}
-	s, how, err := c.complete.Do(context.TODO(), Key(workload, instrs),
-		func(context.Context) (*trace.SliceReader, int64, error) { return c.capture(instrs, source) })
+	s, how, err := c.complete.Do(ctx, Key(workload, instrs),
+		func(ctx context.Context) (*stream, int64, error) { return c.capture(ctx, instrs, source) })
 	if how == lru.Miss && err == nil {
-		// capture returned holding c.mu, and Do has stored the buffer: the
-		// reservation went in the same critical section. Trim to what the
-		// other captures in flight reserve, since the overflow table can
-		// make a capture outgrow its bound.
-		c.complete.Trim(c.budget - c.reserved)
+		// capture returned holding c.mu, and Do has stored the stream:
+		// the reservation went in the same critical section.
 		c.mu.Unlock()
 	}
 	if err != nil {
+		if ctx.Err() != nil {
+			return nil, "", ctx.Err()
+		}
 		c.bypass(false)
-		return source(), nop, OutcomeBypass
+		return source(), OutcomeBypass, nil
 	}
 	outcome := OutcomeReplay
 	switch how {
@@ -180,7 +208,7 @@ func (c *Cache) Reader(workload string, instrs uint64, source func() trace.Reade
 	case lru.Coalesced:
 		outcome = OutcomeFollow
 	}
-	return s.Replay(), nop, outcome
+	return &replay{s: s}, outcome, nil
 }
 
 // bypass counts a reader served by live emulation.
@@ -196,12 +224,15 @@ func (c *Cache) bypass(tooLarge bool) {
 	c.mu.Unlock()
 }
 
-// capture is the lead's build under lru.Do. It reserves the stream's bound,
-// trimming complete captures to make room, and emulates the stream into
-// one buffer. On success it returns with c.mu held, the reservation
-// already released, so that Reader can let Do store the buffer before any
-// other reservation or Stats call sees the budget.
-func (c *Cache) capture(instrs uint64, source func() trace.Reader) (s *trace.SliceReader, cost int64, err error) {
+// capture is the lead's build under lru.Do. It reserves the stream's raw
+// size, trimming complete captures to make room, and encodes the stream,
+// failing when the encoding outgrows the reservation or ctx ends. Either
+// way, the stream it returns is never larger than what it reserved, so
+// storing it keeps resident plus reserved bytes within the budget. On
+// success it returns with c.mu held, the reservation already released, so
+// that ReaderContext can let Do store the stream before any other
+// reservation or Stats call sees the budget.
+func (c *Cache) capture(ctx context.Context, instrs uint64, source func() trace.Reader) (s *stream, cost int64, err error) {
 	bound := int64(instrs) * RecSize // instrs <= budget/RecSize: no overflow
 	c.mu.Lock()
 	if c.reserved+bound > c.budget {
@@ -214,7 +245,7 @@ func (c *Cache) capture(instrs uint64, source func() trace.Reader) (s *trace.Sli
 	c.complete.Trim(c.budget - c.reserved)
 	c.mu.Unlock()
 	defer func() {
-		if s == nil { // the build panicked: give the reservation back
+		if s == nil { // failed or panicked: give the reservation back
 			c.mu.Lock()
 			c.reserved -= bound
 			c.capturing--
@@ -223,26 +254,38 @@ func (c *Cache) capture(instrs uint64, source func() trace.Reader) (s *trace.Sli
 	}()
 
 	src := source()
-	recs := make([]trace.Rec, instrs)
-	n := 0
-	for n < len(recs) && src.Next(&recs[n]) {
-		n++
+	ovf := trace.OverflowOf(src)
+	if ovf == nil {
+		ovf = new(trace.Overflow)
 	}
-	if n < len(recs) { // the program halted early: keep only its records
-		recs = slices.Clone(recs[:n])
+	e := newEncoder(int(instrs))
+	var rec trace.Rec
+	for e.n < len(e.s.hdr) {
+		if e.n%checkEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, 0, err
+			}
+			if e.bytes(ovf) > bound {
+				return nil, 0, errOutgrown
+			}
+		}
+		if !src.Next(&rec) {
+			break
+		}
+		if !e.add(&rec) {
+			return nil, 0, errOutgrown
+		}
 	}
-	// A copy of the table, so the capture does not keep the emulator alive.
-	ovf := new(trace.Overflow)
-	if o := trace.OverflowOf(src); o != nil {
-		*ovf = *o
+	if e.bytes(ovf) > bound {
+		return nil, 0, errOutgrown
 	}
-	s = &trace.SliceReader{Recs: recs, Ovf: ovf}
+	st := e.finish(ovf)
 
-	c.mu.Lock() // Reader unlocks it once Do has stored s
+	c.mu.Lock() // ReaderContext unlocks it once Do has stored st
 	c.reserved -= bound
 	c.capturing--
 	c.capturesDone++
-	return s, int64(len(recs))*RecSize + ovf.Bytes(), nil
+	return st, st.bytes(), nil
 }
 
 // Stats snapshots the cache counters.

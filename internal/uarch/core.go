@@ -70,10 +70,6 @@ type Core struct {
 	cfg    config.Core
 	prog   *program.Program
 	reader trace.Reader
-	// recs is the replayed stream when reader is a *trace.SliceReader:
-	// records are then indexed in place (zero-copy) and the staging ring
-	// in the arena goes unused.
-	recs []trace.Rec
 	// ovf is the reader's overflow table: the destinations of wide records
 	// past the inline ones (nil when the reader supplies none).
 	ovf *trace.Overflow
@@ -261,14 +257,6 @@ func NewAtArena(cfg config.Core, p *program.Program, reader trace.Reader, cmem *
 		ittage: branch.NewITTAGE(cfg.ITTAGE),
 		mdp:    mdp.New(cfg.MDP),
 	}
-	if sr, ok := reader.(*trace.SliceReader); ok {
-		// Zero-copy replay: the stream length is known up front, so the
-		// cursor starts at the end and the EOF flag is pre-set — done()
-		// then reads identically to a drained streaming reader.
-		c.recs = sr.Recs
-		c.bufHi = uint64(len(sr.Recs))
-		c.traceEOF = true
-	}
 	paqCap := cfg.PAQEntries
 	if paqCap < 1 {
 		paqCap = 1
@@ -306,12 +294,7 @@ func (c *Core) usesAddressPrediction() bool {
 
 // rec returns the trace record for an in-flight (or just-fetched) seq; the
 // ring slot is valid for any seq in [bufHi-bufCap, bufHi).
-func (c *Core) rec(seq uint64) *trace.Rec {
-	if c.recs != nil {
-		return &c.recs[seq]
-	}
-	return &c.a.buf[seq&bufMask]
-}
+func (c *Core) rec(seq uint64) *trace.Rec { return &c.a.buf[seq&bufMask] }
 
 // cold returns the cold column block for seq.
 func (c *Core) cold(seq uint64) *coldState { return &c.a.w.cold[seq&windowMask] }
@@ -393,13 +376,9 @@ func (c *Core) fill(seq uint64) bool {
 	return true
 }
 
+// recAt returns the record for seq, pulling it into the ring first; nil
+// at end of stream.
 func (c *Core) recAt(seq uint64) *trace.Rec {
-	if c.recs != nil {
-		if seq >= c.bufHi { // bufHi == len(recs) when replaying in place
-			return nil
-		}
-		return &c.recs[seq]
-	}
 	if !c.fill(seq) {
 		return nil
 	}

@@ -9,15 +9,10 @@ import (
 	"dlvp/internal/workloads"
 )
 
-// streamOnly hides the *trace.SliceReader type, forcing the core onto the
-// staging-ring path.
-type streamOnly struct{ r *trace.SliceReader }
-
-func (s streamOnly) Next(rec *trace.Rec) bool { return s.r.Next(rec) }
-
-// TestRandomAccessReplayMatchesStreaming locks the zero-copy replay path
-// to the streaming path: the same trace through the same configuration
-// must produce identical RunStats either way, for every scheme.
+// TestRandomAccessReplayMatchesStreaming: the core reads every stream
+// through its trace ring, re-reading slots at random positions when it
+// refetches after a squash. A captured stream replayed that way must
+// simulate exactly as the live emulator's stream does, for every scheme.
 func TestRandomAccessReplayMatchesStreaming(t *testing.T) {
 	w, ok := workloads.ByName("perlbmk")
 	if !ok {
@@ -36,10 +31,10 @@ func TestRandomAccessReplayMatchesStreaming(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := w.Build()
-			streamed := New(tc.cfg, prog, streamOnly{stream.Replay()}).Run(0)
-			random := New(tc.cfg, prog, stream.Replay()).Run(0)
-			if !reflect.DeepEqual(streamed, random) {
-				t.Errorf("random-access replay diverged from streaming replay:\nstream: %+v\nrandom: %+v", streamed, random)
+			streamed := New(tc.cfg, prog, w.Reader(instrs)).Run(0)
+			replayed := New(tc.cfg, prog, stream.Replay()).Run(0)
+			if !reflect.DeepEqual(streamed, replayed) {
+				t.Errorf("replay diverged from the live stream:\nstream: %+v\nreplay: %+v", streamed, replayed)
 			}
 		})
 	}
