@@ -22,9 +22,8 @@ import (
 // simulation work rather than a cache lookup.
 func benchParams() experiments.Params {
 	return experiments.Params{
-		Instrs:   20_000,
-		Parallel: true,
-		Runner:   runner.New(runner.Options{CacheEntries: -1}),
+		Instrs: 20_000,
+		Runner: runner.New(runner.Options{CacheEntries: -1}),
 	}
 }
 

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	experiments [-run fig6] [-instrs 300000] [-workloads perlbmk,gcc] [-serial]
+//	experiments [-run fig6] [-instrs 300000] [-workloads perlbmk,gcc]
 //	            [-trace-cache-bytes 536870912] [-json]
 //
 // Without -run, every experiment is regenerated in paper order. Experiment
@@ -37,7 +37,6 @@ func main() {
 	run := flag.String("run", "", "comma-separated experiment ids (default: all)")
 	instrs := flag.Uint64("instrs", 300_000, "dynamic instructions per workload")
 	wl := flag.String("workloads", "", "comma-separated workload subset (default: all)")
-	serial := flag.Bool("serial", false, "disable parallel simulation")
 	traceCacheBytes := flag.Int64("trace-cache-bytes", 512<<20, "byte budget for captured emulation traces replayed across configs; the default holds the 43 workloads' 300k-instruction captures (0: disabled)")
 	charts := flag.Bool("charts", false, "also render per-workload tables as ASCII bar charts")
 	asJSON := flag.Bool("json", false, "emit machine-readable artifacts (the dlvpd wire shape)")
@@ -56,7 +55,6 @@ func main() {
 
 	p := experiments.DefaultParams()
 	p.Instrs = *instrs
-	p.Parallel = !*serial
 	p.Ctx = ctx
 	if *sampleIntervals != 0 || *sampleWarmup != 0 || *sampleBudget != 0 {
 		p.Sampling = &runner.SamplingSpec{

@@ -1,7 +1,12 @@
 package config_test
 
 import (
+	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"math/bits"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -56,12 +61,9 @@ func TestValidateNamesTheField(t *testing.T) {
 }
 
 // A config with every bounded field at its lower bound, and one with
-// every field at its upper bound, must validate and run the core: 2 000
-// perlbmk instructions under each scheme, without a panic and within a
-// cycle cap that a hung core would hit.
+// every field at its upper bound, must validate and run perlbmk under each
+// scheme.
 func TestBoundConfigsSimulate(t *testing.T) {
-	const instrs = 2_000
-	w, _ := workloads.ByName("perlbmk")
 	for _, hi := range []bool{false, true} {
 		for _, name := range config.SchemeNames() {
 			preset, _ := config.ByScheme(name)
@@ -69,11 +71,84 @@ func TestBoundConfigsSimulate(t *testing.T) {
 			if err := c.Validate(); err != nil {
 				t.Fatalf("%s at its bounds (upper %v): %v", name, hi, err)
 			}
-			st := uarch.New(c, w.Build(), w.Reader(instrs)).Run(50_000_000)
-			if st.Instructions != instrs {
-				t.Errorf("%s at its bounds (upper %v) committed %d of %d instructions in %d cycles",
-					name, hi, st.Instructions, instrs, st.Cycles)
-			}
+			simulateKernels(t, fmt.Sprintf("%s at its bounds (upper %v)", name, hi), c, "perlbmk")
 		}
 	}
+}
+
+// TestMixedConfigsSimulate draws configs in which every bounded field
+// independently keeps its preset value or takes its lower bound, its upper
+// bound or a log-uniform point of its range, cycling through the schemes'
+// presets. Every config that validates must run three kernels, and every
+// scheme must have one that does. Config i's draws depend only on i and
+// the field names, so a failure reproduces alone.
+func TestMixedConfigsSimulate(t *testing.T) {
+	const configs = 48
+	schemes := config.SchemeNames()
+	ran, validated := map[string]int{}, 0
+	for i := 0; i < configs; i++ {
+		scheme := schemes[i%len(schemes)]
+		preset, _ := config.ByScheme(scheme)
+		c := config.Vary(preset, func(b config.Bound) int64 { return drawBound(uint64(i), b) })
+		if c.Validate() != nil {
+			continue
+		}
+		ran[scheme]++
+		validated++
+		simulateKernels(t, fmt.Sprintf("config %d (%s)", i, scheme), c, "perlbmk", "gap", "vortex")
+	}
+	for _, s := range schemes {
+		if ran[s] == 0 {
+			t.Errorf("no %s config of %d drawn validates", s, configs)
+		}
+	}
+	t.Logf("%d of %d configs validated and ran: %v", validated, configs, ran)
+}
+
+// simulateKernels runs c on each kernel for 2 000 instructions and fails
+// the test, naming what and printing c when it panics, unless the core
+// commits them all without a panic and within a cycle cap that a hung core
+// would hit.
+func simulateKernels(t *testing.T, what string, c config.Core, kernels ...string) {
+	t.Helper()
+	const instrs = 2_000
+	for _, name := range kernels {
+		w, _ := workloads.ByName(name)
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					cfg, _ := json.Marshal(c)
+					t.Errorf("%s on %s panicked: %v\n%s", what, name, p, cfg)
+				}
+			}()
+			if st := uarch.New(c, w.Build(), w.Reader(instrs)).Run(50_000_000); st.Instructions != instrs {
+				t.Errorf("%s on %s committed %d of %d instructions in %d cycles",
+					what, name, st.Instructions, instrs, st.Cycles)
+			}
+		}()
+	}
+}
+
+// drawBound picks b's value in config i: its preset value, its lower bound,
+// its upper bound or a log-uniform point of its range (from 1 when the
+// range starts at 0), rounded down to a power of two where b needs one.
+func drawBound(i uint64, b config.Bound) int64 {
+	h := fnv.New64a()
+	h.Write([]byte(b.Name))
+	r := rand.New(rand.NewPCG(i, h.Sum64()))
+	switch r.IntN(4) {
+	case 0:
+		return b.V
+	case 1:
+		return b.Lo
+	case 2:
+		return b.Hi
+	}
+	lo := max(b.Lo, 1)
+	v := int64(math.Exp(math.Log(float64(lo)) + r.Float64()*(math.Log(float64(b.Hi))-math.Log(float64(lo)))))
+	v = min(max(v, lo), b.Hi)
+	if b.Pow2 {
+		v = 1 << (bits.Len64(uint64(v)) - 1)
+	}
+	return v
 }

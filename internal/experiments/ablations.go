@@ -1,10 +1,9 @@
 package experiments
 
 import (
-	"fmt"
+	"strconv"
 
 	"dlvp/internal/config"
-	"dlvp/internal/metrics"
 	"dlvp/internal/tabletext"
 )
 
@@ -15,14 +14,14 @@ import (
 // It is registered as the extension experiment id "ablations".
 func Ablations(p Params) ([]*tabletext.Table, error) {
 	var out []*tabletext.Table
-	for _, abl := range []func(Params) (*tabletext.Table, error){
-		ablAllocPolicy,
-		ablLSCD,
-		ablWayPrediction,
-		ablPAQLifetime,
-		ablHistoryLength,
+	for _, abl := range []ablation{
+		ablAllocPolicy(),
+		ablLSCD(),
+		ablWayPrediction(),
+		ablPAQLifetime(),
+		ablHistoryLength(),
 	} {
-		t, err := abl(p)
+		t, err := abl.run(p)
 		if err != nil {
 			return nil, err
 		}
@@ -31,153 +30,105 @@ func Ablations(p Params) ([]*tabletext.Table, error) {
 	return out, nil
 }
 
-// summarize runs a config set and returns (avg speedup vs "base", aggregate
-// accuracy, avg coverage) per scheme name.
-func summarize(p Params, cfgs map[string]config.Core) (map[string][3]float64, error) {
-	results, err := runMatrix(p, cfgs)
+// ablation is one design-choice study: a DLVP knob set per arm, each arm
+// one row of mean speedup over the baseline, pooled accuracy and mean
+// coverage.
+type ablation struct {
+	title string
+	knob  string // the first column's header
+	note  string
+	arms  []arm
+}
+
+// arm is one setting of an ablation's knob.
+type arm struct {
+	label any // the row's label: the knob's value
+	cfg   config.Core
+}
+
+// run simulates every arm and the baseline over the pool and renders the
+// table.
+func (a ablation) run(p Params) (*tabletext.Table, error) {
+	cfgs := map[string]config.Core{"base": config.Baseline()}
+	for i, arm := range a.arms {
+		cfgs[strconv.Itoa(i)] = arm.cfg
+	}
+	g, err := runMatrix(p, cfgs)
 	if err != nil {
 		return nil, err
 	}
-	names := sortedNames(results)
-	out := make(map[string][3]float64)
-	for scheme := range cfgs {
-		if scheme == "base" {
-			continue
-		}
-		var sp, cov float64
-		var predicted, correct uint64
-		for _, n := range names {
-			r := results[n]
-			sp += metrics.SpeedupPct(r["base"], r[scheme])
-			cov += r[scheme].VP.Coverage()
-			predicted += r[scheme].VP.Predicted
-			correct += r[scheme].VP.Correct
-		}
-		k := float64(len(names))
-		out[scheme] = [3]float64{sp / k, aggAcc(predicted, correct), cov / k}
+	t := &tabletext.Table{
+		Title:  a.title,
+		Header: []string{a.knob, "avg speedup %", "accuracy %", "avg coverage %"},
+		Notes:  []string{a.note},
 	}
-	return out, nil
+	for i, arm := range a.arms {
+		s := strconv.Itoa(i)
+		t.AddRow(arm.label, g.meanSpeedup(s), g.accuracy(s), g.meanCoverage(s))
+	}
+	return t, nil
 }
 
-func ablAllocPolicy(p Params) (*tabletext.Table, error) {
+func ablAllocPolicy() ablation {
 	p1 := config.DLVP()
 	p1.VP.PAP.AllocPolicy1 = true
-	res, err := summarize(p, map[string]config.Core{
-		"base":     config.Baseline(),
-		"policy-1": p1,
-		"policy-2": config.DLVP(),
-	})
-	if err != nil {
-		return nil, err
+	return ablation{
+		title: "Ablation: APT allocation policy (Section 3.1.2)",
+		knob:  "policy",
+		note:  "paper: Policy-2 (allocate only over zero-confidence victims) is superior — confident entries survive eviction pressure",
+		arms:  []arm{{"policy-1", p1}, {"policy-2", config.DLVP()}},
 	}
-	t := &tabletext.Table{
-		Title:  "Ablation: APT allocation policy (Section 3.1.2)",
-		Header: []string{"policy", "avg speedup %", "accuracy %", "avg coverage %"},
-	}
-	for _, name := range []string{"policy-1", "policy-2"} {
-		v := res[name]
-		t.AddRow(name, v[0], v[1], v[2])
-	}
-	t.Notes = append(t.Notes,
-		"paper: Policy-2 (allocate only over zero-confidence victims) is superior — confident entries survive eviction pressure")
-	return t, nil
 }
 
-func ablLSCD(p Params) (*tabletext.Table, error) {
-	cfgs := map[string]config.Core{"base": config.Baseline()}
-	sizes := []int{0, 2, 4, 8, 16}
-	for _, n := range sizes {
+func ablLSCD() ablation {
+	a := ablation{
+		title: "Ablation: LSCD size (Section 3.2.2; the paper uses 4 entries)",
+		knob:  "entries",
+		note:  "0 entries: in-flight-store conflicts flush unchecked; larger filters trade coverage for accuracy",
+	}
+	for _, n := range []int{0, 2, 4, 8, 16} {
 		c := config.DLVP()
 		c.VP.LSCDEntries = n
-		cfgs[fmt.Sprintf("lscd-%02d", n)] = c
+		a.arms = append(a.arms, arm{n, c})
 	}
-	res, err := summarize(p, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	t := &tabletext.Table{
-		Title:  "Ablation: LSCD size (Section 3.2.2; the paper uses 4 entries)",
-		Header: []string{"entries", "avg speedup %", "accuracy %", "avg coverage %"},
-	}
-	for _, n := range sizes {
-		v := res[fmt.Sprintf("lscd-%02d", n)]
-		t.AddRow(n, v[0], v[1], v[2])
-	}
-	t.Notes = append(t.Notes,
-		"0 entries: in-flight-store conflicts flush unchecked; larger filters trade coverage for accuracy")
-	return t, nil
+	return a
 }
 
-func ablWayPrediction(p Params) (*tabletext.Table, error) {
+func ablWayPrediction() ablation {
 	off := config.DLVP()
 	off.VP.PAP.WayPredict = false
-	res, err := summarize(p, map[string]config.Core{
-		"base":    config.Baseline(),
-		"way-on":  config.DLVP(),
-		"way-off": off,
-	})
-	if err != nil {
-		return nil, err
+	return ablation{
+		title: "Ablation: probe way prediction (the paper's power optimisation)",
+		knob:  "config",
+		note:  "way prediction reads one L1D way per probe (1 cycle) instead of the full set; without it probes are slower and costlier",
+		arms:  []arm{{"way-on", config.DLVP()}, {"way-off", off}},
 	}
-	t := &tabletext.Table{
-		Title:  "Ablation: probe way prediction (the paper's power optimisation)",
-		Header: []string{"config", "avg speedup %", "accuracy %", "avg coverage %"},
-	}
-	for _, name := range []string{"way-on", "way-off"} {
-		v := res[name]
-		t.AddRow(name, v[0], v[1], v[2])
-	}
-	t.Notes = append(t.Notes,
-		"way prediction reads one L1D way per probe (1 cycle) instead of the full set; without it probes are slower and costlier")
-	return t, nil
 }
 
-func ablPAQLifetime(p Params) (*tabletext.Table, error) {
-	cfgs := map[string]config.Core{"base": config.Baseline()}
-	lifetimes := []int{2, 4, 6, 10}
-	for _, n := range lifetimes {
+func ablPAQLifetime() ablation {
+	a := ablation{
+		title: "Ablation: PAQ entry lifetime N (Section 3.2.2)",
+		knob:  "N (cycles)",
+		note:  "N bounds how long an unprobed prediction may wait for a load-store lane bubble before it is dropped",
+	}
+	for _, n := range []int{2, 4, 6, 10} {
 		c := config.DLVP()
 		c.PAQLifetime = n
-		cfgs[fmt.Sprintf("life-%02d", n)] = c
+		a.arms = append(a.arms, arm{n, c})
 	}
-	res, err := summarize(p, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	t := &tabletext.Table{
-		Title:  "Ablation: PAQ entry lifetime N (Section 3.2.2)",
-		Header: []string{"N (cycles)", "avg speedup %", "accuracy %", "avg coverage %"},
-	}
-	for _, n := range lifetimes {
-		v := res[fmt.Sprintf("life-%02d", n)]
-		t.AddRow(n, v[0], v[1], v[2])
-	}
-	t.Notes = append(t.Notes,
-		"N bounds how long an unprobed prediction may wait for a load-store lane bubble before it is dropped")
-	return t, nil
+	return a
 }
 
-func ablHistoryLength(p Params) (*tabletext.Table, error) {
-	cfgs := map[string]config.Core{"base": config.Baseline()}
-	lengths := []uint8{4, 8, 16, 32}
-	for _, n := range lengths {
+func ablHistoryLength() ablation {
+	a := ablation{
+		title: "Ablation: load-path history length (the paper uses 16 bits)",
+		knob:  "bits",
+		note:  "short histories cannot separate paths; very long histories dilute and fragment training",
+	}
+	for _, n := range []uint8{4, 8, 16, 32} {
 		c := config.DLVP()
 		c.VP.PAP.HistBits = n
-		cfgs[fmt.Sprintf("hist-%02d", n)] = c
+		a.arms = append(a.arms, arm{n, c})
 	}
-	res, err := summarize(p, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	t := &tabletext.Table{
-		Title:  "Ablation: load-path history length (the paper uses 16 bits)",
-		Header: []string{"bits", "avg speedup %", "accuracy %", "avg coverage %"},
-	}
-	for _, n := range lengths {
-		v := res[fmt.Sprintf("hist-%02d", n)]
-		t.AddRow(n, v[0], v[1], v[2])
-	}
-	t.Notes = append(t.Notes,
-		"short histories cannot separate paths; very long histories dilute and fragment training")
-	return t, nil
+	return a
 }

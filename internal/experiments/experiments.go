@@ -15,7 +15,7 @@ package experiments
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"sync"
 
 	"dlvp/internal/config"
@@ -48,8 +48,6 @@ type Params struct {
 	// bounded statistical error for a large wall-clock reduction; see
 	// EXPERIMENTS.md.
 	Sampling *runner.SamplingSpec
-	// Parallel enables running workloads across CPUs.
-	Parallel bool
 	// Ctx cancels in-flight experiment work (nil = context.Background()).
 	Ctx context.Context `json:"-"`
 	// Runner executes the simulation jobs (nil = a process-wide shared
@@ -60,7 +58,7 @@ type Params struct {
 
 // DefaultParams returns the standard experiment sizing.
 func DefaultParams() Params {
-	return Params{Instrs: 300_000, Parallel: true}
+	return Params{Instrs: 300_000}
 }
 
 var (
@@ -131,7 +129,7 @@ func (p Params) PlanMatrix(cfgs map[string]config.Core) ([]JobSpec, error) {
 	for name := range cfgs {
 		schemes = append(schemes, name)
 	}
-	sort.Strings(schemes)
+	slices.Sort(schemes)
 
 	specs := make([]JobSpec, 0, len(pool)*len(schemes))
 	for _, w := range pool {
@@ -147,41 +145,35 @@ func (p Params) PlanMatrix(cfgs map[string]config.Core) ([]JobSpec, error) {
 }
 
 // fanOut runs the planned jobs through run and returns their results in
-// plan order. runner.FanOut runs them concurrently unless p.Parallel is
-// off.
+// plan order. The engine behind run decides how many run at once.
 func fanOut[R any](p Params, specs []JobSpec, run func(context.Context, runner.Job) (R, bool, error)) ([]R, error) {
 	jobs := make([]runner.Job, len(specs))
 	for i, s := range specs {
 		jobs[i] = s.Job
 	}
-	var opt runner.Matrix
-	if !p.Parallel {
-		opt.MaxParallel = 1
-	}
-	return runner.FanOut(p.ctx(), jobs, opt, run)
+	return runner.FanOut(p.ctx(), jobs, runner.Matrix{}, run)
 }
 
 // runMatrix simulates every workload under every named configuration via
-// the engine, returning results[workloadName][schemeName]. Jobs are
-// planned by PlanMatrix in deterministic (workload, scheme) order.
-func runMatrix(p Params, cfgs map[string]config.Core) (map[string]map[string]metrics.RunStats, error) {
+// the engine. Jobs are planned by PlanMatrix in deterministic (workload,
+// scheme) order.
+func runMatrix(p Params, cfgs map[string]config.Core) (grid, error) {
 	specs, err := p.PlanMatrix(cfgs)
 	if err != nil {
-		return nil, err
+		return grid{}, err
 	}
 	stats, err := fanOut(p, specs, p.runner().Run)
 	if err != nil {
-		return nil, err
+		return grid{}, err
 	}
-
-	results := make(map[string]map[string]metrics.RunStats)
+	g := grid{cells: make(map[cell]metrics.RunStats, len(specs))}
 	for i, s := range specs {
-		if results[s.Workload] == nil {
-			results[s.Workload] = make(map[string]metrics.RunStats)
-		}
-		results[s.Workload][s.Scheme] = stats[i]
+		g.cells[cell{s.Workload, s.Scheme}] = stats[i]
+		g.names = append(g.names, s.Workload)
 	}
-	return results, nil
+	slices.Sort(g.names)
+	g.names = slices.Compact(g.names)
+	return g, nil
 }
 
 // observer consumes one workload's committed record stream in order.
@@ -238,16 +230,6 @@ func streamPool(p Params, probes ...probe) error {
 		}
 	}
 	return nil
-}
-
-// sortedNames returns the workload names of a result matrix in order.
-func sortedNames(results map[string]map[string]metrics.RunStats) []string {
-	names := make([]string, 0, len(results))
-	for n := range results {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Experiment identifies one regenerable artifact.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -17,7 +18,6 @@ func tinyParams() Params {
 	return Params{
 		Instrs:    8_000,
 		Workloads: []string{"perlbmk", "nat"},
-		Parallel:  true,
 	}
 }
 
@@ -85,7 +85,7 @@ func TestUnknownWorkloadError(t *testing.T) {
 func TestFig1ShapeCommittedDominates(t *testing.T) {
 	// Across the full pool, committed conflicts must dominate in-flight
 	// ones (the paper's ~2:1 split is the motivation for DLVP).
-	p := Params{Instrs: 20_000, Parallel: true}
+	p := Params{Instrs: 20_000}
 	tables, err := Fig1(p)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestFig1ShapeCommittedDominates(t *testing.T) {
 }
 
 func TestFig2ShapeAddressesVsValues(t *testing.T) {
-	p := Params{Instrs: 20_000, Parallel: true}
+	p := Params{Instrs: 20_000}
 	tbs, err := Fig2(p)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestFig2ShapeAddressesVsValues(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	p := Params{Instrs: 30_000, Parallel: true}
+	p := Params{Instrs: 30_000}
 	tbs, err := Fig4(p)
 	if err != nil {
 		t.Fatal(err)
@@ -173,13 +173,12 @@ func parsePct(t *testing.T, s string) float64 {
 }
 
 // TestMatrixSerialParallelIdentical locks result determinism across worker
-// counts at the driver level: the same figure regenerated serially and in
-// parallel renders byte-identical tables.
+// counts at the driver level: the same figure regenerated on a one-worker
+// runner and on a many-worker runner renders byte-identical tables.
 func TestMatrixSerialParallelIdentical(t *testing.T) {
-	render := func(parallel bool) string {
+	render := func(workers int) string {
 		p := tinyParams()
-		p.Parallel = parallel
-		p.Runner = runner.New(runner.Options{})
+		p.Runner = runner.New(runner.Options{Workers: workers})
 		tables, err := Fig5(p)
 		if err != nil {
 			t.Fatal(err)
@@ -190,7 +189,7 @@ func TestMatrixSerialParallelIdentical(t *testing.T) {
 		}
 		return out.String()
 	}
-	serial, parallel := render(false), render(true)
+	serial, parallel := render(1), render(max(4, runtime.NumCPU()))
 	if serial != parallel {
 		t.Errorf("serial and parallel renders differ:\n%s\n---\n%s", serial, parallel)
 	}
@@ -242,7 +241,7 @@ func (e validatingEngine) RunResult(ctx context.Context, job runner.Job) (runner
 // Every config an experiment builds, ablations included, passes the
 // validation that configs arriving over the wire get.
 func TestExperimentConfigsValidate(t *testing.T) {
-	p := Params{Instrs: 2_000, Workloads: []string{"perlbmk"}, Parallel: true,
+	p := Params{Instrs: 2_000, Workloads: []string{"perlbmk"},
 		Runner: validatingEngine{runner.New(runner.Options{})}}
 	for _, e := range All() {
 		if _, err := e.Run(p); err != nil {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dlvp/internal/config"
-	"dlvp/internal/metrics"
 )
 
 // TestHeadlineShape locks the paper's central qualitative claims on a
@@ -29,9 +28,8 @@ func TestHeadlineShape(t *testing.T) {
 			"gap",      // in-flight conflicts (LSCD)
 			"twolf",    // unpredictable control
 		},
-		Parallel: true,
 	}
-	results, err := runMatrix(p, map[string]config.Core{
+	g, err := runMatrix(p, map[string]config.Core{
 		"base":  config.Baseline(),
 		"dlvp":  config.DLVP(),
 		"vtage": config.VTAGE(),
@@ -39,50 +37,37 @@ func TestHeadlineShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := sortedNames(results)
 
-	var spD, spV float64
-	var predD, corrD uint64
-	for _, n := range names {
-		r := results[n]
-		spD += metrics.SpeedupPct(r["base"], r["dlvp"])
-		spV += metrics.SpeedupPct(r["base"], r["vtage"])
-		predD += r["dlvp"].VP.Predicted
-		corrD += r["dlvp"].VP.Correct
+	spD, spV := g.meanSpeedup("dlvp"), g.meanSpeedup("vtage")
+	if spD <= spV {
+		t.Errorf("average speedup ordering flipped: DLVP %.2f%% vs VTAGE %.2f%%", spD, spV)
 	}
-	k := float64(len(names))
-	if spD/k <= spV/k {
-		t.Errorf("average speedup ordering flipped: DLVP %.2f%% vs VTAGE %.2f%%", spD/k, spV/k)
+	if spD <= 0 {
+		t.Errorf("DLVP average speedup non-positive: %.2f%%", spD)
 	}
-	if spD/k <= 0 {
-		t.Errorf("DLVP average speedup non-positive: %.2f%%", spD/k)
-	}
-	if acc := 100 * float64(corrD) / float64(predD); acc < 98.5 {
+	if acc := g.accuracy("dlvp"); acc < 98.5 {
 		t.Errorf("DLVP aggregate accuracy = %.2f%%, paper requires ~99%%", acc)
 	}
 
 	// Per-workload winners from the paper's narrative.
-	spOf := func(wl, scheme string) float64 {
-		return metrics.SpeedupPct(results[wl]["base"], results[wl][scheme])
+	if g.speedup("perlbmk", "dlvp") < 10 {
+		t.Errorf("perlbmk DLVP speedup = %.2f%%, should be the standout", g.speedup("perlbmk", "dlvp"))
 	}
-	if spOf("perlbmk", "dlvp") < 10 {
-		t.Errorf("perlbmk DLVP speedup = %.2f%%, should be the standout", spOf("perlbmk", "dlvp"))
-	}
-	if spOf("perlbmk", "dlvp") <= spOf("perlbmk", "vtage") {
+	if g.speedup("perlbmk", "dlvp") <= g.speedup("perlbmk", "vtage") {
 		t.Error("perlbmk must favour DLVP")
 	}
-	if spOf("soplex", "vtage") < spOf("soplex", "dlvp") {
+	if g.speedup("soplex", "vtage") < g.speedup("soplex", "dlvp") {
 		t.Error("soplex must favour VTAGE (value repeatability)")
 	}
 	// gap: DLVP must stay roughly neutral thanks to the LSCD.
-	if spOf("gap", "dlvp") < -3 {
-		t.Errorf("gap DLVP = %.2f%%; LSCD protection failed", spOf("gap", "dlvp"))
+	if sp := g.speedup("gap", "dlvp"); sp < -3 {
+		t.Errorf("gap DLVP = %.2f%%; LSCD protection failed", sp)
 	}
 	// VTAGE must not predict vortex's LDPs (static filter).
-	if cov := results["vortex"]["vtage"].VP.Coverage(); cov > 20 {
+	if cov := g.at("vortex", "vtage").VP.Coverage(); cov > 20 {
 		t.Errorf("vortex VTAGE coverage = %.1f%%; static filter leak?", cov)
 	}
-	if cov := results["vortex"]["dlvp"].VP.Coverage(); cov < 20 {
+	if cov := g.at("vortex", "dlvp").VP.Coverage(); cov < 20 {
 		t.Errorf("vortex DLVP coverage = %.1f%%; multi-dest address prediction broken?", cov)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // the same table as on a fresh runner.
 func TestSitesReadsFig6Results(t *testing.T) {
 	r := runner.New(runner.Options{})
-	p := Params{Instrs: 8_000, Workloads: []string{"perlbmk", "nat", "mcf"}, Parallel: true, Runner: r}
+	p := Params{Instrs: 8_000, Workloads: []string{"perlbmk", "nat", "mcf"}, Runner: r}
 	if _, err := Fig6(p); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dlvp/internal/config"
-	"dlvp/internal/metrics"
 	"dlvp/internal/tabletext"
 	"dlvp/internal/trace"
 )
@@ -35,7 +34,7 @@ func Summary(p Params) ([]*tabletext.Table, error) {
 		fmt.Sprintf("%.1f%% / %.2f%%", addr.cap[0].Coverage(), addr.cap[0].Accuracy()))
 
 	// Figure 6 averages.
-	results, err := runMatrix(p, map[string]config.Core{
+	g, err := runMatrix(p, map[string]config.Core{
 		"base":  config.Baseline(),
 		"cap":   config.CAPDLVP(),
 		"vtage": config.VTAGE(),
@@ -44,40 +43,20 @@ func Summary(p Params) ([]*tabletext.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	names := sortedNames(results)
-	avg := func(scheme string, f func(metrics.RunStats) float64) float64 {
-		var s float64
-		for _, n := range names {
-			s += f(results[n][scheme])
-		}
-		return s / float64(len(names))
-	}
-	speedup := func(scheme string) float64 {
-		var s float64
-		for _, n := range names {
-			s += metrics.SpeedupPct(results[n]["base"], results[n][scheme])
-		}
-		return s / float64(len(names))
-	}
-	var maxD float64
-	for _, n := range names {
-		if sp := metrics.SpeedupPct(results[n]["base"], results[n]["dlvp"]); sp > maxD {
-			maxD = sp
-		}
-	}
-	t.AddRow("DLVP avg speedup (fig 6a)", "4.8%", fmt.Sprintf("%.2f%%", speedup("dlvp")))
-	t.AddRow("CAP avg speedup (fig 6a)", "2.3%", fmt.Sprintf("%.2f%%", speedup("cap")))
-	t.AddRow("VTAGE avg speedup (fig 6a)", "2.1%", fmt.Sprintf("%.2f%%", speedup("vtage")))
+	maxD, _ := g.best("dlvp")
+	t.AddRow("DLVP avg speedup (fig 6a)", "4.8%", fmt.Sprintf("%.2f%%", g.meanSpeedup("dlvp")))
+	t.AddRow("CAP avg speedup (fig 6a)", "2.3%", fmt.Sprintf("%.2f%%", g.meanSpeedup("cap")))
+	t.AddRow("VTAGE avg speedup (fig 6a)", "2.1%", fmt.Sprintf("%.2f%%", g.meanSpeedup("vtage")))
 	t.AddRow("max DLVP speedup (fig 6a)", "71%", fmt.Sprintf("%.1f%%", maxD))
-	t.AddRow("DLVP avg coverage (fig 6b)", "31.1%",
-		fmt.Sprintf("%.1f%%", avg("dlvp", func(r metrics.RunStats) float64 { return r.VP.Coverage() })))
-	t.AddRow("VTAGE avg coverage (fig 6b)", "29.6%",
-		fmt.Sprintf("%.1f%%", avg("vtage", func(r metrics.RunStats) float64 { return r.VP.Coverage() })))
-	t.AddRow("DLVP core energy vs baseline (fig 6c)", "~1.00",
-		fmt.Sprintf("%.3f", avg("dlvp", func(r metrics.RunStats) float64 { return r.CoreEnergy })/
-			avg("base", func(r metrics.RunStats) float64 { return r.CoreEnergy })))
+	t.AddRow("DLVP avg coverage (fig 6b)", "31.1%", fmt.Sprintf("%.1f%%", g.meanCoverage("dlvp")))
+	t.AddRow("VTAGE avg coverage (fig 6b)", "29.6%", fmt.Sprintf("%.1f%%", g.meanCoverage("vtage")))
+	// A ratio of pool means, unlike Figure 6c's mean of per-workload ratios.
+	energy := func(scheme string) float64 {
+		return g.mean(func(w string) float64 { return g.at(w, scheme).CoreEnergy })
+	}
+	t.AddRow("DLVP core energy vs baseline (fig 6c)", "~1.00", fmt.Sprintf("%.3f", energy("dlvp")/energy("base")))
 	t.Notes = append(t.Notes,
 		"shapes, not absolute numbers, are the reproduction target: the substrate is a from-scratch simulator on synthetic kernels",
-		fmt.Sprintf("pool: %d workloads, %d instructions each", len(names), p.Instrs))
+		fmt.Sprintf("pool: %d workloads, %d instructions each", len(g.names), p.Instrs))
 	return []*tabletext.Table{t}, nil
 }

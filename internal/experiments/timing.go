@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"dlvp/internal/config"
 	"dlvp/internal/energy"
@@ -22,7 +23,7 @@ var fig5Subset = []string{"h264ref", "bzip2", "libquantum", "mcf", "soplex", "om
 func Fig5(p Params) ([]*tabletext.Table, error) {
 	noPf := config.DLVP()
 	noPf.VP.ProbePrefetch = false
-	results, err := runMatrix(p, map[string]config.Core{
+	g, err := runMatrix(p, map[string]config.Core{
 		"base":    config.Baseline(),
 		"dlvp":    config.DLVP(),
 		"dlvp-no": noPf,
@@ -34,45 +35,26 @@ func Fig5(p Params) ([]*tabletext.Table, error) {
 		Title:  "Figure 5: benefit of DLVP-generated prefetches",
 		Header: []string{"workload", "speedup pf-on %", "speedup pf-off %", "delta %", "loads prefetched %"},
 	}
-	var dOn, dOff, dFrac float64
-	names := sortedNames(results)
-	for _, n := range names {
-		r := results[n]
-		on := metrics.SpeedupPct(r["base"], r["dlvp"])
-		off := metrics.SpeedupPct(r["base"], r["dlvp-no"])
-		frac := 0.0
-		if r["dlvp"].Loads > 0 {
-			frac = 100 * float64(r["dlvp"].Prefetches) / float64(r["dlvp"].Loads)
+	on := func(w string) float64 { return g.speedup(w, "dlvp") }
+	off := func(w string) float64 { return g.speedup(w, "dlvp-no") }
+	prefetched := func(w string) float64 {
+		r := g.at(w, "dlvp")
+		if r.Loads == 0 {
+			return 0
 		}
-		dOn += on
-		dOff += off
-		dFrac += frac
-		if inSubset(n, fig5Subset) {
-			t.AddRow(n, on, off, on-off, frac)
+		return 100 * float64(r.Prefetches) / float64(r.Loads)
+	}
+	for _, w := range g.names {
+		if slices.Contains(fig5Subset, w) {
+			t.AddRow(w, on(w), off(w), on(w)-off(w), prefetched(w))
 		}
 	}
-	n := float64(len(names))
-	t.AddRow("AVERAGE(all)", dOn/n, dOff/n, (dOn-dOff)/n, dFrac/n)
+	// The delta is (ΣOn − ΣOff)/n, which in floating point is neither the
+	// mean of the differences nor the difference of the means.
+	t.AddRow("AVERAGE(all)", g.mean(on), g.mean(off), (g.sum(on)-g.sum(off))/float64(len(g.names)), g.mean(prefetched))
 	t.Notes = append(t.Notes,
 		"paper: fraction prefetched is tiny (0.3% average) and the feature adds only ~0.1% speedup")
 	return []*tabletext.Table{t}, nil
-}
-
-// aggAcc returns pooled accuracy (correct/predicted) in percent.
-func aggAcc(predicted, correct uint64) float64 {
-	if predicted == 0 {
-		return 0
-	}
-	return 100 * float64(correct) / float64(predicted)
-}
-
-func inSubset(name string, set []string) bool {
-	for _, s := range set {
-		if s == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Fig6 reproduces Figure 6: the head-to-head of the three value-prediction
@@ -80,7 +62,7 @@ func inSubset(name string, set []string) bool {
 // normalized to the no-value-prediction baseline; 6d: predictor structure
 // area and access energy normalized to PAP.
 func Fig6(p Params) ([]*tabletext.Table, error) {
-	results, err := runMatrix(p, map[string]config.Core{
+	g, err := runMatrix(p, map[string]config.Core{
 		"base":  config.Baseline(),
 		"cap":   config.CAPDLVP(),
 		"vtage": config.VTAGE(),
@@ -89,7 +71,6 @@ func Fig6(p Params) ([]*tabletext.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	names := sortedNames(results)
 
 	a := &tabletext.Table{
 		Title:  "Figure 6a: speedup over baseline (%)",
@@ -103,47 +84,26 @@ func Fig6(p Params) ([]*tabletext.Table, error) {
 		Title:  "Figure 6c: total core energy normalized to baseline",
 		Header: []string{"workload", "CAP", "VTAGE", "DLVP"},
 	}
-	var spC, spV, spD, covC, covV, covD, enC, enV, enD float64
-	var maxD float64
-	var maxDName string
-	var predC, corrC, predV, corrV, predD, corrD uint64
-	for _, n := range names {
-		r := results[n]
-		sc := metrics.SpeedupPct(r["base"], r["cap"])
-		sv := metrics.SpeedupPct(r["base"], r["vtage"])
-		sd := metrics.SpeedupPct(r["base"], r["dlvp"])
-		a.AddRow(n, sc, sv, sd)
-		b.AddRow(n, r["cap"].VP.Coverage(), r["vtage"].VP.Coverage(), r["dlvp"].VP.Coverage())
-		be := r["base"].CoreEnergy
-		c.AddRow(n, r["cap"].CoreEnergy/be, r["vtage"].CoreEnergy/be, r["dlvp"].CoreEnergy/be)
-		spC += sc
-		spV += sv
-		spD += sd
-		covC += r["cap"].VP.Coverage()
-		covV += r["vtage"].VP.Coverage()
-		covD += r["dlvp"].VP.Coverage()
-		enC += r["cap"].CoreEnergy / be
-		enV += r["vtage"].CoreEnergy / be
-		enD += r["dlvp"].CoreEnergy / be
-		predC += r["cap"].VP.Predicted
-		corrC += r["cap"].VP.Correct
-		predV += r["vtage"].VP.Predicted
-		corrV += r["vtage"].VP.Correct
-		predD += r["dlvp"].VP.Predicted
-		corrD += r["dlvp"].VP.Correct
-		if sd > maxD {
-			maxD, maxDName = sd, n
-		}
+	coverage := func(w, scheme string) float64 { return g.at(w, scheme).VP.Coverage() }
+	energy := func(w, scheme string) float64 { return g.at(w, scheme).CoreEnergy / g.at(w, "base").CoreEnergy }
+	for _, w := range g.names {
+		a.AddRow(w, g.speedup(w, "cap"), g.speedup(w, "vtage"), g.speedup(w, "dlvp"))
+		b.AddRow(w, coverage(w, "cap"), coverage(w, "vtage"), coverage(w, "dlvp"))
+		c.AddRow(w, energy(w, "cap"), energy(w, "vtage"), energy(w, "dlvp"))
 	}
-	k := float64(len(names))
-	a.AddRow("AVERAGE", spC/k, spV/k, spD/k)
-	b.AddRow("AVERAGE", covC/k, covV/k, covD/k)
-	c.AddRow("AVERAGE", enC/k, enV/k, enD/k)
+	// 6c's average is a mean of per-workload ratios.
+	meanEnergy := func(scheme string) float64 {
+		return g.mean(func(w string) float64 { return energy(w, scheme) })
+	}
+	a.AddRow("AVERAGE", g.meanSpeedup("cap"), g.meanSpeedup("vtage"), g.meanSpeedup("dlvp"))
+	b.AddRow("AVERAGE", g.meanCoverage("cap"), g.meanCoverage("vtage"), g.meanCoverage("dlvp"))
+	c.AddRow("AVERAGE", meanEnergy("cap"), meanEnergy("vtage"), meanEnergy("dlvp"))
+	maxD, maxDName := g.best("dlvp")
 	a.Notes = append(a.Notes,
 		fmt.Sprintf("paper averages: CAP 2.3%%, VTAGE 2.1%%, DLVP 4.8%%; max DLVP 71%% (perlbmk)"),
 		fmt.Sprintf("max DLVP here: %.1f%% (%s)", maxD, maxDName),
 		fmt.Sprintf("aggregate accuracy: CAP %.2f%%, VTAGE %.2f%%, DLVP %.2f%% (paper: all >99%%)",
-			aggAcc(predC, corrC), aggAcc(predV, corrV), aggAcc(predD, corrD)))
+			g.accuracy("cap"), g.accuracy("vtage"), g.accuracy("dlvp")))
 	b.Notes = append(b.Notes, "paper averages: DLVP 31.1% vs VTAGE 29.6%; DLVP below standalone PAP because the LSCD filters in-flight conflicts")
 	c.Notes = append(c.Notes, "paper: DLVP's speedup offsets its double cache probing; average energy on par with VTAGE")
 
@@ -176,7 +136,7 @@ func fig6dTable() *tabletext.Table {
 // (8a), and the breakdown of which component supplied the committed
 // predictions (8b).
 func Fig8(p Params) ([]*tabletext.Table, error) {
-	results, err := runMatrix(p, map[string]config.Core{
+	g, err := runMatrix(p, map[string]config.Core{
 		"base":       config.Baseline(),
 		"dlvp":       config.DLVP(),
 		"vtage":      config.VTAGE(),
@@ -185,33 +145,18 @@ func Fig8(p Params) ([]*tabletext.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	names := sortedNames(results)
 	a := &tabletext.Table{
 		Title:  "Figure 8a: average speedup and coverage, alone vs combined",
 		Header: []string{"scheme", "speedup %", "coverage %"},
 	}
-	var spD, spV, spT, covD, covV, covT float64
-	var predD, predV uint64
-	var totalPred uint64
-	for _, n := range names {
-		r := results[n]
-		spD += metrics.SpeedupPct(r["base"], r["dlvp"])
-		spV += metrics.SpeedupPct(r["base"], r["vtage"])
-		spT += metrics.SpeedupPct(r["base"], r["tournament"])
-		covD += r["dlvp"].VP.Coverage()
-		covV += r["vtage"].VP.Coverage()
-		covT += r["tournament"].VP.Coverage()
-		predD += r["tournament"].TournamentDLVP
-		predV += r["tournament"].TournamentVTAGE
-		totalPred += r["tournament"].VP.Predicted
-	}
-	k := float64(len(names))
-	a.AddRow("DLVP alone", spD/k, covD/k)
-	a.AddRow("VTAGE alone", spV/k, covV/k)
-	a.AddRow("tournament", spT/k, covT/k)
+	a.AddRow("DLVP alone", g.meanSpeedup("dlvp"), g.meanCoverage("dlvp"))
+	a.AddRow("VTAGE alone", g.meanSpeedup("vtage"), g.meanCoverage("vtage"))
+	a.AddRow("tournament", g.meanSpeedup("tournament"), g.meanCoverage("tournament"))
 	a.Notes = append(a.Notes,
 		"paper: combining adds little coverage — the predictors capture largely overlapping loads")
 
+	predD := g.total("tournament", func(r metrics.RunStats) uint64 { return r.TournamentDLVP })
+	predV := g.total("tournament", func(r metrics.RunStats) uint64 { return r.TournamentVTAGE })
 	b := &tabletext.Table{
 		Title:  "Figure 8b: breakdown of committed predictions by provider",
 		Header: []string{"provider", "predictions", "share %"},
@@ -235,7 +180,7 @@ var fig9Subset = []string{"bzip2", "pdfjs", "gcc", "soplex", "avmshell"}
 func Fig9(p Params) ([]*tabletext.Table, error) {
 	sub := p
 	sub.Workloads = fig9Subset
-	results, err := runMatrix(sub, map[string]config.Core{
+	g, err := runMatrix(sub, map[string]config.Core{
 		"base":  config.Baseline(),
 		"dlvp":  config.DLVP(),
 		"vtage": config.VTAGE(),
@@ -248,15 +193,12 @@ func Fig9(p Params) ([]*tabletext.Table, error) {
 		Header: []string{"workload", "DLVP speedup %", "DLVP cov %", "DLVP acc %",
 			"VTAGE speedup %", "VTAGE cov %", "VTAGE acc %", "TLB miss base %", "TLB miss DLVP %"},
 	}
-	for _, n := range fig9Subset {
-		r, ok := results[n]
-		if !ok {
-			continue
-		}
-		t.AddRow(n,
-			metrics.SpeedupPct(r["base"], r["dlvp"]), r["dlvp"].VP.Coverage(), r["dlvp"].VP.Accuracy(),
-			metrics.SpeedupPct(r["base"], r["vtage"]), r["vtage"].VP.Coverage(), r["vtage"].VP.Accuracy(),
-			r["base"].TLBMissRate, r["dlvp"].TLBMissRate)
+	for _, w := range fig9Subset {
+		dlvp, vt := g.at(w, "dlvp"), g.at(w, "vtage")
+		t.AddRow(w,
+			g.speedup(w, "dlvp"), dlvp.VP.Coverage(), dlvp.VP.Accuracy(),
+			g.speedup(w, "vtage"), vt.VP.Coverage(), vt.VP.Accuracy(),
+			g.at(w, "base").TLBMissRate, dlvp.TLBMissRate)
 	}
 	t.Notes = append(t.Notes,
 		"paper: bzip2 suffers a higher TLB miss rate under DLVP (double probing); avmshell the opposite")
@@ -277,7 +219,7 @@ func Fig10(p Params) ([]*tabletext.Table, error) {
 		c.VP.SelectiveReplay = true
 		return c
 	}
-	results, err := runMatrix(p, map[string]config.Core{
+	g, err := runMatrix(p, map[string]config.Core{
 		"base":     config.Baseline(),
 		"cap":      config.CAPDLVP(),
 		"dlvp":     config.DLVP(),
@@ -292,24 +234,16 @@ func Fig10(p Params) ([]*tabletext.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	names := sortedNames(results)
 	t := &tabletext.Table{
 		Title:  "Figure 10: average speedup by recovery mechanism (%)",
 		Header: []string{"scheme", "flush", "oracle replay", "selective replay (ext)", "oracle delta"},
-	}
-	avg := func(scheme string) float64 {
-		var s float64
-		for _, n := range names {
-			s += metrics.SpeedupPct(results[n]["base"], results[n][scheme])
-		}
-		return s / float64(len(names))
 	}
 	for _, row := range [][4]string{
 		{"CAP", "cap", "cap-or", "cap-sr"},
 		{"DLVP", "dlvp", "dlvp-or", "dlvp-sr"},
 		{"VTAGE", "vtage", "vtage-or", "vtage-sr"},
 	} {
-		f, o, sr := avg(row[1]), avg(row[2]), avg(row[3])
+		f, o, sr := g.meanSpeedup(row[1]), g.meanSpeedup(row[2]), g.meanSpeedup(row[3])
 		t.AddRow(row[0], f, o, sr, o-f)
 	}
 	t.Notes = append(t.Notes,

@@ -30,31 +30,19 @@ func Fig7(p Params) ([]*tabletext.Table, error) {
 		"dynamic-all":   mk(vtage.FilterDynamic, false),
 		"static-all":    mk(vtage.FilterStatic, false),
 	}
-	results, err := runMatrix(p, cfgs)
+	g, err := runMatrix(p, cfgs)
 	if err != nil {
 		return nil, err
 	}
-	names := sortedNames(results)
 
 	t := &tabletext.Table{
 		Title:  "Figure 7: VTAGE flavours (averages across workloads)",
 		Header: []string{"configuration", "speedup %", "coverage %", "accuracy %", "value flushes"},
 	}
-	order := []string{"vanilla-loads", "dynamic-loads", "static-loads",
-		"vanilla-all", "dynamic-all", "static-all"}
-	for _, scheme := range order {
-		var sp, cov float64
-		var flushes, predicted, correct uint64
-		for _, n := range names {
-			r := results[n]
-			sp += metrics.SpeedupPct(r["base"], r[scheme])
-			cov += r[scheme].VP.Coverage()
-			predicted += r[scheme].VP.Predicted
-			correct += r[scheme].VP.Correct
-			flushes += r[scheme].ValueFlushes
-		}
-		k := float64(len(names))
-		t.AddRow(scheme, sp/k, cov/k, aggAcc(predicted, correct), flushes)
+	for _, scheme := range []string{"vanilla-loads", "dynamic-loads", "static-loads",
+		"vanilla-all", "dynamic-all", "static-all"} {
+		t.AddRow(scheme, g.meanSpeedup(scheme), g.meanCoverage(scheme), g.accuracy(scheme),
+			g.total(scheme, func(r metrics.RunStats) uint64 { return r.ValueFlushes }))
 	}
 	t.Notes = append(t.Notes,
 		"paper: static filter > dynamic filter > vanilla; loads-only > all-instructions at an 8KB budget",

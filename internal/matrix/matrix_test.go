@@ -638,6 +638,42 @@ func TestCancelLeavesRunnerCacheConsistent(t *testing.T) {
 	}
 }
 
+// TestCancelledShardStopsSimulating: a shard simulating a budget of 2^40
+// instructions on the local engine stops once its matrix is cancelled, so
+// Done closes within a second, and the engine is left with nothing
+// running, executed or cached.
+func TestCancelledShardStopsSimulating(t *testing.T) {
+	eng := runner.New(runner.Options{})
+	o := New(Options{Cluster: SingleEngine{Engine: eng}})
+	m, err := o.Submit(Spec{Workloads: []string{"gcc"}, Schemes: testSchemes, Instrs: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	start := time.Now()
+	if !o.Cancel(m.ID()) {
+		t.Fatal("cancel: matrix not found")
+	}
+	select {
+	case <-m.Done():
+	case <-time.After(time.Second):
+		// No o.Close: it would wait out the shard's simulation.
+		t.Fatalf("Done still open %v after Cancel, want within 1s", time.Since(start))
+	}
+	o.Close()
+	if v := m.View(); v.Status != StatusCancelled {
+		t.Errorf("status = %s, want %s", v.Status, StatusCancelled)
+	}
+	if s := eng.Stats(); s.JobsRunning != 0 || s.SimsExecuted != 0 {
+		t.Errorf("running=%d executed=%d after the cancel, want 0/0", s.JobsRunning, s.SimsExecuted)
+	}
+	for _, c := range m.Plan().Shards[0].Cells {
+		if _, ok := eng.CachedResult(c.Key); ok {
+			t.Errorf("%s/%s: a stopped run was cached", c.Workload, c.Scheme)
+		}
+	}
+}
+
 // TestCompletionOrderBitIdentical runs one spec under two clusters with
 // opposite timing profiles and asserts the final tables marshal
 // identically — the distributed-vs-single determinism guarantee at unit

@@ -533,10 +533,6 @@ func (r *Runner) publishLive(key string, lv *liveJob) {
 
 // Matrix parameterises a FanOut call.
 type Matrix struct {
-	// MaxParallel additionally bounds this call's concurrency below the
-	// runner's pool size (<= 0: bounded only by the pool). The experiment
-	// drivers use 1 for their -serial mode.
-	MaxParallel int
 	// Progress, when non-nil, is invoked after each job completes, with the
 	// number done so far and the total. Calls are serialised.
 	Progress func(done, total int)
@@ -555,10 +551,6 @@ func (r *Runner) RunAll(ctx context.Context, jobs []Job, opt Matrix) ([]metrics.
 // job-level error otherwise. Results of jobs that did not run are zero.
 func FanOut[R any](ctx context.Context, jobs []Job, opt Matrix, run func(context.Context, Job) (R, bool, error)) ([]R, error) {
 	results := make([]R, len(jobs))
-	var local chan struct{}
-	if opt.MaxParallel > 0 {
-		local = make(chan struct{}, opt.MaxParallel)
-	}
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -569,19 +561,6 @@ func FanOut[R any](ctx context.Context, jobs []Job, opt Matrix, run func(context
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if local != nil {
-				select {
-				case local <- struct{}{}:
-					defer func() { <-local }()
-				case <-ctx.Done():
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = ctx.Err()
-					}
-					mu.Unlock()
-					return
-				}
-			}
 			st, _, err := run(ctx, jobs[i])
 			mu.Lock()
 			defer mu.Unlock()

@@ -358,7 +358,6 @@ type runResponse struct {
 type experimentRequest struct {
 	Instrs    uint64   `json:"instrs"`
 	Workloads []string `json:"workloads"`
-	Serial    bool     `json:"serial"`
 	Async     bool     `json:"async"`
 }
 
@@ -550,7 +549,6 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			a, err := exp.RunArtifact(experiments.Params{
 				Instrs:    instrs,
 				Workloads: req.Workloads,
-				Parallel:  !req.Serial,
 				Ctx:       ctx,
 				Runner:    eng,
 			})
@@ -835,9 +833,7 @@ func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, err error
 func artifactKey(id string, instrs uint64, wls []string) string {
 	// Workload order affects row order only through pool resolution, which
 	// preserves the given order; a reordered request is a different table,
-	// so the order stays part of the address. Serial vs parallel produces
-	// identical artifacts (deterministic aggregation), so the request's
-	// serial flag is not part of it.
+	// so the order stays part of the address.
 	payload, _ := json.Marshal(struct {
 		ID        string   `json:"id"`
 		Instrs    uint64   `json:"instrs"`

@@ -129,7 +129,7 @@ func bestOfMatrix(b *testing.B, n int, newCache func() *tracecache.Cache, statsO
 		}
 		eng := runner.New(opts)
 		start := time.Now()
-		out, err := eng.RunAll(context.Background(), jobs, runner.Matrix{MaxParallel: 1})
+		out, err := eng.RunAll(context.Background(), jobs, runner.Matrix{})
 		if err != nil {
 			b.Fatalf("matrix: %v", err)
 		}

@@ -14,8 +14,9 @@ import (
 //
 // Sampling is off by default. On or off, the commit path pays one compare
 // of the instruction count against the next boundary; the counter
-// snapshot is taken only at interval boundaries
-// (BenchmarkTimelineOverhead holds the slowdown under 1%).
+// snapshot is taken only at interval boundaries. BenchmarkTimelineOverhead
+// times that against BenchmarkTimelineBaseline, but the host's run-to-run
+// spread is larger than the cost, which is therefore unmeasured.
 func (c *Core) EnableTimeline(intervalInstrs uint64, capacity int) *timeline.Recorder {
 	c.tl = timeline.NewRecorder(intervalInstrs, capacity, c.stats.Workload, c.stats.Scheme)
 	c.tlNext = c.ctr[metrics.Instructions] + c.tl.IntervalInstrs()
